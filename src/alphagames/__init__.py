@@ -24,12 +24,13 @@ from .bsde import (AdjointSolution, BsdeSolution, LinearBsdeSpec,
                    solve_first_adjoint, solve_linear_bsde,
                    solve_second_adjoint, trace_duality_residual)
 from .derivatives import (DerivativeEstimate, cost_pathwise, cost_value,
-                          first_derivative_bsde, first_derivative_fd,
+                          first_derivative_bsde, first_derivative_fd_sweep,
                           first_derivative_sens, second_derivative_bsde,
-                          second_derivative_fd, second_derivative_z_oracle)
+                          second_derivative_fd_sweep,
+                          second_derivative_z_oracle)
 from .alpha import (AlphaReport, BoundLedger, asymmetry, build_bound_ledger,
                     cor_decay_bound, empirical_alpha, exploitability,
-                    moment_bound_constants, potential_deviation_gap,
+                    moment_bound_constants, potential_deviation_gaps,
                     potential_value, sensitivity_moment_bound,
                     theoretical_alpha_bound)
 from .presets import (PRESET_IDS, build_common_noise_game, build_lq_game,

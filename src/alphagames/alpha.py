@@ -23,7 +23,7 @@ import numpy as np
 from .bsde import (RegressionBasis, apriori_constant, solve_first_adjoint,
                    solve_second_adjoint)
 from .derivatives import (EPS_SCHEDULE, cost_pathwise, first_derivative_bsde,
-                          _richardson, second_derivative_bsde,
+                          second_derivative_bsde, second_derivative_fd_sweep,
                           second_derivative_z_oracle)
 from .model import (ConstantLedger, Control, ControlProfile, GameSpec,
                     NoiseBundle, TimeGrid)
@@ -41,7 +41,7 @@ __all__ = [
     "moment_bound_constants",
     "sensitivity_moment_bound",
     "potential_value",
-    "potential_deviation_gap",
+    "potential_deviation_gaps",
     "exploitability",
 ]
 
@@ -104,33 +104,10 @@ class BoundLedger:
                 "mc1": self.mc1, "mc2": self.mc2}
 
 
-def _pair_difference_fd(spec, controls, i, j, dir_i, dir_j, grid, noise,
-                        eps_schedule):
-    """Pathwise mixed-stencil estimate of the asymmetry of one (i, j)
-    pair in one direction pair; the stencil legs are shared between the
-    two cost functionals, so the difference is a common-random-number
-    quantity with its own pathwise standard error."""
-    from .sim import simulate_cost_batch
-
-    signs = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
-    profiles = [controls.perturbed(i, dir_i, sa * e).perturbed(j, dir_j,
-                                                               sb * e)
-                for e in eps_schedule for sa, sb in signs]
-    costs = simulate_cost_batch(spec, profiles, grid, noise)
-    cols_ij, cols_ji = [], []
-    for m, e in enumerate(eps_schedule):
-        acc_i = sum(sa * sb * costs[4 * m + q, :, i]
-                    for q, (sa, sb) in enumerate(signs))
-        acc_j = sum(sa * sb * costs[4 * m + q, :, j]
-                    for q, (sa, sb) in enumerate(signs))
-        cols_ij.append(acc_i / (4.0 * e * e))
-        cols_ji.append(acc_j / (4.0 * e * e))
-    d_ij = _richardson(cols_ij, order=2)
-    d_ji = _richardson(cols_ji, order=2)
-    diff = d_ij - d_ji
-    P = diff.shape[0]
-    return (float(diff.mean()), float(diff.std(ddof=1) / np.sqrt(P)),
-            float(d_ij.mean()), float(d_ji.mean()))
+def _mean_se(pathwise: np.ndarray):
+    """Sample mean of a pathwise quantity and its standard error."""
+    n = pathwise.shape[0]
+    return float(pathwise.mean()), float(pathwise.std(ddof=1) / np.sqrt(n))
 
 
 class _SharedEstimators:
@@ -200,11 +177,8 @@ class _SharedEstimators:
                     _, acc_ji = second_derivative_z_oracle(
                         self.spec, self.controls, self.ens, self.noise,
                         sl, sh, swapped, j, return_pathwise=True)
-                diff = acc_ij - acc_ji
-                P = diff.shape[0]
-                out.append((float(diff.mean()),
-                            float(diff.std(ddof=1) / np.sqrt(P)),
-                            float(acc_ij.mean()), float(acc_ji.mean())))
+                out.append(_mean_se(acc_ij - acc_ji)
+                           + (float(acc_ij.mean()), float(acc_ji.mean())))
         return out
 
 
@@ -215,8 +189,9 @@ def asymmetry(spec: GameSpec, controls: ControlProfile, i: int, j: int,
     """Worst asymmetry of the (i, j) mixed derivatives over the
     direction dictionary; returns (value, se at the argmax).
 
-    Methods: ``FD`` shares the resimulation legs between the two cost
-    functionals, ``BSDE`` contracts cached adjoint pairs, ``SENS``
+    Methods: ``FD`` differences the pathwise Richardson arrays of one
+    mixed FD sweep, whose legs the two cost functionals share,
+    ``BSDE`` contracts cached adjoint pairs, ``SENS``
     contracts cached forward sensitivities (with the mixed response
     propagated, or skipped when the coefficients are affine).
     """
@@ -228,8 +203,10 @@ def asymmetry(spec: GameSpec, controls: ControlProfile, i: int, j: int,
     if method == "FD":
         for di in dirs_i:
             for dj in dirs_j:
-                d, se, _, _ = _pair_difference_fd(
-                    spec, controls, i, j, di, dj, grid, noise, eps_schedule)
+                _, pathwise = second_derivative_fd_sweep(
+                    spec, controls, i, j, di, dj, grid, noise, eps_schedule,
+                    return_pathwise=True)
+                d, se = _mean_se(pathwise[i] - pathwise[j])
                 results.append((abs(d), se))
     else:
         seen = {}
@@ -521,9 +498,9 @@ def _potential_pathwise(spec, anchor, profile, grid, noise, basis, order):
             direction = profile[jp] + (-1.0) * anchor[jp]
             adj = solve_first_adjoint(spec, prof_r, ens, noise, basis, jp)
             _, pathwise = first_derivative_bsde(
-                spec, prof_r, ens, noise, adj, jp, direction,
+                spec, ens, noise, [adj], [(jp, direction)],
                 return_pathwise=True)
-            acc += w * pathwise
+            acc += w * pathwise[(jp, 0)]
     return acc
 
 
@@ -536,37 +513,37 @@ def potential_value(spec: GameSpec, profile: ControlProfile, grid: TimeGrid,
     by Gauss-Legendre quadrature in the line parameter."""
     if anchor is None:
         anchor = ControlProfile.zeros(spec.n_players)
-    acc = _potential_pathwise(spec, anchor, profile, grid, noise, basis,
-                              order)
-    P = acc.shape[0]
-    return float(acc.mean()), float(acc.std(ddof=1) / np.sqrt(P))
+    return _mean_se(_potential_pathwise(spec, anchor, profile, grid, noise,
+                                        basis, order))
 
 
-def potential_deviation_gap(spec: GameSpec, profile: ControlProfile, i: int,
-                            deviation: Control, grid: TimeGrid,
-                            noise: NoiseBundle,
-                            anchor: ControlProfile = None,
-                            basis: RegressionBasis = RegressionBasis(),
-                            order: int = 8):
-    """|cost change - potential change| for one unilateral deviation,
-    with a pathwise (common random numbers) standard error."""
+def potential_deviation_gaps(spec: GameSpec, profile: ControlProfile,
+                             deviations, grid: TimeGrid, noise: NoiseBundle,
+                             anchor: ControlProfile = None,
+                             basis: RegressionBasis = RegressionBasis(),
+                             order: int = 8) -> list:
+    """|cost change - potential change| for each unilateral deviation
+    ``(i, control)`` in ``deviations``, with a pathwise (common random
+    numbers) standard error.  The profile's costs and line integral are
+    computed once and shared by every deviation."""
     if anchor is None:
         anchor = ControlProfile.zeros(spec.n_players)
-    deviated = profile.with_player(i, deviation)
-    ens_a = simulate_paths(spec, profile, grid, noise)
-    ens_d = simulate_paths(spec, deviated, grid, noise)
-    dv = (cost_pathwise(spec, deviated, ens_d)[:, i]
-          - cost_pathwise(spec, profile, ens_a)[:, i])
-    dphi = (_potential_pathwise(spec, anchor, deviated, grid, noise, basis,
-                                order)
-            - _potential_pathwise(spec, anchor, profile, grid, noise, basis,
-                                  order))
-    diff = dv - dphi
-    P = diff.shape[0]
-    return {"cost_change": float(dv.mean()),
-            "potential_change": float(dphi.mean()),
-            "gap": float(abs(diff.mean())),
-            "se": float(diff.std(ddof=1) / np.sqrt(P))}
+    base_cost = cost_pathwise(spec, profile,
+                              simulate_paths(spec, profile, grid, noise))
+    base_phi = _potential_pathwise(spec, anchor, profile, grid, noise, basis,
+                                   order)
+    out = []
+    for i, deviation in deviations:
+        deviated = profile.with_player(i, deviation)
+        ens_d = simulate_paths(spec, deviated, grid, noise)
+        dv = cost_pathwise(spec, deviated, ens_d)[:, i] - base_cost[:, i]
+        dphi = (_potential_pathwise(spec, anchor, deviated, grid, noise,
+                                    basis, order) - base_phi)
+        mean, se = _mean_se(dv - dphi)
+        out.append({"cost_change": float(dv.mean()),
+                    "potential_change": float(dphi.mean()),
+                    "gap": abs(mean), "se": se})
+    return out
 
 
 def exploitability(spec: GameSpec, profile: ControlProfile, deviations,
@@ -584,9 +561,8 @@ def exploitability(spec: GameSpec, profile: ControlProfile, deviations,
         for cand in deviations[i]:
             ens_d = simulate_paths(spec, profile.with_player(i, cand),
                                    grid, noise)
-            gain = base[:, i] - cost_pathwise(spec, profile, ens_d)[:, i]
-            m = float(gain.mean())
-            se = float(gain.std(ddof=1) / np.sqrt(gain.shape[0]))
+            m, se = _mean_se(base[:, i]
+                             - cost_pathwise(spec, profile, ens_d)[:, i])
             if m > best:
                 best, best_se = m, se
         per_player.append((max(best, 0.0), best_se))

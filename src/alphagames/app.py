@@ -26,11 +26,12 @@ import numpy as np
 
 from . import alpha as alpha_mod
 from . import derivatives as deriv_mod
-from .bsde import RegressionBasis, solve_first_adjoint
+from .bsde import RegressionBasis, solve_first_adjoints, solve_second_adjoint
 from .model import (Control, ControlProfile, NoiseBundle, SampleBox,
                     TimeGrid, direction_dictionary, validate_game)
 from .presets import PRESET_IDS, build_preset, lq_scaling_params
-from .sim import empirical_moment, simulate_paths
+from .sim import (empirical_moment, propagate_second_sensitivity,
+                  propagate_sensitivities, simulate_paths)
 
 SUBCOMMANDS = ("simulate", "deriv", "cross-check", "alpha", "bound",
                "scaling", "potential", "nash-gap")
@@ -79,8 +80,12 @@ class ExperimentConfig:
             raise ConfigError("steps: must be >= 2")
         if self.horizon <= 0:
             raise ConfigError("horizon: must be positive")
-        if self.method not in ("FD", "BSDE"):
-            raise ConfigError("method: must be FD or BSDE")
+        if self.method not in ("FD", "BSDE", "SENS"):
+            raise ConfigError("method: must be FD, BSDE or SENS")
+        try:
+            deriv_mod._check_schedule(self.eps_schedule)
+        except (TypeError, ValueError, ZeroDivisionError) as e:
+            raise ConfigError(f"eps_schedule: {e}")
         for name in self.directions:
             if name not in _DIRECTION_NAMES:
                 raise ConfigError(f"directions: unknown name {name!r}")
@@ -245,35 +250,39 @@ def _cmd_simulate(cfg: ExperimentConfig, tables: Path):
     return results, validation.passed
 
 
-def _cmd_deriv(cfg: ExperimentConfig, tables: Path):
-    spec, _ = cfg.build_game()
+def _first_order(cfg: ExperimentConfig, spec, controls, dirs):
+    """Every first-order route on shared work: one ensemble, one
+    sensitivity sweep over all (player, direction) targets, first
+    adjoints for all players, one FD sweep per target and one
+    contraction per route.  Returns the ensemble, the sensitivities and
+    adjoints, and one (i, h, direction name, FD, SENS, BSDE) row per
+    cost player and target, target-major."""
     grid = cfg.grid()
     noise = _noise(cfg, spec)
-    controls = cfg.anchor_profiles(spec.n_players)[0]
-    dirs = cfg.direction_controls()
-    basis = RegressionBasis()
+    N = spec.n_players
+    targets = [(h, d) for h in range(N) for d in dirs]
+    names = [name for _ in range(N) for name in cfg.directions[:len(dirs)]]
     ens = simulate_paths(spec, controls, grid, noise)
-    adjoints = [solve_first_adjoint(spec, controls, ens, noise, basis, i)
-                for i in range(spec.n_players)]
+    sens = propagate_sensitivities(spec, controls, ens, targets, noise)
+    adjoints = solve_first_adjoints(spec, controls, ens, noise,
+                                    RegressionBasis(), range(N))
+    sv = deriv_mod.first_derivative_sens(spec, ens, noise, sens)
+    bs = deriv_mod.first_derivative_bsde(spec, ens, noise, adjoints, targets)
     rows = []
-    from .sim import propagate_sensitivity
-    for h in range(spec.n_players):
-        for name, direction in zip(cfg.directions, dirs):
-            sens = propagate_sensitivity(spec, controls, ens, h, direction,
-                                         noise)
-            fd_cache = {}
-            for i in range(spec.n_players):
-                fd = deriv_mod.first_derivative_fd(
-                    spec, controls, i, h, direction, grid, noise,
-                    cfg.eps_schedule)
-                sv = deriv_mod.first_derivative_sens(
-                    spec, controls, ens, sens, i, noise)
-                bs = deriv_mod.first_derivative_bsde(
-                    spec, controls, ens, noise, adjoints[i], h, direction)
-                for est in (fd, sv, bs):
-                    rows.append([i, h, -1, name, "", est.method,
-                                 est.value, est.std_error])
-                fd_cache[i] = fd
+    for s, ((h, direction), name) in enumerate(zip(targets, names)):
+        fd = deriv_mod.first_derivative_fd_sweep(
+            spec, controls, h, direction, grid, noise, cfg.eps_schedule)
+        rows += [(i, h, name, fd[i], sv[(i, s)], bs[(i, s)])
+                 for i in range(N)]
+    return ens, noise, sens, adjoints, rows
+
+
+def _cmd_deriv(cfg: ExperimentConfig, tables: Path):
+    spec, _ = cfg.build_game()
+    controls = cfg.anchor_profiles(spec.n_players)[0]
+    *_, first = _first_order(cfg, spec, controls, cfg.direction_controls())
+    rows = [[i, h, -1, name, "", est.method, est.value, est.std_error]
+            for i, h, name, *ests in first for est in ests]
     _write_csv(tables / "derivatives.csv",
                ["i", "h", "l", "dir_h", "dir_l", "method", "value", "se"],
                rows)
@@ -288,66 +297,56 @@ def _cmd_cross_check(cfg: ExperimentConfig, tables: Path):
     """Three-route agreement for first and second derivatives."""
     spec, _ = cfg.build_game()
     grid = cfg.grid()
-    noise = _noise(cfg, spec)
-    controls = cfg.anchor_profiles(spec.n_players)[0]
+    N = spec.n_players
+    controls = cfg.anchor_profiles(N)[0]
     dirs = cfg.direction_controls()[:2]
     dir_names = list(cfg.directions)[:2]
-    basis = RegressionBasis()
     eps_min = min(cfg.eps_schedule)
-    from .bsde import solve_second_adjoint
-    from .sim import propagate_second_sensitivity, propagate_sensitivity
-
-    ens = simulate_paths(spec, controls, grid, noise)
-    adjoints = [solve_first_adjoint(spec, controls, ens, noise, basis, i)
-                for i in range(spec.n_players)]
+    ens, noise, sens, adjoints, first = _first_order(cfg, spec, controls,
+                                                     dirs)
     rows, ok = [], True
-    for h in range(spec.n_players):
-        for name, direction in zip(dir_names, dirs):
-            sens = propagate_sensitivity(spec, controls, ens, h, direction,
-                                         noise)
-            for i in range(spec.n_players):
-                fd = deriv_mod.first_derivative_fd(
-                    spec, controls, i, h, direction, grid, noise,
-                    cfg.eps_schedule)
-                sv = deriv_mod.first_derivative_sens(
-                    spec, controls, ens, sens, i, noise)
-                bs = deriv_mod.first_derivative_bsde(
-                    spec, controls, ens, noise, adjoints[i], h, direction)
-                tol_s = 3.0 * (fd.std_error + sv.std_error) + 10.0 * eps_min
-                tol_b = 3.0 * (fd.std_error + bs.std_error) + 10.0 * eps_min
-                good = _agree(fd, sv, tol_s) and _agree(fd, bs, tol_b)
-                ok = ok and good
-                rows.append(["first", i, h, -1, name, "", fd.value, sv.value,
-                             bs.value, float("nan"), int(good)])
+    for i, h, name, fd, sv, bs in first:
+        tol_s = 3.0 * (fd.std_error + sv.std_error) + 10.0 * eps_min
+        tol_b = 3.0 * (fd.std_error + bs.std_error) + 10.0 * eps_min
+        good = _agree(fd, sv, tol_s) and _agree(fd, bs, tol_b)
+        ok = ok and good
+        rows.append(["first", i, h, -1, name, "", fd.value, sv.value,
+                     bs.value, float("nan"), int(good)])
 
-    seconds = [solve_second_adjoint(spec, controls, ens, noise, basis, i,
-                                    adjoints[i])
-               for i in range(spec.n_players)]
-    for h in range(spec.n_players):
-        for l in range(h + 1, spec.n_players):
-            sh = propagate_sensitivity(spec, controls, ens, h, dirs[0], noise)
-            sl = propagate_sensitivity(spec, controls, ens, l,
-                                       dirs[1 % len(dirs)], noise)
-            mixed = propagate_second_sensitivity(spec, controls, ens, sh, sl,
-                                                 noise)
-            for i in range(spec.n_players):
-                fd = deriv_mod.second_derivative_fd(
-                    spec, controls, i, h, l, sh.direction, sl.direction,
-                    grid, noise, cfg.eps_schedule)
-                zo = deriv_mod.second_derivative_z_oracle(
-                    spec, controls, ens, noise, sh, sl, mixed, i)
-                bs = deriv_mod.second_derivative_bsde(
-                    spec, controls, ens, noise, adjoints[i], seconds[i],
-                    sh, sl)
-                tol_fz = 5.0 * (fd.std_error + zo.std_error) + 20.0 * eps_min
-                tol_fb = 5.0 * (fd.std_error + bs.std_error) + 20.0 * eps_min
-                tol_bz = 5.0 * (bs.std_error + zo.std_error) + 20.0 * eps_min
-                good = (_agree(fd, zo, tol_fz) and _agree(fd, bs, tol_fb)
-                        and _agree(bs, zo, tol_bz))
-                ok = ok and good
-                rows.append(["second", i, h, l, dir_names[0],
-                             dir_names[1 % len(dir_names)], fd.value,
-                             float("nan"), bs.value, zo.value, int(good)])
+    # sh is target (h, first direction), sl target (l, second direction)
+    d1 = 1 % len(dirs)
+    pairs = [(sens[h * len(dirs)], sens[l * len(dirs) + d1])
+             for h in range(N) for l in range(h + 1, N)]
+    fds, zos = [], []
+    for sh, sl in pairs:
+        mixed = propagate_second_sensitivity(spec, controls, ens, sh, sl,
+                                             noise)
+        fds.append(deriv_mod.second_derivative_fd_sweep(
+            spec, controls, sh.perturbed_player, sl.perturbed_player,
+            sh.direction, sl.direction, grid, noise, cfg.eps_schedule))
+        zos.append([deriv_mod.second_derivative_z_oracle(
+            spec, controls, ens, noise, sh, sl, mixed, i) for i in range(N)])
+    # one matrix adjoint alive at a time bounds the memory
+    bsdes = [[None] * N for _ in pairs]
+    for i in range(N):
+        second = solve_second_adjoint(spec, controls, ens, noise,
+                                      RegressionBasis(), i, adjoints[i])
+        for q, (sh, sl) in enumerate(pairs):
+            bsdes[q][i] = deriv_mod.second_derivative_bsde(
+                spec, controls, ens, noise, adjoints[i], second, sh, sl)
+        del second
+    for (sh, sl), fd_q, zo_q, bs_q in zip(pairs, fds, zos, bsdes):
+        for i, (fd, zo, bs) in enumerate(zip(fd_q, zo_q, bs_q)):
+            tol_fz = 5.0 * (fd.std_error + zo.std_error) + 20.0 * eps_min
+            tol_fb = 5.0 * (fd.std_error + bs.std_error) + 20.0 * eps_min
+            tol_bz = 5.0 * (bs.std_error + zo.std_error) + 20.0 * eps_min
+            good = (_agree(fd, zo, tol_fz) and _agree(fd, bs, tol_fb)
+                    and _agree(bs, zo, tol_bz))
+            ok = ok and good
+            rows.append(["second", i, sh.perturbed_player,
+                         sl.perturbed_player, dir_names[0],
+                         dir_names[d1], fd.value, float("nan"), bs.value,
+                         zo.value, int(good)])
     _write_csv(tables / "cross_check.csv",
                ["order", "i", "h", "l", "dir_h", "dir_l", "fd", "sens",
                 "bsde", "z_oracle", "agree"], rows)
@@ -432,23 +431,23 @@ def _cmd_potential(cfg: ExperimentConfig, tables: Path):
     value, se = alpha_mod.potential_value(spec, profile, grid, noise,
                                           order=cfg.quad_order)
     dirs = cfg.direction_controls()
+    moves = [(i, scale, d) for i in range(spec.n_players)
+             for scale, d in zip((0.5, -0.5), dirs[:2])]
+    gaps = alpha_mod.potential_deviation_gaps(
+        spec, profile, [(i, profile[i] + scale * d) for i, scale, d in moves],
+        grid, noise, order=cfg.quad_order)
     rows, ok = [], True
-    gaps = []
-    for i in range(spec.n_players):
-        for scale, d in zip((0.5, -0.5), dirs[:2]):
-            dev = profile[i] + scale * d
-            gap = alpha_mod.potential_deviation_gap(
-                spec, profile, i, dev, grid, noise, order=cfg.quad_order)
-            good = gap["gap"] <= 3.0 * gap["se"] + 1e-3
-            rows.append([i, d.label, scale, gap["cost_change"],
-                         gap["potential_change"], gap["gap"], gap["se"],
-                         int(good)])
-            gaps.append(gap["gap"])
+    for (i, scale, d), gap in zip(moves, gaps):
+        good = gap["gap"] <= 3.0 * gap["se"] + 1e-3
+        ok = ok and good
+        rows.append([i, d.label, scale, gap["cost_change"],
+                     gap["potential_change"], gap["gap"], gap["se"],
+                     int(good)])
     _write_csv(tables / "potential_gaps.csv",
                ["player", "direction", "scale", "cost_change",
                 "potential_change", "gap", "se", "ok"], rows)
     return {"potential_value": value, "potential_se": se,
-            "max_gap": max(gaps)}, True
+            "max_gap": max(g["gap"] for g in gaps)}, ok
 
 
 def _cmd_nash_gap(cfg: ExperimentConfig, tables: Path):

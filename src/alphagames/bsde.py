@@ -270,23 +270,6 @@ def apriori_bound_check(spec: LinearBsdeSpec, solution: BsdeSolution,
             "ratio": lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else np.inf)}
 
 
-_VC_MEMO: dict = {}
-
-
-def _slice_variational(spec: GameSpec, ensemble: PathEnsemble, k: int):
-    """One-slot memo: the backward solvers query the same slice several
-    times per step (value coefficient, each driver, forcing)."""
-    key = (id(spec), id(ensemble), k)
-    hit = _VC_MEMO.get("slot")
-    if hit is not None and hit[0] == key:
-        return hit[1]
-    t = ensemble.grid.nodes[k]
-    vc = assemble_variational(spec, t, ensemble.states[:, k, :],
-                              ensemble.realized_controls[:, k, :])
-    _VC_MEMO["slot"] = (key, vc)
-    return vc
-
-
 @dataclass
 class AdjointSolution:
     """First-order adjoint pair for one player.
@@ -337,16 +320,16 @@ def solve_first_adjoints(spec: GameSpec, controls: ControlProfile,
         for j in range(D):
             dw = noise.increments[:, k, j][:, None]
             z[:, k, j] = reg.fit(ynext * dw / dt).reshape(P, Q, N)
-        vc = _slice_variational(spec, ensemble, k)
+        t = ensemble.grid.nodes[k]
+        x = ensemble.states[:, k, :]
+        u = ensemble.realized_controls[:, k, :]
+        vc = assemble_variational(spec, t, x, u)
         B0 = vc.drift_state()
         driver = np.einsum("pba,pqb->pqa", B0, y[:, k + 1], optimize=False)
         for j in range(N):
             # driver matrix j is the transpose of a single-row matrix
             driver += np.einsum("pa,pq->pqa", vc.diffusion_row(j),
                                 z[:, k, j, :, j], optimize=False)
-        t = ensemble.grid.nodes[k]
-        x = ensemble.states[:, k, :]
-        u = ensemble.realized_controls[:, k, :]
         for q, p in enumerate(players):
             driver[:, q, :] += spec.running_cost[p].dy(t, x, u)
         fitted = reg.fit((y[:, k + 1] + dt * driver).reshape(P, Q * N))
@@ -457,7 +440,10 @@ def solve_second_adjoint(spec: GameSpec, controls: ControlProfile,
         for j in range(D):
             dw = noise.increments[:, k, j][:, None]
             Q2[:, k, j] = reg.fit(flat * dw / dt).reshape(P, N, N)
-        vc = _slice_variational(spec, ensemble, k)
+        t = ensemble.grid.nodes[k]
+        x = ensemble.states[:, k, :]
+        u = ensemble.realized_controls[:, k, :]
+        vc = assemble_variational(spec, t, x, u)
         driver, rows = _lyapunov_action(vc, ynext)
         for j in range(N):
             # driver matrix j has a single row; its transpose against
@@ -468,9 +454,6 @@ def solve_second_adjoint(spec: GameSpec, controls: ControlProfile,
                                 optimize=False)
             driver += np.einsum("pa,pb->pab", zcol, rows[:, j, :],
                                 optimize=False)
-        t = ensemble.grid.nodes[k]
-        x = ensemble.states[:, k, :]
-        u = ensemble.realized_controls[:, k, :]
         driver += spec.running_cost[player].dyy(t, x, u)
         Hb, Hs = coefficient_hessians(spec, ensemble, k)
         driver += np.einsum("pi,piab->pab", first.P_vals[:, k, :], Hb,
@@ -536,7 +519,8 @@ def sensitivity_outer_process(spec: GameSpec, ensemble: PathEnsemble,
     diffusion = np.zeros((P, M, N, N, N))
     for k in range(M):
         t = ensemble.grid.nodes[k]
-        vc = _slice_variational(spec, ensemble, k)
+        vc = assemble_variational(spec, t, ensemble.states[:, k, :],
+                                  ensemble.realized_controls[:, k, :])
         yh = sens_h.values[:, k, :]
         yl = sens_l.values[:, k, :]
         du_h = sens_h.direction(t, k, noise.increments)
@@ -587,7 +571,7 @@ def second_adjoint_process(spec: GameSpec, ensemble: PathEnsemble,
         t = ensemble.grid.nodes[k]
         x = ensemble.states[:, k, :]
         u = ensemble.realized_controls[:, k, :]
-        vc = _slice_variational(spec, ensemble, k)
+        vc = assemble_variational(spec, t, x, u)
         B0 = vc.drift_state()
         Pmat = second.P2[:, k]
         drv = (np.einsum("pba,pbc->pac", B0, Pmat, optimize=False)

@@ -8,6 +8,10 @@
   needs no forward sensitivity at all for first derivatives and no
   mixed second-order sensitivity for second derivatives.
 
+Each route has one implementation and yields every cost player's
+estimate at once; the first-order SENS and BSDE contractions also run
+over a whole list of perturbation targets in one time sweep.
+
 All dt-integrals use the left endpoint, matching the Euler filtration.
 Standard errors always come from pathwise differences, never from
 differencing two independent estimates.
@@ -23,20 +27,15 @@ from .bsde import AdjointSolution, SecondAdjointSolution
 from .model import Control, ControlProfile, GameSpec, NoiseBundle, TimeGrid
 from .sim import (PathEnsemble, SecondSensitivityEnsemble,
                   SensitivityEnsemble, assemble_variational,
-                  second_order_cross_sources, simulate_cost_batch,
-                  simulate_paths)
+                  second_order_cross_sources, simulate_cost_batch)
 
 __all__ = [
     "DerivativeEstimate",
     "cost_pathwise",
     "cost_value",
-    "first_derivative_fd",
     "first_derivative_fd_sweep",
-    "first_derivative_fd_table",
-    "first_derivative_table",
     "first_derivative_sens",
     "first_derivative_bsde",
-    "second_derivative_fd",
     "second_derivative_fd_sweep",
     "second_derivative_z_oracle",
     "second_derivative_bsde",
@@ -57,6 +56,13 @@ class DerivativeEstimate:
             raise FloatingPointError("derivative estimate is not finite")
         if self.std_error < 0:
             raise ValueError("std_error must be nonnegative")
+
+    @classmethod
+    def from_pathwise(cls, acc: np.ndarray, method: str, metadata: dict):
+        """Sample mean of a pathwise estimator with its standard error."""
+        return cls(value=float(acc.mean()),
+                   std_error=float(acc.std(ddof=1) / np.sqrt(acc.shape[0])),
+                   method=method, metadata=metadata)
 
 
 def cost_pathwise(spec: GameSpec, controls: ControlProfile,
@@ -109,6 +115,15 @@ def _check_schedule(eps_schedule):
     return eps
 
 
+def _fd_estimate(columns: list, eps: list, metadata: dict):
+    """Richardson-extrapolated FD estimate from one pathwise column per
+    epsilon level; returns the estimate and its pathwise array."""
+    est = _richardson(columns, order=2)
+    metadata.update(eps_schedule=list(eps),
+                    levels=[float(np.mean(c)) for c in columns])
+    return DerivativeEstimate.from_pathwise(est, "FD", metadata), est
+
+
 def first_derivative_fd_sweep(spec: GameSpec, controls: ControlProfile,
                               h: int, direction: Control, grid: TimeGrid,
                               noise: NoiseBundle,
@@ -122,205 +137,99 @@ def first_derivative_fd_sweep(spec: GameSpec, controls: ControlProfile,
         profiles.append(controls.perturbed(h, direction, e))
         profiles.append(controls.perturbed(h, direction, -e))
     costs = simulate_cost_batch(spec, profiles, grid, noise)
-    out = []
-    P = costs.shape[1]
-    for i in range(spec.n_players):
-        columns = [(costs[2 * m, :, i] - costs[2 * m + 1, :, i]) / (2 * e)
-                   for m, e in enumerate(eps)]
-        est = _richardson(columns, order=2)
-        out.append(DerivativeEstimate(
-            value=float(est.mean()),
-            std_error=float(est.std(ddof=1) / np.sqrt(P)),
-            method="FD",
-            metadata={"player": i, "perturbed": h,
-                      "direction": direction.label,
-                      "eps_schedule": list(eps),
-                      "levels": [float(np.mean(c)) for c in columns]}))
-    return out
+    return [_fd_estimate([(costs[2 * m, :, i] - costs[2 * m + 1, :, i])
+                          / (2 * e) for m, e in enumerate(eps)], eps,
+                         {"player": i, "perturbed": h,
+                          "direction": direction.label})[0]
+            for i in range(spec.n_players)]
 
 
-def first_derivative_fd(spec: GameSpec, controls: ControlProfile, i: int,
-                        h: int, direction: Control, grid: TimeGrid,
-                        noise: NoiseBundle,
-                        eps_schedule=EPS_SCHEDULE) -> DerivativeEstimate:
-    """Central difference of player i's cost in player h's direction,
-    resimulated under common random numbers."""
-    return first_derivative_fd_sweep(spec, controls, h, direction, grid,
-                                     noise, eps_schedule)[i]
-
-
-def first_derivative_fd_table(spec: GameSpec, controls: ControlProfile,
-                              targets, grid: TimeGrid, noise: NoiseBundle,
-                              eps_schedule=EPS_SCHEDULE) -> dict:
-    """FD estimates for a whole list of (player, direction) targets
-    with every resimulation leg in one stacked common-random-number
-    sweep; returns {(h, direction index): [estimate per cost player]}."""
-    eps = _check_schedule(eps_schedule)
-    profiles = []
-    for h, direction in targets:
-        for e in eps:
-            profiles.append(controls.perturbed(h, direction, e))
-            profiles.append(controls.perturbed(h, direction, -e))
-    costs = simulate_cost_batch(spec, profiles, grid, noise)
-    P = costs.shape[1]
-    out = {}
-    per_target = 2 * len(eps)
-    for idx, (h, direction) in enumerate(targets):
-        base = idx * per_target
-        ests = []
-        for i in range(spec.n_players):
-            columns = [(costs[base + 2 * m, :, i]
-                        - costs[base + 2 * m + 1, :, i]) / (2 * e)
-                       for m, e in enumerate(eps)]
-            est = _richardson(columns, order=2)
-            ests.append(DerivativeEstimate(
-                value=float(est.mean()),
-                std_error=float(est.std(ddof=1) / np.sqrt(P)),
-                method="FD",
-                metadata={"player": i, "perturbed": h,
-                          "direction": direction.label,
-                          "eps_schedule": list(eps)}))
-        out[(h, idx)] = ests
-    return out
-
-
-def first_derivative_table(spec: GameSpec, controls: ControlProfile,
-                           ensemble: PathEnsemble, noise: NoiseBundle,
-                           sens_list, adjoints) -> dict:
-    """Sensitivity- and adjoint-route first derivatives for every
-    (cost player, sensitivity target) combination in one time sweep.
-
-    ``sens_list`` holds SensitivityEnsembles (one per perturbation
-    target), ``adjoints`` one AdjointSolution per cost player.  The
-    coefficient slice, cost gradients, and direction values are
-    evaluated once per step and contracted against all targets.
-    Returns {(i, target index): {"SENS": estimate, "BSDE": estimate}}.
-    """
+def first_derivative_sens(spec: GameSpec, ensemble: PathEnsemble,
+                          noise: NoiseBundle, sens_list) -> dict:
+    """Sensitivity-process route for every cost player against every
+    sensitivity in ``sens_list``: contract the linearized state response
+    against the running/terminal cost gradients, plus the direct
+    control term.  Cost gradients and direction values are evaluated
+    once per step.  Returns {(i, sensitivity index): estimate}."""
     grid = ensemble.grid
-    P = ensemble.n_paths
     N = spec.n_players
-    S = len(sens_list)
-    hs = [s.perturbed_player for s in sens_list]
-    unique_h = sorted(set(hs))
-    acc_sens = np.zeros((P, N, S))
-    acc_bsde = np.zeros((P, N, S))
+    acc = np.zeros((N, len(sens_list), ensemble.n_paths))
     for k, t in enumerate(grid.nodes[:-1]):
         x = ensemble.states[:, k, :]
         u = ensemble.realized_controls[:, k, :]
-        dub, dus_coef = {}, {}
-        for h in unique_h:
-            xh, uh = x[:, h], u[:, h]
-            dub[h] = spec.drift[h].du(t, xh, x, uh)
-            dus_coef[h] = spec.diffusion[h].du(t, xh, x, uh)
-        ystack = np.stack([s.values[:, k, :] for s in sens_list], axis=1)
-        dvals = np.stack([s.direction(t, k, noise.increments)
-                          for s in sens_list], axis=1)  # (P, S)
+        dvals = [s.direction(t, k, noise.increments) for s in sens_list]
         for i in range(N):
             fy = spec.running_cost[i].dy(t, x, u)
             fu = spec.running_cost[i].du(t, x, u)
-            sv = np.einsum("pa,psa->ps", fy.astype(ystack.dtype), ystack,
-                           optimize=False)
-            for sidx, h in enumerate(hs):
-                sv[:, sidx] += fu[:, h] * dvals[:, sidx]
-                integ = (adjoints[i].P_vals[:, k, h] * dub[h]
-                         + dus_coef[h] * adjoints[i].Q_vals[:, k, h, h]
-                         + fu[:, h])
-                acc_bsde[:, i, sidx] += integ * dvals[:, sidx] * grid.dt
-            acc_sens[:, i, :] += sv * grid.dt
+            for s, sens in enumerate(sens_list):
+                acc[i, s] += (np.einsum("pa,pa->p", fy, sens.values[:, k, :],
+                                        optimize=False)
+                              + fu[:, sens.perturbed_player] * dvals[s]
+                              ) * grid.dt
     xT = ensemble.states[:, -1, :]
-    yT = np.stack([s.values[:, -1, :] for s in sens_list], axis=1)
     for i in range(N):
         gy = spec.terminal_cost[i].dy(xT)
-        acc_sens[:, i, :] += np.einsum("pa,psa->ps", gy, yT, optimize=False)
-    out = {}
-    for i in range(N):
-        for sidx, s in enumerate(sens_list):
-            meta = {"player": i, "perturbed": s.perturbed_player,
-                    "direction": s.direction.label}
-            a = acc_sens[:, i, sidx]
-            b = acc_bsde[:, i, sidx]
-            out[(i, sidx)] = {
-                "SENS": DerivativeEstimate(
-                    value=float(a.mean()),
-                    std_error=float(a.std(ddof=1) / np.sqrt(P)),
-                    method="SENS", metadata=dict(meta)),
-                "BSDE": DerivativeEstimate(
-                    value=float(b.mean()),
-                    std_error=float(b.std(ddof=1) / np.sqrt(P)),
-                    method="BSDE", metadata=dict(meta)),
-            }
-    return out
+        for s, sens in enumerate(sens_list):
+            acc[i, s] += np.einsum("pa,pa->p", gy, sens.values[:, -1, :],
+                                   optimize=False)
+    return {(i, s): DerivativeEstimate.from_pathwise(
+                acc[i, s], "SENS",
+                {"player": i, "perturbed": sens.perturbed_player,
+                 "direction": sens.direction.label})
+            for i in range(N) for s, sens in enumerate(sens_list)}
 
 
-def first_derivative_sens(spec: GameSpec, controls: ControlProfile,
-                          ensemble: PathEnsemble, sens: SensitivityEnsemble,
-                          i: int, noise: NoiseBundle) -> DerivativeEstimate:
-    """Sensitivity-process route: contract the linearized state response
-    against the running/terminal cost gradients, plus the direct
-    control term."""
-    h = sens.perturbed_player
-    grid = ensemble.grid
-    P = ensemble.n_paths
-    acc = np.zeros(P)
-    for k, t in enumerate(grid.nodes[:-1]):
-        x = ensemble.states[:, k, :]
-        u = ensemble.realized_controls[:, k, :]
-        du_h = sens.direction(t, k, noise.increments)
-        fy = spec.running_cost[i].dy(t, x, u)
-        fu = spec.running_cost[i].du(t, x, u)
-        acc += (np.einsum("pa,pa->p", fy, sens.values[:, k, :],
-                          optimize=False)
-                + fu[:, h] * du_h) * grid.dt
-    gy = spec.terminal_cost[i].dy(ensemble.states[:, -1, :])
-    acc += np.einsum("pa,pa->p", gy, sens.values[:, -1, :], optimize=False)
-    return DerivativeEstimate(
-        value=float(acc.mean()),
-        std_error=float(acc.std(ddof=1) / np.sqrt(P)),
-        method="SENS",
-        metadata={"player": i, "perturbed": h,
-                  "direction": sens.direction.label})
-
-
-def first_derivative_bsde(spec: GameSpec, controls: ControlProfile,
-                          ensemble: PathEnsemble, noise: NoiseBundle,
-                          adjoint: AdjointSolution, h: int,
-                          direction: Control,
+def first_derivative_bsde(spec: GameSpec, ensemble: PathEnsemble,
+                          noise: NoiseBundle, adjoints, targets,
                           return_pathwise: bool = False):
-    """Adjoint route: the derivative is the time integral of the
+    """Adjoint route for every costate in ``adjoints`` against every
+    (h, direction) target: the derivative is the time integral of the
     direction times (costate against the drift control loading, the
     diffusion control loading against the matching martingale
-    component, and the direct cost term)."""
-    i = adjoint.player
+    component, and the direct cost term).
+
+    Returns {(adjoint player, target index): estimate}; with
+    ``return_pathwise`` also the pathwise integrals under the same keys.
+    """
     grid = ensemble.grid
-    P = ensemble.n_paths
-    acc = np.zeros(P)
+    acc = np.zeros((len(adjoints), len(targets), ensemble.n_paths))
     for k, t in enumerate(grid.nodes[:-1]):
         x = ensemble.states[:, k, :]
         u = ensemble.realized_controls[:, k, :]
-        du_h = direction(t, k, noise.increments)
-        dub_h = spec.drift[h].du(t, x[:, h], x, u[:, h])
-        dus_h = spec.diffusion[h].du(t, x[:, h], x, u[:, h])
-        fu = spec.running_cost[i].du(t, x, u)
-        integrand = (adjoint.P_vals[:, k, h] * dub_h
-                     + dus_h * adjoint.Q_vals[:, k, h, h]
-                     + fu[:, h])
-        acc += integrand * du_h * grid.dt
-    est = DerivativeEstimate(
-        value=float(acc.mean()),
-        std_error=float(acc.std(ddof=1) / np.sqrt(P)),
-        method="BSDE",
-        metadata={"player": i, "perturbed": h, "direction": direction.label})
+        loadings = {h: (spec.drift[h].du(t, x[:, h], x, u[:, h]),
+                        spec.diffusion[h].du(t, x[:, h], x, u[:, h]))
+                    for h in sorted({h for h, _ in targets})}
+        dvals = [d(t, k, noise.increments) for _, d in targets]
+        for a, adj in enumerate(adjoints):
+            fu = spec.running_cost[adj.player].du(t, x, u)
+            for s, (h, _) in enumerate(targets):
+                dub_h, dus_h = loadings[h]
+                integrand = (adj.P_vals[:, k, h] * dub_h
+                             + dus_h * adj.Q_vals[:, k, h, h]
+                             + fu[:, h])
+                acc[a, s] += integrand * dvals[s] * grid.dt
+    keys = [(adj.player, s) for adj in adjoints for s in range(len(targets))]
+    pathwise = dict(zip(keys, acc.reshape(-1, ensemble.n_paths)))
+    est = {(i, s): DerivativeEstimate.from_pathwise(
+               pathwise[(i, s)], "BSDE",
+               {"player": i, "perturbed": targets[s][0],
+                "direction": targets[s][1].label})
+           for i, s in keys}
     if return_pathwise:
-        return est, acc
+        return est, pathwise
     return est
 
 
 def second_derivative_fd_sweep(spec: GameSpec, controls: ControlProfile,
                                h: int, l: int, dir_h: Control, dir_l: Control,
                                grid: TimeGrid, noise: NoiseBundle,
-                               eps_schedule=EPS_SCHEDULE) -> list:
+                               eps_schedule=EPS_SCHEDULE,
+                               return_pathwise: bool = False):
     """Four-point central mixed difference for every cost functional at
-    once, with all legs in one batched common-random-number sweep."""
+    once, with all legs in one batched common-random-number sweep.
+    Returns one estimate per player; with ``return_pathwise`` also the
+    per-player pathwise Richardson arrays, which share their legs and
+    so difference with a pathwise standard error."""
     if h == l:
         raise ValueError("mixed second derivative requires distinct players")
     eps = _check_schedule(eps_schedule)
@@ -329,33 +238,19 @@ def second_derivative_fd_sweep(spec: GameSpec, controls: ControlProfile,
                                                                sb * e)
                 for e in eps for sa, sb in signs]
     costs = simulate_cost_batch(spec, profiles, grid, noise)
-    out = []
-    P = costs.shape[1]
+    out, pathwise = [], []
     for i in range(spec.n_players):
-        columns = []
-        for m, e in enumerate(eps):
-            acc = sum(sa * sb * costs[4 * m + q, :, i]
-                      for q, (sa, sb) in enumerate(signs))
-            columns.append(acc / (4.0 * e * e))
-        est = _richardson(columns, order=2)
-        out.append(DerivativeEstimate(
-            value=float(est.mean()),
-            std_error=float(est.std(ddof=1) / np.sqrt(P)),
-            method="FD",
-            metadata={"player": i, "pair": (h, l),
-                      "directions": (dir_h.label, dir_l.label),
-                      "eps_schedule": list(eps),
-                      "levels": [float(np.mean(c)) for c in columns]}))
+        columns = [sum(sa * sb * costs[4 * m + q, :, i]
+                       for q, (sa, sb) in enumerate(signs)) / (4.0 * e * e)
+                   for m, e in enumerate(eps)]
+        est, pw = _fd_estimate(columns, eps,
+                               {"player": i, "pair": (h, l),
+                                "directions": (dir_h.label, dir_l.label)})
+        out.append(est)
+        pathwise.append(pw)
+    if return_pathwise:
+        return out, pathwise
     return out
-
-
-def second_derivative_fd(spec: GameSpec, controls: ControlProfile, i: int,
-                         h: int, l: int, dir_h: Control, dir_l: Control,
-                         grid: TimeGrid, noise: NoiseBundle,
-                         eps_schedule=EPS_SCHEDULE) -> DerivativeEstimate:
-    """Four-point central mixed difference under common random numbers."""
-    return second_derivative_fd_sweep(spec, controls, h, l, dir_h, dir_l,
-                                      grid, noise, eps_schedule)[i]
 
 
 def _cost_cross_terms(spec, i, t, x, u, yh, yl, du_h, du_l, h, l):
@@ -382,8 +277,7 @@ def second_derivative_z_oracle(spec: GameSpec, controls: ControlProfile,
     if mixed.players != (h, l):
         raise ValueError("mixed sensitivity was built for different players")
     grid = ensemble.grid
-    P = ensemble.n_paths
-    acc = np.zeros(P)
+    acc = np.zeros(ensemble.n_paths)
     for k, t in enumerate(grid.nodes[:-1]):
         x = ensemble.states[:, k, :]
         u = ensemble.realized_controls[:, k, :]
@@ -401,11 +295,8 @@ def second_derivative_z_oracle(spec: GameSpec, controls: ControlProfile,
     acc += np.einsum("pa,pab,pb->p", sens_h.values[:, -1, :], gyy,
                      sens_l.values[:, -1, :], optimize=False)
     acc += np.einsum("pa,pa->p", gy, mixed.values[:, -1, :], optimize=False)
-    est = DerivativeEstimate(
-        value=float(acc.mean()),
-        std_error=float(acc.std(ddof=1) / np.sqrt(P)),
-        method="Z-ORACLE",
-        metadata={"player": i, "pair": (h, l)})
+    est = DerivativeEstimate.from_pathwise(acc, "Z-ORACLE",
+                                           {"player": i, "pair": (h, l)})
     if return_pathwise:
         return est, acc
     return est
@@ -433,8 +324,7 @@ def second_derivative_bsde(spec: GameSpec, controls: ControlProfile,
     if h == l:
         raise ValueError("mixed second derivative requires distinct players")
     grid = ensemble.grid
-    P = ensemble.n_paths
-    acc = np.zeros(P)
+    acc = np.zeros(ensemble.n_paths)
     for k, t in enumerate(grid.nodes[:-1]):
         x = ensemble.states[:, k, :]
         u = ensemble.realized_controls[:, k, :]
@@ -483,11 +373,8 @@ def second_derivative_bsde(spec: GameSpec, controls: ControlProfile,
 
         acc += (term_h * du_h + term_l * du_l + direct + coupling) * grid.dt
 
-    est = DerivativeEstimate(
-        value=float(acc.mean()),
-        std_error=float(acc.std(ddof=1) / np.sqrt(P)),
-        method="BSDE",
-        metadata={"player": i, "pair": (h, l)})
+    est = DerivativeEstimate.from_pathwise(acc, "BSDE",
+                                           {"player": i, "pair": (h, l)})
     if return_pathwise:
         return est, acc
     return est

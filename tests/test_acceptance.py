@@ -21,8 +21,9 @@ import alphagames as ag
 from alphagames.alpha import pairwise_quadratic_asymmetry
 from alphagames.bsde import (LinearBsdeSpec, apriori_bound_check,
                              solve_first_adjoints, solve_linear_bsde)
-from alphagames.derivatives import (EPS_SCHEDULE, first_derivative_fd_sweep,
-                                    first_derivative_table,
+from alphagames.derivatives import (EPS_SCHEDULE, first_derivative_bsde,
+                                    first_derivative_fd_sweep,
+                                    first_derivative_sens,
                                     second_derivative_fd_sweep)
 from alphagames.model import Coefficient, RunningCost, TerminalCost
 from alphagames.presets import lq_scaling_params
@@ -56,15 +57,15 @@ def first_order_duality(spec, n, paths, steps, seed, controls):
                                           noise, dtype=np.float32)
     adjs = solve_first_adjoints(spec, controls, ens, noise,
                                 ag.RegressionBasis(), list(range(n)))
-    table = first_derivative_table(spec, controls, ens, noise, sens_all,
-                                   adjs)
+    sens_table = first_derivative_sens(spec, ens, noise, sens_all)
+    bsde_table = first_derivative_bsde(spec, ens, noise, adjs, targets)
     worst = 0.0
     for tidx, (h, d) in enumerate(targets):
         di = tidx % len(dirs)
         for i in range(n):
             fd = fd_all[(h, di)][i]
-            sv = table[(i, tidx)]["SENS"]
-            bs = table[(i, tidx)]["BSDE"]
+            sv = sens_table[(i, tidx)]
+            bs = bsde_table[(i, tidx)]
             tol_s = 3 * (fd.std_error + sv.std_error) + 10 * EPS_MIN
             tol_b = 3 * (fd.std_error + bs.std_error) + 10 * EPS_MIN
             worst = max(worst, abs(fd.value - sv.value) / tol_s,
@@ -269,14 +270,12 @@ def test_criterion_07_potential_game_zero_case():
     v, se = ag.asymmetry(spec, prof, 0, 1, dirs, dirs, grid, noise,
                          method="FD")
     asym_ok = v <= 3 * se + 1e-9
-    worst = 0.0
-    for i in range(2):
-        for scale, d in ((0.5, dirs[0]), (-0.5, dirs[0]),
-                         (0.4, dirs[1]), (-0.4, dirs[1])):
-            dev = prof[i] + scale * d
-            out = ag.potential_deviation_gap(spec, prof, i, dev, grid,
-                                             noise, order=4)
-            worst = max(worst, out["gap"] / (3 * out["se"]))
+    deviations = [(i, prof[i] + scale * d) for i in range(2)
+                  for scale, d in ((0.5, dirs[0]), (-0.5, dirs[0]),
+                                   (0.4, dirs[1]), (-0.4, dirs[1]))]
+    outs = ag.potential_deviation_gaps(spec, prof, deviations, grid, noise,
+                                       order=4)
+    worst = max(out["gap"] / (3 * out["se"]) for out in outs)
     ok = asym_ok and worst <= 1.0
     report(7, ok, f"symmetric-cost asymmetry {v:.2e} <= 3se {3*se:.2e}; "
                   f"worst deviation gap / 3se = {worst:.3f} over 8 "

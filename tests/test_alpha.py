@@ -276,7 +276,8 @@ class TestPotential:
         noise = ag.NoiseBundle.generate(10, grid, 4000, 2)
         prof = ag.ControlProfile.constants([0.3, 0.3])
         dev = prof[0] + 0.4 * ag.Control.constant(1.0)
-        out = ag.potential_deviation_gap(spec, prof, 0, dev, grid, noise)
+        out, = ag.potential_deviation_gaps(spec, prof, [(0, dev)], grid,
+                                            noise)
         assert out["gap"] <= 3 * out["se"] + 5 * grid.dt
 
     def test_heterogeneous_gap_below_alpha_budget(self):
@@ -285,7 +286,8 @@ class TestPotential:
         noise = ag.NoiseBundle.generate(11, grid, 4000, 2)
         prof = ag.ControlProfile.zeros(2)
         dev = ag.Control.constant(0.5)
-        out = ag.potential_deviation_gap(spec, prof, 0, dev, grid, noise)
+        out, = ag.potential_deviation_gaps(spec, prof, [(0, dev)], grid,
+                                            noise)
         bound = ag.theoretical_alpha_bound(ledger, 2, 1.0).alpha_bound
         assert out["gap"] <= bound + 3 * out["se"]
 
@@ -298,7 +300,8 @@ class TestPotential:
             noise = ag.NoiseBundle.generate(12, grid, 2000, n)
             prof = ag.ControlProfile.zeros(n)
             dev = ag.Control.constant(0.5)
-            out = ag.potential_deviation_gap(spec, prof, 0, dev, grid, noise)
+            out, = ag.potential_deviation_gaps(spec, prof, [(0, dev)],
+                                               grid, noise)
             gaps[n] = out["gap"]
         assert gaps[8] <= gaps[2] + 1e-3
 

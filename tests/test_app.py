@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -45,6 +46,23 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"preset": "nope"})
 
+    def test_eps_schedule_must_halve(self):
+        for bad in ([], [0.01, 0.004], [0.01, 0.0]):
+            with pytest.raises(ConfigError, match="eps_schedule"):
+                ExperimentConfig.from_dict({"eps_schedule": bad})
+        ExperimentConfig.from_dict({"eps_schedule": [0.02, 0.01]})
+
+    def test_sens_method_accepted(self, tmp_path):
+        cfg = ExperimentConfig.from_dict(
+            {"players": 2, "steps": 8, "paths": 600, "method": "SENS",
+             "preset_params": {"Qhat": [0.5, 1.5], "G": [0.5, 1.5]},
+             "anchors": ["zero"], "directions": ["const"],
+             "out": str(tmp_path / "o")})
+        rep = run(cfg, "alpha")
+        assert rep["results"]["alpha_empirical"] > 0
+        with pytest.raises(ConfigError, match="method"):
+            ExperimentConfig.from_dict({"method": "ADJOINT"})
+
     def test_overrides_win(self, tmp_path):
         path, _ = write_config(tmp_path)
         cfg = ExperimentConfig.from_file(str(path), {"seed": 99,
@@ -88,6 +106,33 @@ class TestSubcommands:
         rep = run(cfg, "alpha")
         assert rep["results"]["alpha_empirical"] > 0
 
+    def test_deriv_matches_cross_check_first_order(self, tmp_path):
+        base = {"preset": "tanh-coupled", "players": 2, "steps": 8,
+                "paths": 600, "anchors": ["constant:0.5"],
+                "directions": ["const", "ramp", "sine"]}
+        tables = {}
+        for sub, table in (("deriv", "derivatives.csv"),
+                           ("cross-check", "cross_check.csv")):
+            cfg = ExperimentConfig.from_dict(dict(base,
+                                                  out=str(tmp_path / sub)))
+            run(cfg, sub)
+            with open(tmp_path / sub / "tables" / table) as fh:
+                tables[sub] = list(csv.DictReader(fh))
+        deriv = tables["deriv"]
+        first = [r for r in tables["cross-check"] if r["order"] == "first"]
+        by_target = {}
+        for r in deriv:
+            by_target.setdefault((r["i"], r["h"], r["dir_h"]), {})[
+                r["method"]] = r["value"]
+        assert len(deriv) == 3 * len(by_target) == 3 * 2 * 2 * 3
+        assert all(sorted(v) == ["BSDE", "FD", "SENS"]
+                   for v in by_target.values())
+        assert len(first) == 2 * 2 * 2
+        for r in first:
+            got = by_target[(r["i"], r["h"], r["dir_h"])]
+            assert (got["FD"], got["SENS"], got["BSDE"]) == \
+                (r["fd"], r["sens"], r["bsde"])
+
     def test_unknown_subcommand(self, tmp_path):
         cfg = ExperimentConfig.from_dict({"out": str(tmp_path)})
         with pytest.raises(ConfigError):
@@ -114,6 +159,16 @@ class TestCli:
         bad.write_text("{nope")
         out = self.run_cli(["simulate", "--config", str(bad)])
         assert out.returncode == 2
+
+    def test_potential_failed_gap_exits_one(self, tmp_path):
+        path, _ = write_config(tmp_path, preset="tanh-coupled", paths=400,
+                               quad_order=2, anchors=["constant:0.5"],
+                               directions=["const", "ramp"])
+        out = self.run_cli(["potential", "--config", str(path)])
+        assert out.returncode == 1, out.stderr
+        with open(tmp_path / "out" / "tables" / "potential_gaps.csv") as fh:
+            flags = [r["ok"] for r in csv.DictReader(fh)]
+        assert "0" in flags and "1" in flags
 
     def test_reproducible_across_thread_counts(self, tmp_path):
         """Identical config and seed give bit-identical numeric output

@@ -228,6 +228,30 @@ class TestFirstAdjoint:
         assert np.allclose(both[1].P_vals, solo.P_vals, rtol=0, atol=0)
         assert np.allclose(both[1].Q_vals, solo.Q_vals, rtol=0, atol=0)
 
+    def test_overwritten_ensemble_not_served_stale_slices(self):
+        # a slice cache keyed on object identity once served the
+        # previous contents of an ensemble whose arrays were overwritten
+        spec, _ = ag.build_tanh_game(3)
+        grid = ag.TimeGrid(20, 1.0)
+        noise = ag.NoiseBundle.generate(8, grid, 4000, 3)
+        basis = ag.RegressionBasis()
+        first = ag.ControlProfile.constants([0.5] * 3)
+        second = ag.ControlProfile.constants([-0.4] * 3)
+        ens = ag.simulate_paths(spec, first, grid, noise)
+        other = ag.simulate_paths(spec, second, grid, noise)
+        d = ag.Control.constant(1.0)
+        sh = ag.propagate_sensitivity(spec, first, ens, 0, d, noise)
+        sl = ag.propagate_sensitivity(spec, first, ens, 1, d, noise)
+        # the forward pass ends on the last slice, where the backward
+        # solve below starts
+        ag.sensitivity_outer_process(spec, ens, noise, sh, sl)
+        np.copyto(ens.states, other.states)
+        np.copyto(ens.realized_controls, other.realized_controls)
+        got = ag.solve_first_adjoint(spec, second, ens, noise, basis, 0)
+        want = ag.solve_first_adjoint(spec, second, other, noise, basis, 0)
+        assert np.allclose(got.P_vals, want.P_vals, rtol=0, atol=0)
+        assert np.allclose(got.Q_vals, want.Q_vals, rtol=0, atol=0)
+
     def test_costate_is_state_measurable(self):
         # fitted layers are functions of the step's basis by
         # construction: refitting them on the same basis is exact

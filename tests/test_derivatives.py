@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import alphagames as ag
-from alphagames.derivatives import EPS_SCHEDULE
+from alphagames.derivatives import (EPS_SCHEDULE, first_derivative_fd_sweep,
+                                    second_derivative_fd_sweep)
 from alphagames.model import Coefficient, RunningCost, TerminalCost
 
 from oracles import scalar_lq_cost
@@ -125,8 +126,9 @@ class TestFirstDerivatives:
         spec, _ = ag.build_lq_game(2, Qhat=0.0, G=0.0)
         grid = ag.TimeGrid(10, 1.0)
         noise = ag.NoiseBundle.generate(1, grid, 500, 2)
-        est = ag.first_derivative_fd(spec, ag.ControlProfile.zeros(2), 0, 1,
-                                     ag.Control.constant(1.0), grid, noise)
+        est = first_derivative_fd_sweep(spec, ag.ControlProfile.zeros(2), 1,
+                                        ag.Control.constant(1.0), grid,
+                                        noise)[0]
         assert abs(est.value) <= 3 * est.std_error + 1e-6
 
     def test_linear_response_is_horizon(self):
@@ -137,22 +139,23 @@ class TestFirstDerivatives:
         noise = ag.NoiseBundle.generate(2, grid, 1000, 1)
         prof = ag.ControlProfile.zeros(1)
         d = ag.Control.constant(1.0)
-        fd = ag.first_derivative_fd(spec, prof, 0, 0, d, grid, noise)
+        fd = first_derivative_fd_sweep(spec, prof, 0, d, grid, noise)[0]
         assert abs(fd.value - 1.0) < 1e-4 and fd.std_error < 1e-4
         ens = ag.simulate_paths(spec, prof, grid, noise)
         sens = ag.propagate_sensitivity(spec, prof, ens, 0, d, noise)
-        sv = ag.first_derivative_sens(spec, prof, ens, sens, 0, noise)
+        sv = ag.first_derivative_sens(spec, ens, noise, [sens])[(0, 0)]
         assert np.isclose(sv.value, 1.0) and sv.std_error < 1e-12
         adj = ag.solve_first_adjoint(spec, prof, ens, noise,
                                      ag.RegressionBasis(), 0)
-        bs = ag.first_derivative_bsde(spec, prof, ens, noise, adj, 0, d)
+        bs = ag.first_derivative_bsde(spec, ens, noise, [adj],
+                                      [(0, d)])[(0, 0)]
         assert abs(bs.value - 1.0) < 1e-6
 
     def test_zero_direction_exact_zero(self, tanh_setup):
         spec, grid, noise, controls, ens = tanh_setup
         sens = ag.propagate_sensitivity(spec, controls, ens, 1,
                                         ag.Control.zero(), noise)
-        est = ag.first_derivative_sens(spec, controls, ens, sens, 0, noise)
+        est = ag.first_derivative_sens(spec, ens, noise, [sens])[(0, 0)]
         assert est.value == 0.0 and est.std_error == 0.0
 
     def test_three_routes_agree_tanh(self, tanh_setup):
@@ -160,12 +163,13 @@ class TestFirstDerivatives:
         basis = ag.RegressionBasis()
         d = ag.direction_dictionary(1.0)[2]
         for (i, h) in [(0, 1), (2, 0)]:
-            fd = ag.first_derivative_fd(spec, controls, i, h, d, grid, noise)
+            fd = first_derivative_fd_sweep(spec, controls, h, d, grid,
+                                           noise)[i]
             sens = ag.propagate_sensitivity(spec, controls, ens, h, d, noise)
-            sv = ag.first_derivative_sens(spec, controls, ens, sens, i, noise)
+            sv = ag.first_derivative_sens(spec, ens, noise, [sens])[(i, 0)]
             adj = ag.solve_first_adjoint(spec, controls, ens, noise, basis, i)
-            bs = ag.first_derivative_bsde(spec, controls, ens, noise, adj,
-                                          h, d)
+            bs = ag.first_derivative_bsde(spec, ens, noise, [adj],
+                                          [(h, d)])[(i, 0)]
             assert abs(fd.value - sv.value) <= \
                 3 * (fd.std_error + sv.std_error) + 10 * min(EPS_SCHEDULE)
             assert abs(fd.value - bs.value) <= \
@@ -180,9 +184,10 @@ class TestFirstDerivatives:
         basis = ag.RegressionBasis()
         d = ag.Control.constant(1.0)
         for i, h in [(0, 0), (0, 1), (1, 0)]:
-            fd = ag.first_derivative_fd(spec, prof, i, h, d, grid, noise)
+            fd = first_derivative_fd_sweep(spec, prof, h, d, grid, noise)[i]
             adj = ag.solve_first_adjoint(spec, prof, ens, noise, basis, i)
-            bs = ag.first_derivative_bsde(spec, prof, ens, noise, adj, h, d)
+            bs = ag.first_derivative_bsde(spec, ens, noise, [adj],
+                                          [(h, d)])[(i, 0)]
             assert abs(fd.value - bs.value) <= \
                 3 * (fd.std_error + bs.std_error) + 10 * min(EPS_SCHEDULE)
 
@@ -193,21 +198,22 @@ class TestFirstDerivatives:
         sens1 = ag.propagate_sensitivity(spec, controls, ens, 0, d, noise)
         sens2 = ag.propagate_sensitivity(spec, controls, ens, 0, scaled,
                                          noise)
-        a = ag.first_derivative_sens(spec, controls, ens, sens1, 1, noise)
-        b = ag.first_derivative_sens(spec, controls, ens, sens2, 1, noise)
+        a = ag.first_derivative_sens(spec, ens, noise, [sens1])[(1, 0)]
+        b = ag.first_derivative_sens(spec, ens, noise, [sens2])[(1, 0)]
         assert np.isclose(b.value, 2.5 * a.value, rtol=1e-12)
         adj = ag.solve_first_adjoint(spec, controls, ens, noise,
                                      ag.RegressionBasis(), 1)
-        ba = ag.first_derivative_bsde(spec, controls, ens, noise, adj, 0, d)
-        bb = ag.first_derivative_bsde(spec, controls, ens, noise, adj, 0,
-                                      scaled)
+        ba = ag.first_derivative_bsde(spec, ens, noise, [adj],
+                                      [(0, d)])[(1, 0)]
+        bb = ag.first_derivative_bsde(spec, ens, noise, [adj],
+                                      [(0, scaled)])[(1, 0)]
         assert np.isclose(bb.value, 2.5 * ba.value, rtol=1e-12)
 
     def test_forward_difference_order_at_least_one(self, tanh_setup):
         spec, grid, noise, controls, ens = tanh_setup
         d = ag.Control.constant(1.0)
         sens = ag.propagate_sensitivity(spec, controls, ens, 0, d, noise)
-        ref = ag.first_derivative_sens(spec, controls, ens, sens, 0, noise)
+        ref = ag.first_derivative_sens(spec, ens, noise, [sens])[(0, 0)]
         from alphagames.derivatives import cost_pathwise
         errs = []
         eps_list = [4e-2, 2e-2, 1e-2]
@@ -227,8 +233,8 @@ class TestSecondDerivatives:
         grid = ag.TimeGrid(10, 1.0)
         noise = ag.NoiseBundle.generate(4, grid, 500, 2)
         d = ag.Control.constant(1.0)
-        est = ag.second_derivative_fd(spec, ag.ControlProfile.zeros(2), 0,
-                                      0, 1, d, d, grid, noise)
+        est = second_derivative_fd_sweep(spec, ag.ControlProfile.zeros(2),
+                                         0, 1, d, d, grid, noise)[0]
         assert abs(est.value) <= 3 * est.std_error + 1e-6
 
     def test_product_cost_gives_horizon(self):
@@ -237,7 +243,8 @@ class TestSecondDerivatives:
         noise = ag.NoiseBundle.generate(5, grid, 2000, 2)
         prof = ag.ControlProfile.zeros(2)
         d = ag.Control.constant(1.0)
-        fd = ag.second_derivative_fd(spec, prof, 0, 0, 1, d, d, grid, noise)
+        fd = second_derivative_fd_sweep(spec, prof, 0, 1, d, d, grid,
+                                        noise)[0]
         assert abs(fd.value - 1.0) < 1e-4
         ens = ag.simulate_paths(spec, prof, grid, noise)
         sh = ag.propagate_sensitivity(spec, prof, ens, 0, d, noise)
@@ -260,8 +267,8 @@ class TestSecondDerivatives:
         noise = ag.NoiseBundle.generate(0, grid, 100, 2)
         d = ag.Control.constant(1.0)
         with pytest.raises(ValueError):
-            ag.second_derivative_fd(spec, ag.ControlProfile.zeros(2), 0, 1,
-                                    1, d, d, grid, noise)
+            second_derivative_fd_sweep(spec, ag.ControlProfile.zeros(2), 1,
+                                       1, d, d, grid, noise)
 
     def test_three_way_agreement_tanh(self, tanh_setup):
         spec, grid, noise, controls, ens = tanh_setup
@@ -274,9 +281,10 @@ class TestSecondDerivatives:
         mixed = ag.propagate_second_sensitivity(spec, controls, ens, sh, sl,
                                                 noise)
         eps_min = min(EPS_SCHEDULE)
+        fds = second_derivative_fd_sweep(spec, controls, h, l, du, dv, grid,
+                                         noise)
         for i in range(3):
-            fd = ag.second_derivative_fd(spec, controls, i, h, l, du, dv,
-                                         grid, noise)
+            fd = fds[i]
             zo = ag.second_derivative_z_oracle(spec, controls, ens, noise,
                                                sh, sl, mixed, i)
             adj = ag.solve_first_adjoint(spec, controls, ens, noise, basis, i)
@@ -306,48 +314,36 @@ class TestSecondDerivatives:
         z2 = ag.second_derivative_z_oracle(spec, controls, ens, noise, sl,
                                            sh, m2, 0)
         assert abs(z1.value - z2.value) <= 1e-10
-        fd1 = ag.second_derivative_fd(spec, controls, 0, 0, 1, du, dv, grid,
-                                      noise)
-        fd2 = ag.second_derivative_fd(spec, controls, 0, 1, 0, dv, du, grid,
-                                      noise)
+        fd1 = second_derivative_fd_sweep(spec, controls, 0, 1, du, dv, grid,
+                                         noise)[0]
+        fd2 = second_derivative_fd_sweep(spec, controls, 1, 0, dv, du, grid,
+                                         noise)[0]
         assert abs(fd1.value - fd2.value) <= \
             5 * (fd1.std_error + fd2.std_error) + 1e-8
 
 
 class TestSweepHelpers:
-    def test_fd_sweep_matches_scalar_calls(self, tanh_setup):
-        spec, grid, noise, controls, ens = tanh_setup
-        d = ag.Control.constant(1.0)
-        from alphagames.derivatives import (first_derivative_fd_sweep,
-                                            second_derivative_fd_sweep)
-        sweep = first_derivative_fd_sweep(spec, controls, 1, d, grid, noise)
-        single = ag.first_derivative_fd(spec, controls, 2, 1, d, grid, noise)
-        assert np.isclose(sweep[2].value, single.value, rtol=0, atol=0)
-        sweep2 = second_derivative_fd_sweep(spec, controls, 0, 1, d, d, grid,
-                                            noise)
-        single2 = ag.second_derivative_fd(spec, controls, 1, 0, 1, d, d,
-                                          grid, noise)
-        assert np.isclose(sweep2[1].value, single2.value, rtol=0, atol=0)
-
-    def test_first_derivative_table_matches_loops(self, tanh_setup):
+    def test_batched_contractions_match_single_target(self, tanh_setup):
         spec, grid, noise, controls, ens = tanh_setup
         from alphagames.bsde import solve_first_adjoints
-        from alphagames.derivatives import first_derivative_table
         dirs = ag.direction_dictionary(1.0)[:2]
         targets = [(h, d) for h in range(3) for d in dirs]
         sens_all = ag.propagate_sensitivities(spec, controls, ens, targets,
                                               noise)
         adjs = solve_first_adjoints(spec, controls, ens, noise,
                                     ag.RegressionBasis(), [0, 1, 2])
-        table = first_derivative_table(spec, controls, ens, noise, sens_all,
-                                       adjs)
+        sens_table = ag.first_derivative_sens(spec, ens, noise, sens_all)
+        bsde_table = ag.first_derivative_bsde(spec, ens, noise, adjs,
+                                              targets)
         for tidx, (h, d) in enumerate(targets[:3]):
+            single = ag.propagate_sensitivity(spec, controls, ens, h, d,
+                                              noise)
             for i in (0, 2):
-                sv = ag.first_derivative_sens(spec, controls, ens,
-                                              sens_all[tidx], i, noise)
-                bs = ag.first_derivative_bsde(spec, controls, ens, noise,
-                                              adjs[i], h, d)
-                assert np.isclose(table[(i, tidx)]["SENS"].value, sv.value,
+                sv = ag.first_derivative_sens(spec, ens, noise,
+                                              [single])[(i, 0)]
+                bs = ag.first_derivative_bsde(spec, ens, noise, [adjs[i]],
+                                              [(h, d)])[(i, 0)]
+                assert np.isclose(sens_table[(i, tidx)].value, sv.value,
                                   rtol=1e-10)
-                assert np.isclose(table[(i, tidx)]["BSDE"].value, bs.value,
+                assert np.isclose(bsde_table[(i, tidx)].value, bs.value,
                                   rtol=1e-10)
