@@ -496,10 +496,12 @@ def _potential_pathwise(spec, anchor, profile, grid, noise, basis, order):
         ens = simulate_paths(spec, prof_r, grid, noise)
         for jp in range(N):
             direction = profile[jp] + (-1.0) * anchor[jp]
-            adj = solve_first_adjoint(spec, prof_r, ens, noise, basis, jp)
+            # the costates are not bound to a name, so they are freed
+            # before the next player's solve
             _, pathwise = first_derivative_bsde(
-                spec, ens, noise, [adj], [(jp, direction)],
-                return_pathwise=True)
+                spec, ens, noise,
+                [solve_first_adjoint(spec, prof_r, ens, noise, basis, jp)],
+                [(jp, direction)], return_pathwise=True)
             acc += w * pathwise[(jp, 0)]
     return acc
 
@@ -521,11 +523,15 @@ def potential_deviation_gaps(spec: GameSpec, profile: ControlProfile,
                              deviations, grid: TimeGrid, noise: NoiseBundle,
                              anchor: ControlProfile = None,
                              basis: RegressionBasis = RegressionBasis(),
-                             order: int = 8) -> list:
+                             order: int = 8):
     """|cost change - potential change| for each unilateral deviation
     ``(i, control)`` in ``deviations``, with a pathwise (common random
     numbers) standard error.  The profile's costs and line integral are
-    computed once and shared by every deviation."""
+    computed once and shared by every deviation.
+
+    Returns ``(gaps, (value, se))``: one dict per deviation, and the
+    profile's candidate potential as ``potential_value`` computes it.
+    """
     if anchor is None:
         anchor = ControlProfile.zeros(spec.n_players)
     base_cost = cost_pathwise(spec, profile,
@@ -535,36 +541,37 @@ def potential_deviation_gaps(spec: GameSpec, profile: ControlProfile,
     out = []
     for i, deviation in deviations:
         deviated = profile.with_player(i, deviation)
-        ens_d = simulate_paths(spec, deviated, grid, noise)
-        dv = cost_pathwise(spec, deviated, ens_d)[:, i] - base_cost[:, i]
+        dv = (cost_pathwise(spec, deviated,
+                            simulate_paths(spec, deviated, grid, noise))[:, i]
+              - base_cost[:, i])
         dphi = (_potential_pathwise(spec, anchor, deviated, grid, noise,
                                     basis, order) - base_phi)
         mean, se = _mean_se(dv - dphi)
         out.append({"cost_change": float(dv.mean()),
                     "potential_change": float(dphi.mean()),
                     "gap": abs(mean), "se": se})
-    return out
+    return out, _mean_se(base_phi)
 
 
 def exploitability(spec: GameSpec, profile: ControlProfile, deviations,
                    grid: TimeGrid, noise: NoiseBundle):
     """Per-player best cost improvement over a deviation dictionary.
 
-    ``deviations[i]`` is a list of candidate controls for player i.
-    Returns per-player (improvement, se) and the overall maximum.
+    ``deviations[i]`` is a nonempty list of candidate controls for
+    player i.  Returns per-player (improvement, se) of the best
+    candidate, unclamped (negative when no candidate improves), and
+    the overall maximum improvement.
     """
     ens = simulate_paths(spec, profile, grid, noise)
     base = cost_pathwise(spec, profile, ens)
     per_player = []
     for i in range(spec.n_players):
-        best, best_se = 0.0, 0.0
+        gains = []
         for cand in deviations[i]:
             ens_d = simulate_paths(spec, profile.with_player(i, cand),
                                    grid, noise)
-            m, se = _mean_se(base[:, i]
-                             - cost_pathwise(spec, profile, ens_d)[:, i])
-            if m > best:
-                best, best_se = m, se
-        per_player.append((max(best, 0.0), best_se))
+            gains.append(_mean_se(base[:, i]
+                                  - cost_pathwise(spec, profile, ens_d)[:, i]))
+        per_player.append(max(gains, key=lambda g: g[0]))
     overall = max(v for v, _ in per_player)
     return per_player, overall

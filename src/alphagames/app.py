@@ -428,12 +428,10 @@ def _cmd_potential(cfg: ExperimentConfig, tables: Path):
     grid = cfg.grid()
     noise = _noise(cfg, spec)
     profile = cfg.anchor_profiles(spec.n_players)[-1]
-    value, se = alpha_mod.potential_value(spec, profile, grid, noise,
-                                          order=cfg.quad_order)
     dirs = cfg.direction_controls()
     moves = [(i, scale, d) for i in range(spec.n_players)
              for scale, d in zip((0.5, -0.5), dirs[:2])]
-    gaps = alpha_mod.potential_deviation_gaps(
+    gaps, (value, se) = alpha_mod.potential_deviation_gaps(
         spec, profile, [(i, profile[i] + scale * d) for i, scale, d in moves],
         grid, noise, order=cfg.quad_order)
     rows, ok = [], True
@@ -501,7 +499,8 @@ def _cmd_nash_gap(cfg: ExperimentConfig, tables: Path):
                 grid, noise, order=cfg.quad_order)
             phi_devs.append(v)
     eps_opt = max(0.0, phi_star - min(phi_devs))
-    se_cap = max(se for _, se in per_player)
+    # standard error of the player attaining the maximum gain
+    se_cap = max(per_player)[1]
     ok = overall <= eps_opt + 3.0 * se_cap + 1e-3
     rows = [[i, v, se] for i, (v, se) in enumerate(per_player)]
     _write_csv(tables / "exploitability.csv", ["player", "gain", "se"], rows)

@@ -5,7 +5,10 @@ conditional expectations on a global polynomial basis of the state:
 
 * terminal layer is the terminal functional evaluated pathwise;
 * the martingale component of driver j at step k is the regression of
-  next-layer value times that driver's increment, divided by dt;
+  next-layer value times that driver's increment, divided by dt; the
+  projection is linear in its targets, so every driver's target is a
+  column block of one stacked fit per step (one moment contraction,
+  one normal-equation solve, one fitted contraction);
 * the value layer at step k is the regression of next-layer value plus
   dt times the (explicitly evaluated) affine driver.
 
@@ -121,8 +124,18 @@ class _Regressor:
         coef = np.linalg.solve(self.gram, moments)
         fitted = np.einsum("pf,fm->pm", self.phi, coef, optimize=False)
         resid = targets - fitted
-        self.residual_norm = float(np.sqrt(np.mean(resid**2)))
+        np.square(resid, out=resid)
+        self.residual_norm = float(np.sqrt(np.mean(resid)))
         return fitted
+
+    def fit_martingale(self, ynext: np.ndarray, dw: np.ndarray,
+                       dt: float) -> np.ndarray:
+        """Martingale components (P, d, m) of every driver: the stacked
+        fit of ``ynext * dw[:, j] / dt`` for each of the d drivers."""
+        t = ynext[:, None, :] * dw[:, :, None]
+        t /= dt
+        P, d, m = t.shape
+        return self.fit(t.reshape(P, d * m)).reshape(P, d, m)
 
     def diagnostics(self) -> StepDiagnostics:
         return StepDiagnostics(step=self.step, basis_size=self.phi.shape[1],
@@ -185,9 +198,7 @@ def solve_linear_bsde(spec: LinearBsdeSpec, ensemble: PathEnsemble,
     for k in range(M - 1, -1, -1):
         reg = _Regressor(basis, ensemble.states[:, k, :], k)
         ynext = y[:, k + 1, :]
-        for j in range(d):
-            dw = noise.increments[:, k, j][:, None]
-            z[:, k, j, :] = reg.fit(ynext * dw / dt)
+        z[:, k] = reg.fit_martingale(ynext, noise.increments[:, k, :d], dt)
         driver = np.zeros((P, m))
         if spec.value_coef is not None:
             A = spec.value_coef(k, ensemble)
@@ -317,9 +328,8 @@ def solve_first_adjoints(spec: GameSpec, controls: ControlProfile,
     for k in range(M - 1, -1, -1):
         reg = _Regressor(basis, ensemble.states[:, k, :], k)
         ynext = y[:, k + 1].reshape(P, Q * N)
-        for j in range(D):
-            dw = noise.increments[:, k, j][:, None]
-            z[:, k, j] = reg.fit(ynext * dw / dt).reshape(P, Q, N)
+        z[:, k] = reg.fit_martingale(ynext, noise.increments[:, k, :D],
+                                     dt).reshape(P, D, Q, N)
         t = ensemble.grid.nodes[k]
         x = ensemble.states[:, k, :]
         u = ensemble.realized_controls[:, k, :]
@@ -436,10 +446,9 @@ def solve_second_adjoint(spec: GameSpec, controls: ControlProfile,
     for k in range(M - 1, -1, -1):
         reg = _Regressor(basis, ensemble.states[:, k, :], k)
         ynext = P2[:, k + 1]
-        flat = ynext.reshape(P, m)
-        for j in range(D):
-            dw = noise.increments[:, k, j][:, None]
-            Q2[:, k, j] = reg.fit(flat * dw / dt).reshape(P, N, N)
+        Q2[:, k] = reg.fit_martingale(ynext.reshape(P, m),
+                                      noise.increments[:, k, :D],
+                                      dt).reshape(P, D, N, N)
         t = ensemble.grid.nodes[k]
         x = ensemble.states[:, k, :]
         u = ensemble.realized_controls[:, k, :]

@@ -246,9 +246,9 @@ class NoiseBundle:
     def generate(cls, seed: int, grid: TimeGrid, n_paths: int,
                  n_drivers: int) -> "NoiseBundle":
         z = rng.normal_grid(seed, n_paths, grid.n_steps, n_drivers)
+        z *= np.sqrt(grid.dt)
         return cls(seed=seed, grid=grid, n_paths=n_paths,
-                   n_drivers=n_drivers,
-                   increments=z * np.sqrt(grid.dt))
+                   n_drivers=n_drivers, increments=z)
 
     def truncated_after(self, step: int) -> "NoiseBundle":
         """Copy with all increments from ``step`` onwards zeroed."""

@@ -27,6 +27,11 @@ STREAM_INCREMENTS = 0
 STREAM_INITIAL = 1
 STREAM_SCRATCH = 2
 
+# counters per path block of ``normal_grid``: bounds the Philox
+# temporaries (about a dozen uint64 arrays per counter) independently
+# of the number of paths
+_BLOCK_COUNTERS = 1 << 16
+
 
 def philox4x32(c0, c1, c2, c3, key):
     """Run Philox-4x32-10 on broadcastable uint64 counter lanes.
@@ -75,9 +80,15 @@ def standard_normal(seed, c0, c1, c2, c3):
 def normal_grid(seed, n_paths, n_steps, n_drivers, stream=STREAM_INCREMENTS):
     """Standard normals of shape (n_paths, n_steps, n_drivers).
 
-    Entry (p, k, j) depends only on (seed, p, k, j, stream).
+    Entry (p, k, j) depends only on (seed, p, k, j, stream), so the
+    grid is filled block by block of paths.
     """
-    p = np.arange(n_paths, dtype=np.uint64)[:, None, None]
+    out = np.empty((n_paths, n_steps, n_drivers))
     k = np.arange(n_steps, dtype=np.uint64)[None, :, None]
     j = np.arange(n_drivers, dtype=np.uint64)[None, None, :]
-    return standard_normal(seed, p, k, j, np.uint64(stream))
+    rows = max(1, _BLOCK_COUNTERS // max(1, n_steps * n_drivers))
+    for start in range(0, n_paths, rows):
+        stop = min(start + rows, n_paths)
+        p = np.arange(start, stop, dtype=np.uint64)[:, None, None]
+        out[start:stop] = standard_normal(seed, p, k, j, np.uint64(stream))
+    return out

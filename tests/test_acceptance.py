@@ -273,8 +273,8 @@ def test_criterion_07_potential_game_zero_case():
     deviations = [(i, prof[i] + scale * d) for i in range(2)
                   for scale, d in ((0.5, dirs[0]), (-0.5, dirs[0]),
                                    (0.4, dirs[1]), (-0.4, dirs[1]))]
-    outs = ag.potential_deviation_gaps(spec, prof, deviations, grid, noise,
-                                       order=4)
+    outs, _ = ag.potential_deviation_gaps(spec, prof, deviations, grid,
+                                          noise, order=4)
     worst = max(out["gap"] / (3 * out["se"]) for out in outs)
     ok = asym_ok and worst <= 1.0
     report(7, ok, f"symmetric-cost asymmetry {v:.2e} <= 3se {3*se:.2e}; "
@@ -424,7 +424,8 @@ def test_criterion_11_nash_gap():
                 grid, noise, order=4)[0]
             phi_devs.append(v)
     eps_opt = max(0.0, phi_star - min(phi_devs))
-    se_cap = max(se for _, se in per_player)
+    # standard error of the player attaining the maximum gain
+    se_cap = max(per_player)[1]
     elapsed = time.time() - t0
     ok = overall <= eps_opt + 3 * se_cap
     report(11, ok,
@@ -437,22 +438,22 @@ def test_criterion_12_reproducibility(tmp_path):
     """Same seed, different thread environments: reports byte-identical.
 
     Exercises the pipelines behind the other criteria (simulation, FD
-    stencils, sensitivities, regression costates, asymmetry assembly)
-    through the command line at reduced scale; every criterion runs on
-    these same deterministic primitives.
+    stencils, sensitivities, regression costates, asymmetry assembly,
+    potential line integrals) through the command line at reduced
+    scale; every criterion runs on these same deterministic primitives.
     """
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({
         "preset": "lq", "players": 2, "steps": 12, "paths": 2000,
         "seed": 5, "preset_params": {"Qhat": [0.5, 1.5], "D": 0.2},
         "anchors": ["zero"], "directions": ["const", "ramp"],
-        "out": "unused"}))
+        "quad_order": 2, "out": "unused"}))
     env_base = dict(os.environ)
     env_base["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(os.path.dirname(__file__), "..", "src"),
          env_base.get("PYTHONPATH", "")])
     blobs = {}
-    for sub in ("cross-check", "alpha", "scaling"):
+    for sub in ("cross-check", "alpha", "scaling", "potential"):
         per_thread = []
         for threads in ("1", "4"):
             outdir = tmp_path / f"{sub}-{threads}"

@@ -276,8 +276,8 @@ class TestPotential:
         noise = ag.NoiseBundle.generate(10, grid, 4000, 2)
         prof = ag.ControlProfile.constants([0.3, 0.3])
         dev = prof[0] + 0.4 * ag.Control.constant(1.0)
-        out, = ag.potential_deviation_gaps(spec, prof, [(0, dev)], grid,
-                                            noise)
+        (out,), _ = ag.potential_deviation_gaps(spec, prof, [(0, dev)],
+                                                grid, noise)
         assert out["gap"] <= 3 * out["se"] + 5 * grid.dt
 
     def test_heterogeneous_gap_below_alpha_budget(self):
@@ -286,8 +286,8 @@ class TestPotential:
         noise = ag.NoiseBundle.generate(11, grid, 4000, 2)
         prof = ag.ControlProfile.zeros(2)
         dev = ag.Control.constant(0.5)
-        out, = ag.potential_deviation_gaps(spec, prof, [(0, dev)], grid,
-                                            noise)
+        (out,), _ = ag.potential_deviation_gaps(spec, prof, [(0, dev)],
+                                                grid, noise)
         bound = ag.theoretical_alpha_bound(ledger, 2, 1.0).alpha_bound
         assert out["gap"] <= bound + 3 * out["se"]
 
@@ -300,8 +300,8 @@ class TestPotential:
             noise = ag.NoiseBundle.generate(12, grid, 2000, n)
             prof = ag.ControlProfile.zeros(n)
             dev = ag.Control.constant(0.5)
-            out, = ag.potential_deviation_gaps(spec, prof, [(0, dev)],
-                                               grid, noise)
+            (out,), _ = ag.potential_deviation_gaps(spec, prof, [(0, dev)],
+                                                    grid, noise)
             gaps[n] = out["gap"]
         assert gaps[8] <= gaps[2] + 1e-3
 
@@ -351,3 +351,15 @@ class TestExploitability:
         per_player, overall = ag.exploitability(spec, prof, devs, grid,
                                                 noise)
         assert overall > 0.4  # moving to zero control saves ~R/2
+
+    def test_reports_raw_gain_and_se_when_nothing_improves(self):
+        # a clamped gain would read 0 with se 0 and could fail no check
+        spec, _ = ag.build_lq_game(2)
+        grid = ag.TimeGrid(10, 1.0)
+        noise = ag.NoiseBundle.generate(15, grid, 500, 2)
+        prof = ag.ControlProfile.zeros(2)
+        devs = [[ag.Control.constant(2.0), ag.Control.constant(-2.0)]] * 2
+        per_player, overall = ag.exploitability(spec, prof, devs, grid,
+                                                noise)
+        assert overall <= 0.0
+        assert all(g <= 0.0 and se > 0.0 for g, se in per_player)

@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from alphagames.app import ConfigError, ExperimentConfig, run
+from alphagames import alpha
+from alphagames.app import ConfigError, ExperimentConfig, _noise, run
 
 
 def write_config(tmp_path, **kw):
@@ -132,6 +133,21 @@ class TestSubcommands:
             got = by_target[(r["i"], r["h"], r["dir_h"])]
             assert (got["FD"], got["SENS"], got["BSDE"]) == \
                 (r["fd"], r["sens"], r["bsde"])
+
+    def test_potential_value_matches_library(self, tmp_path):
+        # the subcommand reads the profile's potential off the deviation
+        # gaps' shared base line integral
+        cfg = ExperimentConfig.from_dict(
+            {"preset": "common-noise", "players": 2, "steps": 8,
+             "paths": 500, "quad_order": 2, "anchors": ["constant:0.5"],
+             "directions": ["const", "ramp"], "out": str(tmp_path / "o")})
+        rep = run(cfg, "potential")
+        spec, _ = cfg.build_game()
+        value, se = alpha.potential_value(
+            spec, cfg.anchor_profiles(2)[-1], cfg.grid(), _noise(cfg, spec),
+            order=cfg.quad_order)
+        assert rep["results"]["potential_value"] == value
+        assert rep["results"]["potential_se"] == se
 
     def test_unknown_subcommand(self, tmp_path):
         cfg = ExperimentConfig.from_dict({"out": str(tmp_path)})

@@ -4,7 +4,7 @@ import pytest
 import alphagames as ag
 from alphagames.bsde import (LinearBsdeSpec, _Regressor, apriori_bound_check,
                              apriori_constant, solve_first_adjoints,
-                             solve_linear_bsde)
+                             solve_linear_bsde, solve_second_adjoint)
 from alphagames.model import Coefficient, RunningCost, TerminalCost
 
 from oracles import bs_closed_form_bsde
@@ -322,6 +322,61 @@ class TestSecondAdjoint:
         assert np.allclose(sec.P2[:, -1], expect[None])
         sym_gap = np.abs(sec.P2 - np.transpose(sec.P2, (0, 1, 3, 2)))
         assert sym_gap.max() <= 1e-10
+
+
+class TestStackedMartingaleFit:
+    """Each backward step fits every driver's martingale target as
+    column blocks of one regression; replaying the per-driver fits of
+    one step must reproduce those blocks bit for bit."""
+
+    @pytest.fixture(params=["tanh-coupled", "common-noise"])
+    def solved(self, request):
+        spec, _ = ag.build_preset(request.param, 2)
+        grid = ag.TimeGrid(6, 1.0)
+        noise = ag.NoiseBundle.generate(4, grid, 1500, spec.n_drivers)
+        prof = ag.ControlProfile.constants([0.3, -0.2])
+        ens = ag.simulate_paths(spec, prof, grid, noise)
+        return spec, prof, ens, noise, grid.dt
+
+    @staticmethod
+    def replay(ens, noise, dt, ynext, k):
+        """Per-driver fits of step k, stacked along axis 1."""
+        reg = _Regressor(ag.RegressionBasis(), ens.states[:, k, :], k)
+        return np.stack([reg.fit(ynext * noise.increments[:, k, j][:, None]
+                                 / dt)
+                         for j in range(noise.n_drivers)], axis=1)
+
+    def test_linear_bsde(self, solved):
+        spec, _, ens, noise, dt = solved
+        lin = LinearBsdeSpec(
+            m=2, d=noise.n_drivers,
+            terminal=lambda e: np.tanh(e.states[:, -1, :]),
+            forcing=lambda k, e: np.cos(e.states[:, k, :]))
+        sol = solve_linear_bsde(lin, ens, noise)
+        k = 2
+        want = self.replay(ens, noise, dt, sol.y[:, k + 1], k)
+        assert np.allclose(sol.z[:, k], want, rtol=0, atol=0)
+
+    def test_first_adjoints(self, solved):
+        spec, prof, ens, noise, dt = solved
+        adjs = solve_first_adjoints(spec, prof, ens, noise,
+                                    ag.RegressionBasis(), [0, 1])
+        P, k = ens.n_paths, 2
+        ynext = np.stack([a.P_vals[:, k + 1] for a in adjs], axis=1)
+        want = self.replay(ens, noise, dt, ynext.reshape(P, -1), k)
+        got = np.stack([a.Q_vals[:, k] for a in adjs], axis=2)
+        assert np.allclose(got.reshape(want.shape), want, rtol=0, atol=0)
+
+    def test_second_adjoint(self, solved):
+        spec, prof, ens, noise, dt = solved
+        first = ag.solve_first_adjoint(spec, prof, ens, noise,
+                                       ag.RegressionBasis(), 1)
+        sec = solve_second_adjoint(spec, prof, ens, noise,
+                                   ag.RegressionBasis(), 1, first)
+        P, k = ens.n_paths, 2
+        want = self.replay(ens, noise, dt, sec.P2[:, k + 1].reshape(P, -1), k)
+        assert np.allclose(sec.Q2[:, k].reshape(want.shape), want,
+                           rtol=0, atol=0)
 
 
 class TestTraceDuality:

@@ -38,6 +38,23 @@ class TestPhilox:
         again = ag.NoiseBundle.generate(7, grid, 1000, 3)
         assert np.array_equal(big.increments, again.increments)
 
+    @pytest.mark.parametrize("blocks, tail, n_steps, n_drivers", [
+        (3, 77, 8, 4),    # three full path blocks and a ragged tail
+        (3, 5, 40, 1),    # one driver
+        (0, 100, 10, 3),  # fewer paths than one block
+    ])
+    def test_normal_grid_blocks_match_one_shot(self, blocks, tail, n_steps,
+                                               n_drivers):
+        rows = rng._BLOCK_COUNTERS // (n_steps * n_drivers)
+        n_paths = blocks * rows + tail
+        p = np.arange(n_paths, dtype=np.uint64)[:, None, None]
+        k = np.arange(n_steps, dtype=np.uint64)[None, :, None]
+        j = np.arange(n_drivers, dtype=np.uint64)[None, None, :]
+        one_shot = rng.standard_normal(11, p, k, j, np.uint64(0))
+        grid = rng.normal_grid(11, n_paths, n_steps, n_drivers)
+        assert grid.shape == (n_paths, n_steps, n_drivers)
+        assert np.array_equal(grid, one_shot)
+
     def test_increment_moments(self):
         grid = ag.TimeGrid(5, 1.0)
         noise = ag.NoiseBundle.generate(3, grid, 20_000, 2)
