@@ -22,7 +22,7 @@ import numpy as np
 
 from .bsde import (RegressionBasis, apriori_constant, solve_first_adjoint,
                    solve_second_adjoint)
-from .derivatives import (EPS_SCHEDULE, cost_pathwise, first_derivative_bsde,
+from .derivatives import (EPS_SCHEDULE, _own_control_integrals, cost_pathwise,
                           second_derivative_bsde, second_derivative_fd_sweep,
                           second_derivative_z_oracle)
 from .model import (ConstantLedger, Control, ControlProfile, GameSpec,
@@ -487,22 +487,17 @@ def _gauss_legendre_01(order: int):
 
 def _potential_pathwise(spec, anchor, profile, grid, noise, basis, order):
     """Pathwise quadrature accumulation of the line-integrated own-
-    control derivatives; one simulation and N adjoint solves per node."""
-    N = spec.n_players
+    control derivatives; one simulation and one backward sweep over all
+    players per node, contracted step by step as it is solved."""
+    directions = [c + (-1.0) * a for c, a in zip(profile, anchor)]
     nodes, weights = _gauss_legendre_01(order)
     acc = np.zeros(noise.n_paths)
     for r, w in zip(nodes, weights):
-        prof_r = anchor.combine(profile, 1.0 - r, r)
-        ens = simulate_paths(spec, prof_r, grid, noise)
-        for jp in range(N):
-            direction = profile[jp] + (-1.0) * anchor[jp]
-            # the costates are not bound to a name, so they are freed
-            # before the next player's solve
-            _, pathwise = first_derivative_bsde(
-                spec, ens, noise,
-                [solve_first_adjoint(spec, prof_r, ens, noise, basis, jp)],
-                [(jp, direction)], return_pathwise=True)
-            acc += w * pathwise[(jp, 0)]
+        ens = simulate_paths(spec, anchor.combine(profile, 1.0 - r, r), grid,
+                             noise)
+        for integral in _own_control_integrals(spec, ens, noise, basis,
+                                               directions):
+            acc += w * integral
     return acc
 
 
@@ -511,8 +506,8 @@ def potential_value(spec: GameSpec, profile: ControlProfile, grid: TimeGrid,
                     basis: RegressionBasis = RegressionBasis(),
                     order: int = 8):
     """Candidate potential at a profile: line integral from the anchor
-    (default zero profile) of the sum of own-control derivatives,
-    by Gauss-Legendre quadrature in the line parameter."""
+    (default zero profile) of the sum of own-control derivatives; one
+    backward sweep for all players per Gauss-Legendre node."""
     if anchor is None:
         anchor = ControlProfile.zeros(spec.n_players)
     return _mean_se(_potential_pathwise(spec, anchor, profile, grid, noise,
@@ -534,15 +529,14 @@ def potential_deviation_gaps(spec: GameSpec, profile: ControlProfile,
     """
     if anchor is None:
         anchor = ControlProfile.zeros(spec.n_players)
-    base_cost = cost_pathwise(spec, profile,
-                              simulate_paths(spec, profile, grid, noise))
+    base_cost = cost_pathwise(spec, simulate_paths(spec, profile, grid, noise))
     base_phi = _potential_pathwise(spec, anchor, profile, grid, noise, basis,
                                    order)
     out = []
     for i, deviation in deviations:
         deviated = profile.with_player(i, deviation)
-        dv = (cost_pathwise(spec, deviated,
-                            simulate_paths(spec, deviated, grid, noise))[:, i]
+        dv = (cost_pathwise(spec, simulate_paths(spec, deviated, grid,
+                                                 noise))[:, i]
               - base_cost[:, i])
         dphi = (_potential_pathwise(spec, anchor, deviated, grid, noise,
                                     basis, order) - base_phi)
@@ -563,7 +557,7 @@ def exploitability(spec: GameSpec, profile: ControlProfile, deviations,
     the overall maximum improvement.
     """
     ens = simulate_paths(spec, profile, grid, noise)
-    base = cost_pathwise(spec, profile, ens)
+    base = cost_pathwise(spec, ens)
     per_player = []
     for i in range(spec.n_players):
         gains = []
@@ -571,7 +565,7 @@ def exploitability(spec: GameSpec, profile: ControlProfile, deviations,
             ens_d = simulate_paths(spec, profile.with_player(i, cand),
                                    grid, noise)
             gains.append(_mean_se(base[:, i]
-                                  - cost_pathwise(spec, profile, ens_d)[:, i]))
+                                  - cost_pathwise(spec, ens_d)[:, i]))
         per_player.append(max(gains, key=lambda g: g[0]))
     overall = max(v for v, _ in per_player)
     return per_player, overall

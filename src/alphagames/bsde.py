@@ -19,6 +19,10 @@ of a matrix-valued system whose driver couples the unknown through the
 same coefficients on both sides and is forced by cost Hessians plus
 first-adjoint-weighted coefficient Hessians.
 
+One per-step backward sweep solves the first-order systems of any set
+of players together; it serves the stored solve and the potential's
+line integral, which contracts each step's layers as they are solved.
+
 All reductions go through ``np.einsum`` so results do not depend on
 BLAS threading.
 """
@@ -26,7 +30,7 @@ BLAS threading.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -84,6 +88,7 @@ class StepDiagnostics:
     condition: float
     ridge: float
     residual_norm: float
+    martingale_residual_norm: float
 
 
 class _Regressor:
@@ -116,6 +121,7 @@ class _Regressor:
         self.lam = float(lam)
         self.step = step
         self.residual_norm = 0.0
+        self.martingale_residual_norm = 0.0
 
     def fit(self, targets: np.ndarray) -> np.ndarray:
         """Fitted values (P, m) of the conditional expectation of each
@@ -135,12 +141,14 @@ class _Regressor:
         t = ynext[:, None, :] * dw[:, :, None]
         t /= dt
         P, d, m = t.shape
-        return self.fit(t.reshape(P, d * m)).reshape(P, d, m)
+        fitted = self.fit(t.reshape(P, d * m)).reshape(P, d, m)
+        self.martingale_residual_norm = self.residual_norm
+        return fitted
 
     def diagnostics(self) -> StepDiagnostics:
-        return StepDiagnostics(step=self.step, basis_size=self.phi.shape[1],
-                               condition=self.cond, ridge=self.lam,
-                               residual_norm=self.residual_norm)
+        return StepDiagnostics(self.step, self.phi.shape[1], self.cond,
+                               self.lam, self.residual_norm,
+                               self.martingale_residual_norm)
 
 
 @dataclass
@@ -172,9 +180,7 @@ class BsdeSolution:
     diagnostics: list
 
     def diagnostics_jsonable(self) -> list:
-        return [{"step": d.step, "basis_size": d.basis_size,
-                 "condition": d.condition, "ridge": d.ridge,
-                 "residual_norm": d.residual_norm} for d in self.diagnostics]
+        return [asdict(d) for d in self.diagnostics]
 
 
 def solve_linear_bsde(spec: LinearBsdeSpec, ensemble: PathEnsemble,
@@ -299,52 +305,61 @@ class AdjointSolution:
         return self.Q_vals[:, :, h, h]
 
 
-def solve_first_adjoints(spec: GameSpec, controls: ControlProfile,
-                         ensemble: PathEnsemble, noise: NoiseBundle,
-                         basis: RegressionBasis, players) -> list:
-    """Costate systems for several players in one backward sweep.
-
-    The systems share every coefficient (the driver transposes the
-    state linearization); only terminal values and forcing differ, so
-    the per-step regressions and coefficient assembly are shared and
-    the value layers are fitted as stacked columns.
-    """
+def _first_adjoint_sweep(spec, ensemble, noise, basis, players):
+    """Backward sweep of the costate systems of ``players``, which share
+    every coefficient, so each step fits all Q players' layers as
+    stacked columns of one regressor.  Yields the terminal value layer
+    (P, Q, N), then ``(k, value layer (P, Q, N), martingale layer
+    (P, D, Q, N), diagnostics)`` for k = M-1 down to 0."""
     if ensemble.seed != noise.seed or ensemble.grid != noise.grid:
         raise ValueError("ensemble and noise bundle must share seed and grid")
-    players = list(players)
     N, D = spec.n_players, spec.n_drivers
-    M = ensemble.grid.n_steps
     P = ensemble.n_paths
     dt = ensemble.grid.dt
     Q = len(players)
 
-    y = np.empty((P, M + 1, Q, N))
-    z = np.empty((P, M, D, Q, N))
+    ynext = np.empty((P, Q, N))
     xT = ensemble.states[:, -1, :]
     for q, p in enumerate(players):
-        y[:, M, q, :] = spec.terminal_cost[p].dy(xT)
-    diags = []
+        ynext[:, q, :] = spec.terminal_cost[p].dy(xT)
+    yield ynext
 
-    for k in range(M - 1, -1, -1):
+    for k in range(ensemble.grid.n_steps - 1, -1, -1):
         reg = _Regressor(basis, ensemble.states[:, k, :], k)
-        ynext = y[:, k + 1].reshape(P, Q * N)
-        z[:, k] = reg.fit_martingale(ynext, noise.increments[:, k, :D],
-                                     dt).reshape(P, D, Q, N)
+        z = reg.fit_martingale(ynext.reshape(P, Q * N),
+                               noise.increments[:, k, :D],
+                               dt).reshape(P, D, Q, N)
         t = ensemble.grid.nodes[k]
         x = ensemble.states[:, k, :]
         u = ensemble.realized_controls[:, k, :]
         vc = assemble_variational(spec, t, x, u)
         B0 = vc.drift_state()
-        driver = np.einsum("pba,pqb->pqa", B0, y[:, k + 1], optimize=False)
+        driver = np.einsum("pba,pqb->pqa", B0, ynext, optimize=False)
         for j in range(N):
             # driver matrix j is the transpose of a single-row matrix
             driver += np.einsum("pa,pq->pqa", vc.diffusion_row(j),
-                                z[:, k, j, :, j], optimize=False)
+                                z[:, j, :, j], optimize=False)
         for q, p in enumerate(players):
             driver[:, q, :] += spec.running_cost[p].dy(t, x, u)
-        fitted = reg.fit((y[:, k + 1] + dt * driver).reshape(P, Q * N))
-        y[:, k] = fitted.reshape(P, Q, N)
-        diags.append(reg.diagnostics())
+        ynext = reg.fit((ynext + dt * driver).reshape(P, Q * N)).reshape(
+            P, Q, N)
+        yield k, ynext, z, reg.diagnostics()
+
+
+def solve_first_adjoints(spec: GameSpec, controls: ControlProfile,
+                         ensemble: PathEnsemble, noise: NoiseBundle,
+                         basis: RegressionBasis, players) -> list:
+    """Costate systems for several players, every step's layers stored."""
+    players = list(players)
+    P, M = ensemble.n_paths, ensemble.grid.n_steps
+    y = np.empty((P, M + 1, len(players), spec.n_players))
+    z = np.empty((P, M, spec.n_drivers, len(players), spec.n_players))
+    sweep = _first_adjoint_sweep(spec, ensemble, noise, basis, players)
+    y[:, M] = next(sweep)
+    diags = []
+    for k, yk, zk, diag in sweep:
+        y[:, k], z[:, k] = yk, zk
+        diags.append(diag)
     diags.reverse()
     # basic slices: views into the shared solve buffers, no copies
     return [AdjointSolution(player=p, P_vals=y[:, :, q, :],

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsde import AdjointSolution, SecondAdjointSolution
+from .bsde import AdjointSolution, SecondAdjointSolution, _first_adjoint_sweep
 from .model import Control, ControlProfile, GameSpec, NoiseBundle, TimeGrid
 from .sim import (PathEnsemble, SecondSensitivityEnsemble,
                   SensitivityEnsemble, assemble_variational,
@@ -65,8 +65,7 @@ class DerivativeEstimate:
                    method=method, metadata=metadata)
 
 
-def cost_pathwise(spec: GameSpec, controls: ControlProfile,
-                  ensemble: PathEnsemble) -> np.ndarray:
+def cost_pathwise(spec: GameSpec, ensemble: PathEnsemble) -> np.ndarray:
     """Per-path realized cost of every player, shape (P, N)."""
     grid = ensemble.grid
     P = ensemble.n_paths
@@ -83,10 +82,9 @@ def cost_pathwise(spec: GameSpec, controls: ControlProfile,
     return out
 
 
-def cost_value(spec: GameSpec, controls: ControlProfile,
-               ensemble: PathEnsemble):
+def cost_value(spec: GameSpec, ensemble: PathEnsemble):
     """Sample mean and standard error of each player's cost."""
-    pc = cost_pathwise(spec, controls, ensemble)
+    pc = cost_pathwise(spec, ensemble)
     P = pc.shape[0]
     return pc.mean(axis=0), pc.std(axis=0, ddof=1) / np.sqrt(P)
 
@@ -179,6 +177,13 @@ def first_derivative_sens(spec: GameSpec, ensemble: PathEnsemble,
             for i in range(N) for s, sens in enumerate(sens_list)}
 
 
+def _bsde_integrand(costate, loading, h, dub_h, dus_h, fu):
+    """Adjoint-route integrand in player h's control per unit direction
+    at one step, from a cost player's costate (P, N), martingale loading
+    (P, D, N) and running-cost control gradient fu."""
+    return costate[:, h] * dub_h + dus_h * loading[:, h, h] + fu[:, h]
+
+
 def first_derivative_bsde(spec: GameSpec, ensemble: PathEnsemble,
                           noise: NoiseBundle, adjoints, targets,
                           return_pathwise: bool = False):
@@ -203,11 +208,9 @@ def first_derivative_bsde(spec: GameSpec, ensemble: PathEnsemble,
         for a, adj in enumerate(adjoints):
             fu = spec.running_cost[adj.player].du(t, x, u)
             for s, (h, _) in enumerate(targets):
-                dub_h, dus_h = loadings[h]
-                integrand = (adj.P_vals[:, k, h] * dub_h
-                             + dus_h * adj.Q_vals[:, k, h, h]
-                             + fu[:, h])
-                acc[a, s] += integrand * dvals[s] * grid.dt
+                acc[a, s] += _bsde_integrand(
+                    adj.P_vals[:, k], adj.Q_vals[:, k], h, *loadings[h],
+                    fu) * dvals[s] * grid.dt
     keys = [(adj.player, s) for adj in adjoints for s in range(len(targets))]
     pathwise = dict(zip(keys, acc.reshape(-1, ensemble.n_paths)))
     est = {(i, s): DerivativeEstimate.from_pathwise(
@@ -218,6 +221,32 @@ def first_derivative_bsde(spec: GameSpec, ensemble: PathEnsemble,
     if return_pathwise:
         return est, pathwise
     return est
+
+
+def _own_control_integrals(spec, ensemble, noise, basis, directions):
+    """Pathwise adjoint-route derivative of each player's cost in its
+    own control along ``directions[h]``, shape (N, P), contracted step
+    by step from one backward sweep; the terms are summed forward in
+    time afterwards, as in ``first_derivative_bsde``, bit for bit."""
+    grid = ensemble.grid
+    N = spec.n_players
+    terms = np.empty((N, grid.n_steps, ensemble.n_paths))
+    sweep = _first_adjoint_sweep(spec, ensemble, noise, basis, range(N))
+    next(sweep)  # the terminal layer enters no integrand
+    for k, costates, martingales, _ in sweep:
+        t, x = grid.nodes[k], ensemble.states[:, k]
+        u = ensemble.realized_controls[:, k]
+        for h in range(N):
+            terms[h, k] = _bsde_integrand(
+                costates[:, h], martingales[:, :, h], h,
+                spec.drift[h].du(t, x[:, h], x, u[:, h]),
+                spec.diffusion[h].du(t, x[:, h], x, u[:, h]),
+                spec.running_cost[h].du(t, x, u)
+            ) * directions[h](t, k, noise.increments) * grid.dt
+    integrals = np.zeros((N, ensemble.n_paths))
+    for k in range(grid.n_steps):
+        integrals += terms[:, k]
+    return integrals
 
 
 def second_derivative_fd_sweep(spec: GameSpec, controls: ControlProfile,

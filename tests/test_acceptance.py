@@ -439,8 +439,9 @@ def test_criterion_12_reproducibility(tmp_path):
 
     Exercises the pipelines behind the other criteria (simulation, FD
     stencils, sensitivities, regression costates, asymmetry assembly,
-    potential line integrals) through the command line at reduced
-    scale; every criterion runs on these same deterministic primitives.
+    potential line integrals and their minimisation) through the
+    command line at reduced scale; every criterion runs on these same
+    deterministic primitives.
     """
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({
@@ -453,7 +454,7 @@ def test_criterion_12_reproducibility(tmp_path):
         [os.path.join(os.path.dirname(__file__), "..", "src"),
          env_base.get("PYTHONPATH", "")])
     blobs = {}
-    for sub in ("cross-check", "alpha", "scaling", "potential"):
+    for sub in ("cross-check", "alpha", "scaling", "potential", "nash-gap"):
         per_thread = []
         for threads in ("1", "4"):
             outdir = tmp_path / f"{sub}-{threads}"

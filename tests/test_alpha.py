@@ -266,8 +266,8 @@ class TestPotential:
         ens_a = ag.simulate_paths(spec, prof, grid, noise)
         ens_z = ag.simulate_paths(spec, ag.ControlProfile.zeros(1), grid,
                                   noise)
-        va, _ = ag.cost_value(spec, prof, ens_a)
-        vz, _ = ag.cost_value(spec, ag.ControlProfile.zeros(1), ens_z)
+        va, _ = ag.cost_value(spec, ens_a)
+        vz, _ = ag.cost_value(spec, ens_z)
         assert abs(val - (va[0] - vz[0])) <= 3 * se + 5 * grid.dt
 
     def test_symmetric_deviation_gap_small(self):
@@ -304,6 +304,27 @@ class TestPotential:
                                                     grid, noise)
             gaps[n] = out["gap"]
         assert gaps[8] <= gaps[2] + 1e-3
+
+
+    def test_line_integral_memory_below_two_players_loadings(self):
+        # each step's costate layers are contracted into the integrands
+        # and dropped; the cap is two players' martingale loadings
+        # (P, M, D, N), which storing one player's adjoint pair per solve
+        # (about 17 MB here) or every player's (about 39 MB) exceeds
+        import tracemalloc
+        n, P, M = 3, 2000, 40
+        spec, _ = ag.build_preset("common-noise", n)
+        grid = ag.TimeGrid(M, 1.0)
+        noise = ag.NoiseBundle.generate(13, grid, P, spec.n_drivers)
+        prof = ag.ControlProfile.constants([0.5] * n)
+        loadings = P * M * spec.n_drivers * n * 8
+        tracemalloc.start()
+        try:
+            ag.potential_value(spec, prof, grid, noise, order=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * loadings
 
 
 class TestExploitability:

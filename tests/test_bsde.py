@@ -94,6 +94,11 @@ class TestLinearSolver:
         assert len(sol.diagnostics) == 8
         blob = sol.diagnostics_jsonable()
         assert all(d["condition"] < 1e12 for d in blob)
+        # the martingale fit keeps its own residual: its targets carry
+        # the increment noise, which the state basis cannot explain
+        res = [d["martingale_residual_norm"] for d in blob]
+        assert all(np.isfinite(r) and r > 0 for r in res)
+        assert res != [d["residual_norm"] for d in blob]
 
 
 class TestAprioriBound:
@@ -223,10 +228,12 @@ class TestFirstAdjoint:
         ens = ag.simulate_paths(spec, prof, grid, noise)
         both = solve_first_adjoints(spec, prof, ens, noise,
                                     ag.RegressionBasis(), [0, 1])
-        solo = ag.solve_first_adjoint(spec, prof, ens, noise,
-                                      ag.RegressionBasis(), 1)
-        assert np.allclose(both[1].P_vals, solo.P_vals, rtol=0, atol=0)
-        assert np.allclose(both[1].Q_vals, solo.Q_vals, rtol=0, atol=0)
+        for p in (0, 1):
+            solo = ag.solve_first_adjoint(spec, prof, ens, noise,
+                                          ag.RegressionBasis(), p)
+            assert both[p].player == p
+            assert np.allclose(both[p].P_vals, solo.P_vals, rtol=0, atol=0)
+            assert np.allclose(both[p].Q_vals, solo.Q_vals, rtol=0, atol=0)
 
     def test_overwritten_ensemble_not_served_stale_slices(self):
         # a slice cache keyed on object identity once served the

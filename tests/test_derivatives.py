@@ -64,7 +64,7 @@ class TestCostValue:
         grid = ag.TimeGrid(10, 1.0)
         noise = ag.NoiseBundle.generate(0, grid, 200, 2)
         ens = ag.simulate_paths(spec, ag.ControlProfile.zeros(2), grid, noise)
-        vals, _ = ag.cost_value(spec, ag.ControlProfile.zeros(2), ens)
+        vals, _ = ag.cost_value(spec, ens)
         assert vals[1] == 0.0
 
     def test_unit_running_cost_integrates_horizon(self):
@@ -79,7 +79,7 @@ class TestCostValue:
         grid = ag.TimeGrid(16, 1.0)
         noise = ag.NoiseBundle.generate(0, grid, 100, 1)
         ens = ag.simulate_paths(spec, ag.ControlProfile.zeros(1), grid, noise)
-        vals, ses = ag.cost_value(spec, ag.ControlProfile.zeros(1), ens)
+        vals, ses = ag.cost_value(spec, ens)
         assert np.isclose(vals[0], 1.0) and ses[0] == 0.0
 
     def test_scalar_quadratic_against_moment_ode_oracle(self):
@@ -115,7 +115,7 @@ class TestCostValue:
         u_fn = lambda t: 0.4 - 0.3 * t
         prof = ag.ControlProfile([ag.Control.from_time_function(u_fn)])
         ens = ag.simulate_paths(spec, prof, grid, noise)
-        vals, ses = ag.cost_value(spec, prof, ens)
+        vals, ses = ag.cost_value(spec, ens)
         oracle = scalar_lq_cost(A, B, C, D, s0, Qhat, R, G, u_fn,
                                 xi_mean, xi_std**2, 1.0)
         assert abs(vals[0] - oracle) <= 3 * ses[0] + 5 * grid.dt
@@ -217,11 +217,11 @@ class TestFirstDerivatives:
         from alphagames.derivatives import cost_pathwise
         errs = []
         eps_list = [4e-2, 2e-2, 1e-2]
-        base = cost_pathwise(spec, controls, ens)[:, 0]
+        base = cost_pathwise(spec, ens)[:, 0]
         for e in eps_list:
             up = ag.simulate_paths(spec, controls.perturbed(0, d, e), grid,
                                    noise)
-            fwd = (cost_pathwise(spec, controls, up)[:, 0] - base) / e
+            fwd = (cost_pathwise(spec, up)[:, 0] - base) / e
             errs.append(abs(fwd.mean() - ref.value))
         slope = np.polyfit(np.log(eps_list), np.log(errs), 1)[0]
         assert slope >= 0.9
@@ -347,3 +347,26 @@ class TestSweepHelpers:
                                   rtol=1e-10)
                 assert np.isclose(bsde_table[(i, tidx)].value, bs.value,
                                   rtol=1e-10)
+
+    @pytest.mark.parametrize("preset,n", [("tanh-coupled", 3),
+                                          ("common-noise", 2), ("lq", 4)])
+    def test_streamed_own_control_integrals_match_stored(self, preset, n):
+        # one sweep for every player, contracted step by step as it is
+        # solved, against a stored single-player solve and contraction
+        from alphagames.derivatives import _own_control_integrals
+        spec, _ = ag.build_preset(preset, n)
+        grid = ag.TimeGrid(10, 1.0)
+        noise = ag.NoiseBundle.generate(4, grid, 1500, spec.n_drivers)
+        prof = ag.ControlProfile.constants([0.3 - 0.2 * i for i in range(n)])
+        ens = ag.simulate_paths(spec, prof, grid, noise)
+        basis = ag.RegressionBasis()
+        dirs = ag.direction_dictionary(1.0)
+        directions = [dirs[h % len(dirs)] for h in range(n)]
+        got = _own_control_integrals(spec, ens, noise, basis, directions)
+        assert got.shape == (n, ens.n_paths)
+        for h in range(n):
+            adj = ag.solve_first_adjoint(spec, prof, ens, noise, basis, h)
+            _, want = ag.first_derivative_bsde(spec, ens, noise, [adj],
+                                               [(h, directions[h])],
+                                               return_pathwise=True)
+            assert np.allclose(got[h], want[(h, 0)], rtol=0, atol=0)

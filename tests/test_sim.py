@@ -96,7 +96,7 @@ class TestSimulate:
         from alphagames.derivatives import cost_pathwise
         for li, prof in enumerate(profs):
             ens = ag.simulate_paths(spec, prof, grid, noise)
-            pc = cost_pathwise(spec, prof, ens)
+            pc = cost_pathwise(spec, ens)
             assert np.allclose(batch[li], pc, rtol=1e-12, atol=1e-12)
 
 
