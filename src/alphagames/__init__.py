@@ -15,7 +15,7 @@ from .model import (Coefficient, ConstantLedger, Control, ControlProfile,
 from .sim import (PathEnsemble, SecondSensitivityEnsemble,
                   SensitivityEnsemble, VariationalCoefficients,
                   assemble_variational, empirical_moment,
-                  propagate_second_sensitivity, propagate_sensitivities,
+                  propagate_second_sensitivities, propagate_sensitivities,
                   propagate_sensitivity, simulate_cost_batch, simulate_paths)
 from .bsde import (AdjointSolution, BsdeSolution, LinearBsdeSpec,
                    MatrixItoProcess, RegressionBasis, SecondAdjointSolution,

@@ -20,15 +20,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsde import (RegressionBasis, apriori_constant, solve_first_adjoint,
+from .bsde import (RegressionBasis, apriori_constant, solve_first_adjoints,
                    solve_second_adjoint)
 from .derivatives import (EPS_SCHEDULE, _own_control_integrals, cost_pathwise,
                           second_derivative_bsde, second_derivative_fd_sweep,
                           second_derivative_z_oracle)
 from .model import (ConstantLedger, Control, ControlProfile, GameSpec,
                     NoiseBundle, TimeGrid)
-from .sim import (SecondSensitivityEnsemble, propagate_second_sensitivity,
-                  propagate_sensitivities, simulate_paths)
+from .sim import (SecondSensitivityEnsemble, assemble_variational,
+                  propagate_second_sensitivities, propagate_sensitivities,
+                  simulate_paths)
 
 __all__ = [
     "AlphaReport",
@@ -119,11 +120,10 @@ class _SharedEstimators:
 
     def __init__(self, spec, controls, dirs, grid, noise, method, basis,
                  players=None):
-        self.spec, self.controls = spec, controls
-        self.noise, self.method, self.basis = noise, method, basis
+        self.spec, self.noise, self.method = spec, noise, method
         self.ens = simulate_paths(spec, controls, grid, noise)
-        if players is None:
-            players = range(spec.n_players)
+        players = list(range(spec.n_players) if players is None
+                       else players)
         targets = [(h, d) for h in players for d in dirs]
         sens = propagate_sensitivities(spec, controls, self.ens, targets,
                                        noise)
@@ -132,53 +132,62 @@ class _SharedEstimators:
         self.zero_mixed = spec.has_affine_coefficients()
         self.adj, self.sec = {}, {}
         if method == "BSDE":
-            for p in players:
-                self.adj[p] = solve_first_adjoint(spec, controls, self.ens,
-                                                  noise, basis, p)
-                self.sec[p] = solve_second_adjoint(spec, controls, self.ens,
-                                                   noise, basis, p,
-                                                   self.adj[p])
+            adjoints = solve_first_adjoints(spec, controls, self.ens, noise,
+                                            basis, players)
+            for p, adj in zip(players, adjoints):
+                self.adj[p] = adj
+                self.sec[p] = solve_second_adjoint(spec, self.ens, noise,
+                                                   basis, p, adj)
 
-    def _mixed(self, sh, sl):
+    def _mixed(self, pairs):
         if self.zero_mixed:
-            return SecondSensitivityEnsemble(
-                values=np.zeros_like(sh.values),
-                players=(sh.perturbed_player, sl.perturbed_player),
-                directions=(sh.direction, sl.direction),
-                grid=sh.grid, seed=sh.seed)
-        return propagate_second_sensitivity(self.spec, self.controls,
-                                            self.ens, sh, sl, self.noise)
+            zeros = np.zeros_like(pairs[0][0].values)
+            return [SecondSensitivityEnsemble(
+                        values=zeros,
+                        players=(sh.perturbed_player, sl.perturbed_player),
+                        directions=(sh.direction, sl.direction),
+                        grid=sh.grid, seed=sh.seed)
+                    for sh, sl in pairs]
+        return propagate_second_sensitivities(self.spec, self.ens, pairs,
+                                              self.noise)
 
     def pair_differences(self, i, j, dirs_i=None, dirs_j=None):
-        """(value, se, d_ij, d_ji) per direction pair for pair (i, j)."""
+        """(value, se, d_ij, d_ji) per direction pair for pair (i, j),
+        player i's direction outermost."""
+        dirs_j = dirs_j if dirs_j is not None else self.dirs
+        return [entry
+                for di in (dirs_i if dirs_i is not None else self.dirs)
+                for entry in self._row_differences(i, j, di, dirs_j)]
+
+    def _row_differences(self, i, j, di, dirs_j):
+        """The (di, dj) entries for every dj: one contraction of player
+        i's cost over the pairs and one of player j's over the swapped
+        pairs; only this row's mixed responses are alive at a time."""
+        pairs = [(self.sens[(i, id(di))], self.sens[(j, id(dj))])
+                 for dj in dirs_j]
+        swapped = [(sl, sh) for sh, sl in pairs]
+        args = (self.spec, self.ens, self.noise)
+        if self.method == "BSDE":
+            _, pw_ij = second_derivative_bsde(
+                *args, self.adj[i], self.sec[i], pairs, return_pathwise=True)
+            _, pw_ji = second_derivative_bsde(
+                *args, self.adj[j], self.sec[j], swapped,
+                return_pathwise=True)
+        else:
+            mixed = self._mixed(pairs)
+            _, pw_ij = second_derivative_z_oracle(
+                *args, pairs, mixed, [i], return_pathwise=True)
+            mixed_ji = [SecondSensitivityEnsemble(
+                            values=m.values, players=(j, i),
+                            directions=m.directions[::-1], grid=m.grid,
+                            seed=m.seed) for m in mixed]
+            _, pw_ji = second_derivative_z_oracle(
+                *args, swapped, mixed_ji, [j], return_pathwise=True)
         out = []
-        for di in (dirs_i if dirs_i is not None else self.dirs):
-            for dj in (dirs_j if dirs_j is not None else self.dirs):
-                sh = self.sens[(i, id(di))]
-                sl = self.sens[(j, id(dj))]
-                if self.method == "BSDE":
-                    _, acc_ij = second_derivative_bsde(
-                        self.spec, self.controls, self.ens, self.noise,
-                        self.adj[i], self.sec[i], sh, sl,
-                        return_pathwise=True)
-                    _, acc_ji = second_derivative_bsde(
-                        self.spec, self.controls, self.ens, self.noise,
-                        self.adj[j], self.sec[j], sl, sh,
-                        return_pathwise=True)
-                else:
-                    mixed = self._mixed(sh, sl)
-                    swapped = SecondSensitivityEnsemble(
-                        values=mixed.values, players=(j, i),
-                        directions=(dj, di), grid=mixed.grid,
-                        seed=mixed.seed)
-                    _, acc_ij = second_derivative_z_oracle(
-                        self.spec, self.controls, self.ens, self.noise,
-                        sh, sl, mixed, i, return_pathwise=True)
-                    _, acc_ji = second_derivative_z_oracle(
-                        self.spec, self.controls, self.ens, self.noise,
-                        sl, sh, swapped, j, return_pathwise=True)
-                out.append(_mean_se(acc_ij - acc_ji)
-                           + (float(acc_ij.mean()), float(acc_ji.mean())))
+        for q in range(len(pairs)):
+            acc_ij, acc_ji = pw_ij[(i, q)], pw_ji[(j, q)]
+            out.append(_mean_se(acc_ij - acc_ji)
+                       + (float(acc_ij.mean()), float(acc_ji.mean())))
         return out
 
 
@@ -284,8 +293,6 @@ def pairwise_quadratic_asymmetry(spec: GameSpec, qhat, gterm,
     qhat = np.broadcast_to(np.asarray(qhat, dtype=float), (N,))
     gterm = np.broadcast_to(np.asarray(gterm, dtype=float), (N,))
     ens = simulate_paths(spec, controls, grid, noise)
-
-    from .sim import assemble_variational
 
     def pair_accumulate(acc, y_slice, weights):
         # proj[p, d, i] = (own minus average) of response d at player i

@@ -30,7 +30,7 @@ from .bsde import RegressionBasis, solve_first_adjoints, solve_second_adjoint
 from .model import (Control, ControlProfile, NoiseBundle, SampleBox,
                     TimeGrid, direction_dictionary, validate_game)
 from .presets import PRESET_IDS, build_preset, lq_scaling_params
-from .sim import (empirical_moment, propagate_second_sensitivity,
+from .sim import (empirical_moment, propagate_second_sensitivities,
                   propagate_sensitivities, simulate_paths)
 
 SUBCOMMANDS = ("simulate", "deriv", "cross-check", "alpha", "bound",
@@ -317,26 +317,26 @@ def _cmd_cross_check(cfg: ExperimentConfig, tables: Path):
     d1 = 1 % len(dirs)
     pairs = [(sens[h * len(dirs)], sens[l * len(dirs) + d1])
              for h in range(N) for l in range(h + 1, N)]
-    fds, zos = [], []
-    for sh, sl in pairs:
-        mixed = propagate_second_sensitivity(spec, controls, ens, sh, sl,
-                                             noise)
-        fds.append(deriv_mod.second_derivative_fd_sweep(
-            spec, controls, sh.perturbed_player, sl.perturbed_player,
-            sh.direction, sl.direction, grid, noise, cfg.eps_schedule))
-        zos.append([deriv_mod.second_derivative_z_oracle(
-            spec, controls, ens, noise, sh, sl, mixed, i) for i in range(N)])
-    # one matrix adjoint alive at a time bounds the memory
-    bsdes = [[None] * N for _ in pairs]
+    fds = [deriv_mod.second_derivative_fd_sweep(
+               spec, controls, sh.perturbed_player, sl.perturbed_player,
+               sh.direction, sl.direction, grid, noise, cfg.eps_schedule)
+           for sh, sl in pairs]
+    mixed = propagate_second_sensitivities(spec, ens, pairs, noise)
+    zos = deriv_mod.second_derivative_z_oracle(spec, ens, noise, pairs,
+                                               mixed, range(N))
+    # the mixed responses are dropped and one matrix adjoint is alive at
+    # a time, which bounds the memory
+    del mixed
+    bsdes = {}
     for i in range(N):
-        second = solve_second_adjoint(spec, controls, ens, noise,
-                                      RegressionBasis(), i, adjoints[i])
-        for q, (sh, sl) in enumerate(pairs):
-            bsdes[q][i] = deriv_mod.second_derivative_bsde(
-                spec, controls, ens, noise, adjoints[i], second, sh, sl)
+        second = solve_second_adjoint(spec, ens, noise, RegressionBasis(), i,
+                                      adjoints[i])
+        bsdes.update(deriv_mod.second_derivative_bsde(
+            spec, ens, noise, adjoints[i], second, pairs))
         del second
-    for (sh, sl), fd_q, zo_q, bs_q in zip(pairs, fds, zos, bsdes):
-        for i, (fd, zo, bs) in enumerate(zip(fd_q, zo_q, bs_q)):
+    for q, ((sh, sl), fd_q) in enumerate(zip(pairs, fds)):
+        for i, fd in enumerate(fd_q):
+            zo, bs = zos[(i, q)], bsdes[(i, q)]
             tol_fz = 5.0 * (fd.std_error + zo.std_error) + 20.0 * eps_min
             tol_fb = 5.0 * (fd.std_error + bs.std_error) + 20.0 * eps_min
             tol_bz = 5.0 * (bs.std_error + zo.std_error) + 20.0 * eps_min

@@ -428,9 +428,9 @@ def _lyapunov_action(vc, mat):
     return out, rows
 
 
-def solve_second_adjoint(spec: GameSpec, controls: ControlProfile,
-                         ensemble: PathEnsemble, noise: NoiseBundle,
-                         basis: RegressionBasis, player: int,
+def solve_second_adjoint(spec: GameSpec, ensemble: PathEnsemble,
+                         noise: NoiseBundle, basis: RegressionBasis,
+                         player: int,
                          first: AdjointSolution) -> SecondAdjointSolution:
     """Matrix-valued backward system, regression on the vectorized
     layers, driver applied in matrix form.

@@ -8,9 +8,12 @@
   needs no forward sensitivity at all for first derivatives and no
   mixed second-order sensitivity for second derivatives.
 
-Each route has one implementation and yields every cost player's
-estimate at once; the first-order SENS and BSDE contractions also run
-over a whole list of perturbation targets in one time sweep.
+Each route has one implementation.  The FD sweeps yield every cost
+player's estimate at once; the SENS, BSDE and Z-oracle contractions run
+over a whole list of perturbation targets (first order) or response
+pairs (second order) in one time sweep that evaluates each step's
+partials once, and return ``{(cost player, target or pair index):
+estimate}``.
 
 All dt-integrals use the left endpoint, matching the Euler filtration.
 Standard errors always come from pathwise differences, never from
@@ -25,9 +28,8 @@ import numpy as np
 
 from .bsde import AdjointSolution, SecondAdjointSolution, _first_adjoint_sweep
 from .model import Control, ControlProfile, GameSpec, NoiseBundle, TimeGrid
-from .sim import (PathEnsemble, SecondSensitivityEnsemble,
-                  SensitivityEnsemble, assemble_variational,
-                  second_order_cross_sources, simulate_cost_batch)
+from .sim import (PathEnsemble, _bilinear_sources, _dot, _second_order_slices,
+                  assemble_variational, simulate_cost_batch)
 
 __all__ = [
     "DerivativeEstimate",
@@ -63,6 +65,19 @@ class DerivativeEstimate:
         return cls(value=float(acc.mean()),
                    std_error=float(acc.std(ddof=1) / np.sqrt(acc.shape[0])),
                    method=method, metadata=metadata)
+
+
+def _keyed_estimates(acc: np.ndarray, keys: list, method: str, metadata,
+                     return_pathwise: bool = False):
+    """One estimate per row of ``acc`` (rows in ``keys`` order, paths
+    last), labelled by ``metadata(key)``; with ``return_pathwise`` also
+    the pathwise rows under the same keys."""
+    pathwise = dict(zip(keys, acc.reshape(len(keys), -1)))
+    est = {key: DerivativeEstimate.from_pathwise(pw, method, metadata(key))
+           for key, pw in pathwise.items()}
+    if return_pathwise:
+        return est, pathwise
+    return est
 
 
 def cost_pathwise(spec: GameSpec, ensemble: PathEnsemble) -> np.ndarray:
@@ -160,21 +175,20 @@ def first_derivative_sens(spec: GameSpec, ensemble: PathEnsemble,
             fy = spec.running_cost[i].dy(t, x, u)
             fu = spec.running_cost[i].du(t, x, u)
             for s, sens in enumerate(sens_list):
-                acc[i, s] += (np.einsum("pa,pa->p", fy, sens.values[:, k, :],
-                                        optimize=False)
+                acc[i, s] += (_dot(fy, sens.values[:, k, :])
                               + fu[:, sens.perturbed_player] * dvals[s]
                               ) * grid.dt
     xT = ensemble.states[:, -1, :]
     for i in range(N):
         gy = spec.terminal_cost[i].dy(xT)
         for s, sens in enumerate(sens_list):
-            acc[i, s] += np.einsum("pa,pa->p", gy, sens.values[:, -1, :],
-                                   optimize=False)
-    return {(i, s): DerivativeEstimate.from_pathwise(
-                acc[i, s], "SENS",
-                {"player": i, "perturbed": sens.perturbed_player,
-                 "direction": sens.direction.label})
-            for i in range(N) for s, sens in enumerate(sens_list)}
+            acc[i, s] += _dot(gy, sens.values[:, -1, :])
+    keys = [(i, s) for i in range(N) for s in range(len(sens_list))]
+    return _keyed_estimates(
+        acc, keys, "SENS",
+        lambda key: {"player": key[0],
+                     "perturbed": sens_list[key[1]].perturbed_player,
+                     "direction": sens_list[key[1]].direction.label})
 
 
 def _bsde_integrand(costate, loading, h, dub_h, dus_h, fu):
@@ -212,15 +226,11 @@ def first_derivative_bsde(spec: GameSpec, ensemble: PathEnsemble,
                     adj.P_vals[:, k], adj.Q_vals[:, k], h, *loadings[h],
                     fu) * dvals[s] * grid.dt
     keys = [(adj.player, s) for adj in adjoints for s in range(len(targets))]
-    pathwise = dict(zip(keys, acc.reshape(-1, ensemble.n_paths)))
-    est = {(i, s): DerivativeEstimate.from_pathwise(
-               pathwise[(i, s)], "BSDE",
-               {"player": i, "perturbed": targets[s][0],
-                "direction": targets[s][1].label})
-           for i, s in keys}
-    if return_pathwise:
-        return est, pathwise
-    return est
+    return _keyed_estimates(
+        acc, keys, "BSDE",
+        lambda key: {"player": key[0], "perturbed": targets[key[1]][0],
+                     "direction": targets[key[1]][1].label},
+        return_pathwise)
 
 
 def _own_control_integrals(spec, ensemble, noise, basis, directions):
@@ -282,128 +292,117 @@ def second_derivative_fd_sweep(spec: GameSpec, controls: ControlProfile,
     return out
 
 
-def _cost_cross_terms(spec, i, t, x, u, yh, yl, du_h, du_l, h, l):
-    """Running-cost quadratic form in the two responses and directions."""
-    f = spec.running_cost[i]
-    fyy = f.dyy(t, x, u)
-    fyu = f.dyu(t, x, u)
-    fuu = f.duu(t, x, u)
-    return (np.einsum("pa,pab,pb->p", yh, fyy, yl, optimize=False)
-            + du_h * np.einsum("pa,pa->p", fyu[:, :, h], yl, optimize=False)
-            + du_l * np.einsum("pa,pa->p", yh, fyu[:, :, l], optimize=False)
-            + fuu[:, h, l] * du_h * du_l)
+def _pair_players(pairs) -> list:
+    """(h, l) of each (sens_h, sens_l) pair; the players must differ."""
+    players = [(sh.perturbed_player, sl.perturbed_player) for sh, sl in pairs]
+    if any(h == l for h, l in players):
+        raise ValueError("mixed second derivative requires distinct players")
+    return players
 
 
-def second_derivative_z_oracle(spec: GameSpec, controls: ControlProfile,
-                               ensemble: PathEnsemble, noise: NoiseBundle,
-                               sens_h: SensitivityEnsemble,
-                               sens_l: SensitivityEnsemble,
-                               mixed: SecondSensitivityEnsemble,
-                               i: int, return_pathwise: bool = False):
-    """Mixed-sensitivity route: cost quadratic form in the first-order
-    responses plus cost gradients against the mixed response."""
-    h, l = sens_h.perturbed_player, sens_l.perturbed_player
-    if mixed.players != (h, l):
+def second_derivative_z_oracle(spec: GameSpec, ensemble: PathEnsemble,
+                               noise: NoiseBundle, pairs, mixed, players,
+                               return_pathwise: bool = False):
+    """Mixed-sensitivity route for every cost player in ``players``
+    against every ``(sens_h, sens_l)`` pair, ``mixed[q]`` being pair q's
+    mixed response: the running and terminal cost quadratic forms in
+    the two responses and directions plus the cost gradients against
+    the mixed response.
+
+    Returns {(i, pair index): estimate}; with ``return_pathwise`` also
+    the pathwise integrals under the same keys.
+    """
+    hl = _pair_players(pairs)
+    if any(mx.players != pl for mx, pl in zip(mixed, hl)):
         raise ValueError("mixed sensitivity was built for different players")
+    players = list(players)
     grid = ensemble.grid
-    acc = np.zeros(ensemble.n_paths)
+    acc = np.zeros((len(players), len(pairs), ensemble.n_paths))
     for k, t in enumerate(grid.nodes[:-1]):
         x = ensemble.states[:, k, :]
         u = ensemble.realized_controls[:, k, :]
-        du_h = sens_h.direction(t, k, noise.increments)
-        du_l = sens_l.direction(t, k, noise.increments)
-        acc += _cost_cross_terms(spec, i, t, x, u, sens_h.values[:, k, :],
-                                 sens_l.values[:, k, :], du_h, du_l,
-                                 h, l) * grid.dt
-        fy = spec.running_cost[i].dy(t, x, u)
-        acc += np.einsum("pa,pa->p", fy, mixed.values[:, k, :],
-                         optimize=False) * grid.dt
+        dvals = [(sh.direction(t, k, noise.increments),
+                  sl.direction(t, k, noise.increments)) for sh, sl in pairs]
+        for a, i in enumerate(players):
+            f = spec.running_cost[i]
+            fy, fyy = f.dy(t, x, u), f.dyy(t, x, u)
+            fyu, fuu = f.dyu(t, x, u), f.duu(t, x, u)
+            for q, ((sh, sl), (h, l)) in enumerate(zip(pairs, hl)):
+                yh, yl = sh.values[:, k, :], sl.values[:, k, :]
+                du_h, du_l = dvals[q]
+                acc[a, q] += (np.einsum("pa,pab,pb->p", yh, fyy, yl,
+                                        optimize=False)
+                              + du_h * _dot(fyu[:, :, h], yl)
+                              + du_l * _dot(yh, fyu[:, :, l])
+                              + fuu[:, h, l] * du_h * du_l) * grid.dt
+                acc[a, q] += _dot(fy, mixed[q].values[:, k, :]) * grid.dt
     xT = ensemble.states[:, -1, :]
-    gyy = spec.terminal_cost[i].dyy(xT)
-    gy = spec.terminal_cost[i].dy(xT)
-    acc += np.einsum("pa,pab,pb->p", sens_h.values[:, -1, :], gyy,
-                     sens_l.values[:, -1, :], optimize=False)
-    acc += np.einsum("pa,pa->p", gy, mixed.values[:, -1, :], optimize=False)
-    est = DerivativeEstimate.from_pathwise(acc, "Z-ORACLE",
-                                           {"player": i, "pair": (h, l)})
-    if return_pathwise:
-        return est, acc
-    return est
+    for a, i in enumerate(players):
+        gyy = spec.terminal_cost[i].dyy(xT)
+        gy = spec.terminal_cost[i].dy(xT)
+        for q, (sh, sl) in enumerate(pairs):
+            acc[a, q] += np.einsum("pa,pab,pb->p", sh.values[:, -1, :], gyy,
+                                   sl.values[:, -1, :], optimize=False)
+            acc[a, q] += _dot(gy, mixed[q].values[:, -1, :])
+    return _keyed_estimates(
+        acc, [(i, q) for i in players for q in range(len(pairs))],
+        "Z-ORACLE", lambda key: {"player": key[0], "pair": hl[key[1]]},
+        return_pathwise)
 
 
-def second_derivative_bsde(spec: GameSpec, controls: ControlProfile,
-                           ensemble: PathEnsemble, noise: NoiseBundle,
-                           first: AdjointSolution,
-                           second: SecondAdjointSolution,
-                           sens_h: SensitivityEnsemble,
-                           sens_l: SensitivityEnsemble,
+def second_derivative_bsde(spec: GameSpec, ensemble: PathEnsemble,
+                           noise: NoiseBundle, first: AdjointSolution,
+                           second: SecondAdjointSolution, pairs,
                            return_pathwise: bool = False):
-    """Adjoint route for the mixed second derivative; the mixed
-    sensitivity is eliminated entirely.
+    """Adjoint route for the mixed second derivatives of one cost
+    player, whose adjoint pair is (``first``, ``second``), against every
+    ``(sens_h, sens_l)`` pair; the mixed sensitivity is eliminated
+    entirely.
 
     The martingale loadings enter with a fixed orientation: the term in
     player h's direction reads row h of driver h's loading, the term in
     player l's direction reads column l of driver l's loading.  That is
     the orientation under which the product-trace bookkeeping closes.
+
+    Returns {(first.player, pair index): estimate}; with
+    ``return_pathwise`` also the pathwise integrals under the same keys.
     """
     i = first.player
     if second.player != i:
         raise ValueError("adjoint pairs belong to different players")
-    h, l = sens_h.perturbed_player, sens_l.perturbed_player
-    if h == l:
-        raise ValueError("mixed second derivative requires distinct players")
+    hl = _pair_players(pairs)
     grid = ensemble.grid
-    acc = np.zeros(ensemble.n_paths)
+    acc = np.zeros((len(pairs), ensemble.n_paths))
     for k, t in enumerate(grid.nodes[:-1]):
         x = ensemble.states[:, k, :]
         u = ensemble.realized_controls[:, k, :]
-        yh = sens_h.values[:, k, :]
-        yl = sens_l.values[:, k, :]
-        du_h = sens_h.direction(t, k, noise.increments)
-        du_l = sens_l.direction(t, k, noise.increments)
         vc = assemble_variational(spec, t, x, u)
-        P2 = second.P2[:, k]
-
-        dub_h = vc.dub[:, h]
-        dus_h = vc.dus[:, h]
-        pi_row_h = vc.diffusion_row(h)
-        term_h = (dub_h * np.einsum("pa,pa->p", P2[:, h, :], yl,
-                                    optimize=False)
-                  + dus_h * P2[:, h, h]
-                  * np.einsum("pa,pa->p", pi_row_h, yl, optimize=False)
-                  + dus_h * np.einsum(
-                      "pa,pa->p", second.Q2[:, k, h, h, :], yl,
-                      optimize=False))
+        so = _second_order_slices(spec, t, x, u)
+        P2, Q2 = second.P2[:, k], second.Q2[:, k]
         fyu = spec.running_cost[i].dyu(t, x, u)
-        term_h += np.einsum("pa,pa->p", fyu[:, :, h], yl, optimize=False)
-
-        dub_l = vc.dub[:, l]
-        dus_l = vc.dus[:, l]
-        pi_row_l = vc.diffusion_row(l)
-        term_l = (dub_l * np.einsum("pa,pa->p", yh, P2[:, :, l],
-                                    optimize=False)
-                  + dus_l * P2[:, l, l]
-                  * np.einsum("pa,pa->p", pi_row_l, yh, optimize=False)
-                  + dus_l * np.einsum(
-                      "pa,pa->p", yh, second.Q2[:, k, l, :, l],
-                      optimize=False))
-        term_l += np.einsum("pa,pa->p", yh, fyu[:, :, l], optimize=False)
-
         fuu = spec.running_cost[i].duu(t, x, u)
-        direct = fuu[:, h, l] * du_h * du_l
-
-        drift_src, diff_src = second_order_cross_sources(
-            spec, t, x, u, yh, yl, du_h, du_l, h, l)
-        coupling = np.einsum("pa,pa->p", first.P_vals[:, k, :], drift_src,
-                             optimize=False)
         qdiag = np.stack([first.Q_vals[:, k, j, j]
                           for j in range(spec.n_players)], axis=1)
-        coupling += np.einsum("pj,pj->p", qdiag, diff_src, optimize=False)
-
-        acc += (term_h * du_h + term_l * du_l + direct + coupling) * grid.dt
-
-    est = DerivativeEstimate.from_pathwise(acc, "BSDE",
-                                           {"player": i, "pair": (h, l)})
-    if return_pathwise:
-        return est, acc
-    return est
+        for q, ((sh, sl), (h, l)) in enumerate(zip(pairs, hl)):
+            yh, yl = sh.values[:, k, :], sl.values[:, k, :]
+            du_h = sh.direction(t, k, noise.increments)
+            du_l = sl.direction(t, k, noise.increments)
+            dus_h, dus_l = vc.dus[:, h], vc.dus[:, l]
+            term_h = (vc.dub[:, h] * _dot(P2[:, h, :], yl)
+                      + dus_h * P2[:, h, h] * _dot(vc.diffusion_row(h), yl)
+                      + dus_h * _dot(Q2[:, h, h, :], yl))
+            term_h += _dot(fyu[:, :, h], yl)
+            term_l = (vc.dub[:, l] * _dot(yh, P2[:, :, l])
+                      + dus_l * P2[:, l, l] * _dot(vc.diffusion_row(l), yh)
+                      + dus_l * _dot(yh, Q2[:, l, :, l]))
+            term_l += _dot(yh, fyu[:, :, l])
+            direct = fuu[:, h, l] * du_h * du_l
+            drift_src, diff_src = _bilinear_sources(
+                so, yh, yl, du_h, du_l, h, l, with_joint_hessian=False)
+            coupling = _dot(first.P_vals[:, k, :], drift_src)
+            coupling += _dot(qdiag, diff_src)
+            acc[q] += (term_h * du_h + term_l * du_l + direct
+                       + coupling) * grid.dt
+    return _keyed_estimates(
+        acc, [(i, q) for q in range(len(pairs))], "BSDE",
+        lambda key: {"player": key[0], "pair": hl[key[1]]}, return_pathwise)

@@ -3,12 +3,13 @@
 Explicit Euler on a uniform grid throughout.  All perturbed ensembles
 reuse one NoiseBundle (common random numbers), and the first/second
 order sensitivity recursions consume the exact same increments as the
-state they linearize.
+state they linearize; they run over lists of targets or response pairs
+with one linearization per step for all of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +25,7 @@ __all__ = [
     "assemble_variational",
     "propagate_sensitivity",
     "propagate_sensitivities",
-    "propagate_second_sensitivity",
+    "propagate_second_sensitivities",
     "empirical_moment",
 ]
 
@@ -319,10 +320,20 @@ def _second_order_slices(spec: GameSpec, t, x, u):
     return out
 
 
-def _bilinear_sources(spec: GameSpec, t, x, u, yh, yl, du_h, du_l,
-                      h: int, l: int, with_joint_hessian: bool):
-    P, N = x.shape
-    so = _second_order_slices(spec, t, x, u)
+def _dot(a, b):
+    """Per-path inner product of two (P, n) arrays, shape (P,)."""
+    return np.einsum("pa,pa->p", a, b, optimize=False)
+
+
+def _bilinear_sources(so, yh, yl, du_h, du_l, h: int, l: int,
+                      with_joint_hessian: bool):
+    """Drift and diffusion forcing, each (P, N), of the mixed response:
+    bilinear in the responses ``yh``/``yl`` through the slice's second
+    partials ``so``, plus the direction/state cross terms; diffusion
+    driver i forces component i only.  The adjoint route books the
+    joint-state curvature in the matrix-adjoint driver, so it passes
+    ``with_joint_hessian=False``."""
+    P, N = yh.shape
     out = []
     for tag, (dxx, dxu, dxy, duy, dyy) in so.items():
         quad = (yh[:, :] * dxx * yl[:, :]
@@ -332,87 +343,62 @@ def _bilinear_sources(spec: GameSpec, t, x, u, yh, yl, du_h, du_l,
             quad = quad + np.einsum("pn,pinm,pm->pi", yh, dyy, yl,
                                     optimize=False)
         cross = np.zeros((P, N))
-        cross[:, h] += du_h * (dxu[:, h] * yl[:, h]
-                               + np.einsum("pn,pn->p", duy[:, h, :], yl,
-                                           optimize=False))
-        cross[:, l] += du_l * (dxu[:, l] * yh[:, l]
-                               + np.einsum("pn,pn->p", duy[:, l, :], yh,
-                                           optimize=False))
+        cross[:, h] += du_h * (dxu[:, h] * yl[:, h] + _dot(duy[:, h, :], yl))
+        cross[:, l] += du_l * (dxu[:, l] * yh[:, l] + _dot(duy[:, l, :], yh))
         out.append(quad + cross)
     return out[0], out[1]
 
 
-def second_order_sources(spec: GameSpec, t, x, u, yh, yl, du_h, du_l,
-                         h: int, l: int):
-    """Drift and diffusion forcing of the mixed-sensitivity recursion.
-
-    ``yh``/``yl`` are the two first-order sensitivities at the slice,
-    ``du_h``/``du_l`` the direction values.  Returns (drift_src (P,N),
-    diff_src (P,N)); diffusion driver i only ever forces component i.
-    """
-    return _bilinear_sources(spec, t, x, u, yh, yl, du_h, du_l, h, l,
-                             with_joint_hessian=True)
-
-
-def second_order_cross_sources(spec: GameSpec, t, x, u, yh, yl, du_h, du_l,
-                               h: int, l: int):
-    """Same forcing minus the pure joint-state Hessian quadratic form.
-
-    The adjoint route books the joint-state curvature inside the
-    matrix-adjoint driver, so its integrand pairs the first-order
-    costate only with the own-slot curvature and the direction/state
-    cross terms.
-    """
-    return _bilinear_sources(spec, t, x, u, yh, yl, du_h, du_l, h, l,
-                             with_joint_hessian=False)
-
-
-def propagate_second_sensitivity(spec: GameSpec, controls: ControlProfile,
-                                 ensemble: PathEnsemble,
-                                 sens_h: SensitivityEnsemble,
-                                 sens_l: SensitivityEnsemble,
-                                 noise: NoiseBundle) -> SecondSensitivityEnsemble:
-    """Mixed second-order sensitivity for two distinct players.
+def propagate_second_sensitivities(spec: GameSpec, ensemble: PathEnsemble,
+                                   pairs, noise: NoiseBundle) -> list:
+    """Mixed second-order sensitivity for each ``(sens_h, sens_l)`` pair
+    of two distinct players' responses, all in one sweep.
 
     Linear part identical to the first-order recursion (no control
     source); forcing is bilinear in the two first-order sensitivities
-    plus the direction/state cross terms.
+    plus the direction/state cross terms.  The linearization and the
+    second partials are evaluated once per step for every pair.
     """
     _check_pair(ensemble, noise)
-    h, l = sens_h.perturbed_player, sens_l.perturbed_player
-    if h == l:
-        raise ValueError("mixed sensitivity requires two distinct players")
-    if sens_h.seed != ensemble.seed or sens_l.seed != ensemble.seed:
-        raise ValueError("sensitivities must be built on the same ensemble")
+    for sens_h, sens_l in pairs:
+        if sens_h.perturbed_player == sens_l.perturbed_player:
+            raise ValueError("mixed sensitivity requires two distinct players")
+        if sens_h.seed != ensemble.seed or sens_l.seed != ensemble.seed:
+            raise ValueError(
+                "sensitivities must be built on the same ensemble")
     N, M, P = spec.n_players, ensemble.grid.n_steps, ensemble.n_paths
     dt = ensemble.grid.dt
     nodes = ensemble.grid.nodes
 
-    Z = np.zeros((P, M + 1, N))
+    Z = [np.zeros((P, M + 1, N)) for _ in pairs]
     for k in range(M):
         t = nodes[k]
         x = ensemble.states[:, k, :]
         u = ensemble.realized_controls[:, k, :]
-        yh = sens_h.values[:, k, :]
-        yl = sens_l.values[:, k, :]
-        du_h = sens_h.direction(t, k, noise.increments)
-        du_l = sens_l.direction(t, k, noise.increments)
-        zk = Z[:, k, :]
         vc = assemble_variational(spec, t, x, u)
-        drift_src, diff_src = second_order_sources(
-            spec, t, x, u, yh, yl, du_h, du_l, h, l)
-        drift = (vc.dxb * zk
-                 + np.einsum("pij,pj->pi", vc.dyb, zk, optimize=False)
-                 + drift_src)
-        diff = (vc.dxs * zk
-                + np.einsum("pij,pj->pi", vc.dys, zk, optimize=False)
-                + diff_src)
-        Z[:, k + 1, :] = (zk + drift * dt
-                          + diff * noise.increments[:, k, :N])
-    return SecondSensitivityEnsemble(values=Z, players=(h, l),
-                                     directions=(sens_h.direction,
-                                                 sens_l.direction),
-                                     grid=ensemble.grid, seed=ensemble.seed)
+        so = _second_order_slices(spec, t, x, u)
+        for (sens_h, sens_l), zq in zip(pairs, Z):
+            zk = zq[:, k, :]
+            drift_src, diff_src = _bilinear_sources(
+                so, sens_h.values[:, k, :], sens_l.values[:, k, :],
+                sens_h.direction(t, k, noise.increments),
+                sens_l.direction(t, k, noise.increments),
+                sens_h.perturbed_player, sens_l.perturbed_player,
+                with_joint_hessian=True)
+            drift = (vc.dxb * zk
+                     + np.einsum("pij,pj->pi", vc.dyb, zk, optimize=False)
+                     + drift_src)
+            diff = (vc.dxs * zk
+                    + np.einsum("pij,pj->pi", vc.dys, zk, optimize=False)
+                    + diff_src)
+            zq[:, k + 1, :] = (zk + drift * dt
+                               + diff * noise.increments[:, k, :N])
+    return [SecondSensitivityEnsemble(
+                values=zq,
+                players=(sens_h.perturbed_player, sens_l.perturbed_player),
+                directions=(sens_h.direction, sens_l.direction),
+                grid=ensemble.grid, seed=ensemble.seed)
+            for (sens_h, sens_l), zq in zip(pairs, Z)]
 
 
 def empirical_moment(ensemble: PathEnsemble, player: int, p: float):

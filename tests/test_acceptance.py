@@ -98,39 +98,45 @@ def test_criterion_02_diffusion_control_coverage():
 
 
 def _second_order_sweep(spec, n, controls, grid, noise, ens, adjs, dirs):
+    """Worst gap-over-tolerance of mixed FD, Z-oracle and BSDE over every
+    (cost player, pair): one mixed FD sweep per pair, one mixed
+    sensitivity sweep and one Z-oracle contraction for all pairs and
+    players, and one BSDE contraction per player's matrix adjoint (one
+    alive at a time)."""
     from alphagames.bsde import solve_second_adjoint
     worst = 0.0
     du, dv = dirs[0], dirs[1]
-    pairs = [(h, l) for h in range(n) for l in range(h + 1, n)]
+    hl = [(h, l) for h in range(n) for l in range(h + 1, n)]
     sens = {}
-    for h, l in pairs:
+    for h, l in hl:
         if h not in sens:
             sens[h] = ag.propagate_sensitivity(spec, controls, ens, h, du,
                                                noise)
         if l not in sens:
             sens[l] = ag.propagate_sensitivity(spec, controls, ens, l, dv,
                                                noise)
+    pairs = [(sens[h], sens[l]) for h, l in hl]
+    fds = [second_derivative_fd_sweep(spec, controls, h, l, sh.direction,
+                                      sl.direction, grid, noise)
+           for (h, l), (sh, sl) in zip(hl, pairs)]
+    mixed = ag.propagate_second_sensitivities(spec, ens, pairs, noise)
+    zos = ag.second_derivative_z_oracle(spec, ens, noise, pairs, mixed,
+                                        range(n))
+    del mixed
     for i in range(n):
-        sec = solve_second_adjoint(spec, controls, ens, noise,
-                                   ag.RegressionBasis(), i, adjs[i])
-        for h, l in pairs:
-            sh, sl = sens[h], sens[l]
-            mixed = ag.propagate_second_sensitivity(spec, controls, ens, sh,
-                                                    sl, noise)
-            fd = second_derivative_fd_sweep(spec, controls, h, l,
-                                            sh.direction, sl.direction,
-                                            grid, noise)[i]
-            zo = ag.second_derivative_z_oracle(spec, controls, ens, noise,
-                                               sh, sl, mixed, i)
-            bs = ag.second_derivative_bsde(spec, controls, ens, noise,
-                                           adjs[i], sec, sh, sl)
+        sec = solve_second_adjoint(spec, ens, noise, ag.RegressionBasis(), i,
+                                   adjs[i])
+        bss = ag.second_derivative_bsde(spec, ens, noise, adjs[i], sec,
+                                        pairs)
+        del sec
+        for q in range(len(pairs)):
+            fd, zo, bs = fds[q][i], zos[(i, q)], bss[(i, q)]
             tol_fz = 5 * (fd.std_error + zo.std_error) + 20 * EPS_MIN
             tol_fb = 5 * (fd.std_error + bs.std_error) + 20 * EPS_MIN
             tol_bz = 5 * (bs.std_error + zo.std_error) + 20 * EPS_MIN
             worst = max(worst, abs(fd.value - zo.value) / tol_fz,
                         abs(fd.value - bs.value) / tol_fb,
                         abs(bs.value - zo.value) / tol_bz)
-        del sec
     return worst
 
 
@@ -248,7 +254,7 @@ def test_criterion_06_trace_duality():
     ens = ag.simulate_paths(spec, prof, grid, noise)
     basis = ag.RegressionBasis()
     adj = ag.solve_first_adjoint(spec, prof, ens, noise, basis, 0)
-    sec = ag.solve_second_adjoint(spec, prof, ens, noise, basis, 0, adj)
+    sec = ag.solve_second_adjoint(spec, ens, noise, basis, 0, adj)
     d1, d2 = ag.direction_dictionary(1.0)[:2]
     sh = ag.propagate_sensitivity(spec, prof, ens, 0, d1, noise)
     sl = ag.propagate_sensitivity(spec, prof, ens, 1, d2, noise)
@@ -438,26 +444,34 @@ def test_criterion_12_reproducibility(tmp_path):
     """Same seed, different thread environments: reports byte-identical.
 
     Exercises the pipelines behind the other criteria (simulation, FD
-    stencils, sensitivities, regression costates, asymmetry assembly,
-    potential line integrals and their minimisation) through the
-    command line at reduced scale; every criterion runs on these same
-    deterministic primitives.
+    stencils, sensitivities, regression costates, asymmetry assembly by
+    each of the FD, BSDE and SENS routes, potential line integrals and
+    their minimisation) through the command line at reduced scale;
+    every criterion runs on these same deterministic primitives.
     """
-    cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({
+    shared = {
         "preset": "lq", "players": 2, "steps": 12, "paths": 2000,
         "seed": 5, "preset_params": {"Qhat": [0.5, 1.5], "D": 0.2},
         "anchors": ["zero"], "directions": ["const", "ramp"],
-        "quad_order": 2, "out": "unused"}))
+        "quad_order": 2, "out": "unused"}
+    runs = {}
+    for name, sub, method in (
+            ("cross-check", "cross-check", "FD"), ("alpha", "alpha", "FD"),
+            ("alpha-BSDE", "alpha", "BSDE"), ("alpha-SENS", "alpha", "SENS"),
+            ("scaling", "scaling", "FD"), ("potential", "potential", "FD"),
+            ("nash-gap", "nash-gap", "FD")):
+        cfgfile = tmp_path / f"cfg-{name}.json"
+        cfgfile.write_text(json.dumps(dict(shared, method=method)))
+        runs[name] = (sub, cfgfile)
     env_base = dict(os.environ)
     env_base["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(os.path.dirname(__file__), "..", "src"),
          env_base.get("PYTHONPATH", "")])
     blobs = {}
-    for sub in ("cross-check", "alpha", "scaling", "potential", "nash-gap"):
+    for name, (sub, cfgfile) in runs.items():
         per_thread = []
         for threads in ("1", "4"):
-            outdir = tmp_path / f"{sub}-{threads}"
+            outdir = tmp_path / f"{name}-{threads}"
             env = dict(env_base)
             env.update({"OMP_NUM_THREADS": threads,
                         "OPENBLAS_NUM_THREADS": threads,
@@ -473,7 +487,7 @@ def test_criterion_12_reproducibility(tmp_path):
             blob["timing"] = None
             blob["config"]["out"] = None
             per_thread.append(json.dumps(blob, sort_keys=True))
-        blobs[sub] = per_thread[0] == per_thread[1]
+        blobs[name] = per_thread[0] == per_thread[1]
     ok = all(blobs.values())
     report(12, ok, f"bit-identical report numerics across thread counts "
                    f"for {sorted(blobs)}")

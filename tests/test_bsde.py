@@ -284,7 +284,7 @@ class TestSecondAdjoint:
         ens = ag.simulate_paths(spec, prof, grid, noise)
         adj = ag.solve_first_adjoint(spec, prof, ens, noise,
                                      ag.RegressionBasis(), 0)
-        sec = ag.solve_second_adjoint(spec, prof, ens, noise,
+        sec = ag.solve_second_adjoint(spec, ens, noise,
                                       ag.RegressionBasis(), 0, adj)
         assert np.allclose(sec.P2, 0.0, atol=1e-10)
         assert np.allclose(sec.Q2, 0.0, atol=1e-8)
@@ -308,7 +308,7 @@ class TestSecondAdjoint:
         ens = ag.simulate_paths(spec, prof, grid, noise)
         adj = ag.solve_first_adjoint(spec, prof, ens, noise,
                                      ag.RegressionBasis(), 0)
-        sec = ag.solve_second_adjoint(spec, prof, ens, noise,
+        sec = ag.solve_second_adjoint(spec, ens, noise,
                                       ag.RegressionBasis(), 0, adj)
         assert np.allclose(sec.P2, 1.0, atol=1e-5)
 
@@ -322,7 +322,7 @@ class TestSecondAdjoint:
         ens = ag.simulate_paths(spec, prof, grid, noise)
         adj = ag.solve_first_adjoint(spec, prof, ens, noise,
                                      ag.RegressionBasis(), 0)
-        sec = ag.solve_second_adjoint(spec, prof, ens, noise,
+        sec = ag.solve_second_adjoint(spec, ens, noise,
                                       ag.RegressionBasis(), 0, adj)
         w = np.array([1 - 0.5, -0.5])
         expect = G[0] * np.outer(w, w)
@@ -378,7 +378,7 @@ class TestStackedMartingaleFit:
         spec, prof, ens, noise, dt = solved
         first = ag.solve_first_adjoint(spec, prof, ens, noise,
                                        ag.RegressionBasis(), 1)
-        sec = solve_second_adjoint(spec, prof, ens, noise,
+        sec = solve_second_adjoint(spec, ens, noise,
                                    ag.RegressionBasis(), 1, first)
         P, k = ens.n_paths, 2
         want = self.replay(ens, noise, dt, sec.P2[:, k + 1].reshape(P, -1), k)
@@ -424,7 +424,7 @@ class TestTraceDuality:
         ens = ag.simulate_paths(spec, prof, grid, noise)
         basis = ag.RegressionBasis()
         adj = ag.solve_first_adjoint(spec, prof, ens, noise, basis, 0)
-        sec = ag.solve_second_adjoint(spec, prof, ens, noise, basis, 0, adj)
+        sec = ag.solve_second_adjoint(spec, ens, noise, basis, 0, adj)
         d1, d2 = ag.direction_dictionary(1.0)[:2]
         sh = ag.propagate_sensitivity(spec, prof, ens, 0, d1, noise)
         sl = ag.propagate_sensitivity(spec, prof, ens, 1, d2, noise)

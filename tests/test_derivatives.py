@@ -249,16 +249,16 @@ class TestSecondDerivatives:
         ens = ag.simulate_paths(spec, prof, grid, noise)
         sh = ag.propagate_sensitivity(spec, prof, ens, 0, d, noise)
         sl = ag.propagate_sensitivity(spec, prof, ens, 1, d, noise)
-        mixed = ag.propagate_second_sensitivity(spec, prof, ens, sh, sl,
-                                                noise)
-        zo = ag.second_derivative_z_oracle(spec, prof, ens, noise, sh, sl,
-                                           mixed, 0)
+        mixed = ag.propagate_second_sensitivities(spec, ens, [(sh, sl)],
+                                                  noise)
+        zo = ag.second_derivative_z_oracle(spec, ens, noise, [(sh, sl)],
+                                           mixed, [0])[(0, 0)]
         assert np.isclose(zo.value, 1.0)
         basis = ag.RegressionBasis()
         adj = ag.solve_first_adjoint(spec, prof, ens, noise, basis, 0)
-        sec = ag.solve_second_adjoint(spec, prof, ens, noise, basis, 0, adj)
-        bs = ag.second_derivative_bsde(spec, prof, ens, noise, adj, sec,
-                                       sh, sl)
+        sec = ag.solve_second_adjoint(spec, ens, noise, basis, 0, adj)
+        bs = ag.second_derivative_bsde(spec, ens, noise, adj, sec,
+                                       [(sh, sl)])[(0, 0)]
         assert abs(bs.value - 1.0) < 1e-5
 
     def test_same_player_rejected(self):
@@ -278,20 +278,20 @@ class TestSecondDerivatives:
         h, l = 0, 2
         sh = ag.propagate_sensitivity(spec, controls, ens, h, du, noise)
         sl = ag.propagate_sensitivity(spec, controls, ens, l, dv, noise)
-        mixed = ag.propagate_second_sensitivity(spec, controls, ens, sh, sl,
-                                                noise)
+        mixed = ag.propagate_second_sensitivities(spec, ens, [(sh, sl)],
+                                                  noise)
         eps_min = min(EPS_SCHEDULE)
         fds = second_derivative_fd_sweep(spec, controls, h, l, du, dv, grid,
                                          noise)
+        zos = ag.second_derivative_z_oracle(spec, ens, noise, [(sh, sl)],
+                                            mixed, range(3))
         for i in range(3):
             fd = fds[i]
-            zo = ag.second_derivative_z_oracle(spec, controls, ens, noise,
-                                               sh, sl, mixed, i)
+            zo = zos[(i, 0)]
             adj = ag.solve_first_adjoint(spec, controls, ens, noise, basis, i)
-            sec = ag.solve_second_adjoint(spec, controls, ens, noise, basis,
-                                          i, adj)
-            bs = ag.second_derivative_bsde(spec, controls, ens, noise, adj,
-                                           sec, sh, sl)
+            sec = ag.solve_second_adjoint(spec, ens, noise, basis, i, adj)
+            bs = ag.second_derivative_bsde(spec, ens, noise, adj, sec,
+                                           [(sh, sl)])[(i, 0)]
             assert abs(fd.value - zo.value) <= \
                 5 * (fd.std_error + zo.std_error) + 20 * eps_min
             assert abs(fd.value - bs.value) <= \
@@ -305,14 +305,11 @@ class TestSecondDerivatives:
         dv = ag.direction_dictionary(1.0)[1]
         sh = ag.propagate_sensitivity(spec, controls, ens, 0, du, noise)
         sl = ag.propagate_sensitivity(spec, controls, ens, 1, dv, noise)
-        m1 = ag.propagate_second_sensitivity(spec, controls, ens, sh, sl,
-                                             noise)
-        m2 = ag.propagate_second_sensitivity(spec, controls, ens, sl, sh,
-                                             noise)
-        z1 = ag.second_derivative_z_oracle(spec, controls, ens, noise, sh,
-                                           sl, m1, 0)
-        z2 = ag.second_derivative_z_oracle(spec, controls, ens, noise, sl,
-                                           sh, m2, 0)
+        pairs = [(sh, sl), (sl, sh)]
+        mixed = ag.propagate_second_sensitivities(spec, ens, pairs, noise)
+        zos = ag.second_derivative_z_oracle(spec, ens, noise, pairs, mixed,
+                                            [0])
+        z1, z2 = zos[(0, 0)], zos[(0, 1)]
         assert abs(z1.value - z2.value) <= 1e-10
         fd1 = second_derivative_fd_sweep(spec, controls, 0, 1, du, dv, grid,
                                          noise)[0]
@@ -370,3 +367,86 @@ class TestSweepHelpers:
                                                [(h, directions[h])],
                                                return_pathwise=True)
             assert np.allclose(got[h], want[(h, 0)], rtol=0, atol=0)
+
+
+def _second_order_case(preset, n, **params):
+    """Small ensemble with every ordered pair of distinct players'
+    responses over two directions, in both orientations."""
+    spec, _ = ag.build_preset(preset, n, **params)
+    grid = ag.TimeGrid(8, 1.0)
+    noise = ag.NoiseBundle.generate(6, grid, 600, spec.n_drivers)
+    prof = ag.ControlProfile.constants([0.2 - 0.15 * i for i in range(n)])
+    ens = ag.simulate_paths(spec, prof, grid, noise)
+    dirs = ag.direction_dictionary(1.0)[:2]
+    sens = ag.propagate_sensitivities(
+        spec, prof, ens, [(h, d) for h in range(n) for d in dirs], noise)
+    pairs = [(sh, sl) for sh in sens for sl in sens
+             if sh.perturbed_player != sl.perturbed_player]
+    return spec, prof, ens, noise, pairs
+
+
+class TestSecondOrderEngine:
+    @pytest.mark.parametrize("preset,n,params", [("tanh-coupled", 3, {}),
+                                                 ("lq", 2, {"D": 0.4})])
+    def test_batched_routes_match_one_pair_calls(self, preset, n, params):
+        from alphagames.bsde import solve_first_adjoints
+        spec, prof, ens, noise, pairs = _second_order_case(preset, n,
+                                                           **params)
+        basis = ag.RegressionBasis()
+        adjs = solve_first_adjoints(spec, prof, ens, noise, basis, range(n))
+        secs = [ag.solve_second_adjoint(spec, ens, noise, basis, i, adjs[i])
+                for i in range(n)]
+        mixed = ag.propagate_second_sensitivities(spec, ens, pairs, noise)
+        _, zo = ag.second_derivative_z_oracle(spec, ens, noise, pairs, mixed,
+                                              range(n), return_pathwise=True)
+        bs = {}
+        for i in range(n):
+            bs.update(ag.second_derivative_bsde(spec, ens, noise, adjs[i],
+                                                secs[i], pairs,
+                                                return_pathwise=True)[1])
+        assert sorted(zo) == sorted(bs) == [(i, q) for i in range(n)
+                                            for q in range(len(pairs))]
+        for q, pair in enumerate(pairs):
+            one = ag.propagate_second_sensitivities(spec, ens, [pair], noise)
+            np.testing.assert_allclose(mixed[q].values, one[0].values,
+                                       rtol=0, atol=0)
+            for i in range(n):
+                _, zo1 = ag.second_derivative_z_oracle(
+                    spec, ens, noise, [pair], one, [i], return_pathwise=True)
+                _, bs1 = ag.second_derivative_bsde(
+                    spec, ens, noise, adjs[i], secs[i], [pair],
+                    return_pathwise=True)
+                np.testing.assert_allclose(zo[(i, q)], zo1[(i, 0)],
+                                           rtol=0, atol=0)
+                np.testing.assert_allclose(bs[(i, q)], bs1[(i, 0)],
+                                           rtol=0, atol=0)
+
+    def test_one_linearization_per_step_for_all_pairs(self, monkeypatch):
+        from alphagames import derivatives as deriv_mod
+        from alphagames import sim as sim_mod
+        spec, prof, ens, noise, pairs = _second_order_case("tanh-coupled", 3)
+        pairs = [pairs[0], pairs[5], pairs[-1]]
+        basis = ag.RegressionBasis()
+        adj = ag.solve_first_adjoint(spec, prof, ens, noise, basis, 1)
+        sec = ag.solve_second_adjoint(spec, ens, noise, basis, 1, adj)
+        calls = {"linearization": 0, "second partials": 0}
+
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        linearization = counting("linearization",
+                                 sim_mod.assemble_variational)
+        second_partials = counting("second partials",
+                                   sim_mod._second_order_slices)
+        for mod in (sim_mod, deriv_mod):
+            monkeypatch.setattr(mod, "assemble_variational", linearization)
+            monkeypatch.setattr(mod, "_second_order_slices", second_partials)
+        M = ens.grid.n_steps
+        ag.propagate_second_sensitivities(spec, ens, pairs, noise)
+        assert calls == {"linearization": M, "second partials": M}
+        calls.update({"linearization": 0, "second partials": 0})
+        ag.second_derivative_bsde(spec, ens, noise, adj, sec, pairs)
+        assert calls == {"linearization": M, "second partials": M}

@@ -220,8 +220,8 @@ class TestSecondSensitivity:
         d = ag.Control.constant(1.0)
         sh = ag.propagate_sensitivity(spec, prof, ens, 0, d, noise)
         sl = ag.propagate_sensitivity(spec, prof, ens, 1, d, noise)
-        mixed = ag.propagate_second_sensitivity(spec, prof, ens, sh, sl,
-                                                noise)
+        mixed, = ag.propagate_second_sensitivities(spec, ens, [(sh, sl)],
+                                                   noise)
         assert np.all(mixed.values == 0.0)
         assert spec.has_affine_coefficients()
 
@@ -235,8 +235,8 @@ class TestSecondSensitivity:
                                       noise)
         sl = ag.propagate_sensitivity(spec, prof, ens, 1,
                                       ag.Control.constant(1.0), noise)
-        mixed = ag.propagate_second_sensitivity(spec, prof, ens, sh, sl,
-                                                noise)
+        mixed, = ag.propagate_second_sensitivities(spec, ens, [(sh, sl)],
+                                                   noise)
         assert np.all(mixed.values == 0.0)
 
     def test_same_player_rejected(self):
@@ -249,7 +249,25 @@ class TestSecondSensitivity:
         sh = ag.propagate_sensitivity(spec, prof, ens, 0, d, noise)
         s2 = ag.propagate_sensitivity(spec, prof, ens, 0, d, noise)
         with pytest.raises(ValueError):
-            ag.propagate_second_sensitivity(spec, prof, ens, sh, s2, noise)
+            ag.propagate_second_sensitivities(spec, ens, [(sh, s2)], noise)
+
+    def test_every_pair_checked(self):
+        spec, _ = ag.build_tanh_game(2)
+        grid = ag.TimeGrid(4, 1.0)
+        noise = ag.NoiseBundle.generate(3, grid, 32, 2)
+        other = ag.NoiseBundle.generate(4, grid, 32, 2)
+        prof = ag.ControlProfile.zeros(2)
+        ens = ag.simulate_paths(spec, prof, grid, noise)
+        ens_other = ag.simulate_paths(spec, prof, grid, other)
+        d = ag.Control.constant(1.0)
+        sh = ag.propagate_sensitivity(spec, prof, ens, 0, d, noise)
+        sl = ag.propagate_sensitivity(spec, prof, ens, 1, d, noise)
+        s2 = ag.propagate_sensitivity(spec, prof, ens, 0, d, noise)
+        foreign = ag.propagate_sensitivity(spec, prof, ens_other, 1, d, other)
+        for bad in ((sh, s2), (sh, foreign)):
+            with pytest.raises(ValueError):
+                ag.propagate_second_sensitivities(spec, ens, [(sh, sl), bad],
+                                                  noise)
 
     def test_exchange_symmetry(self):
         spec, _ = ag.build_tanh_game(3)
@@ -261,8 +279,8 @@ class TestSecondSensitivity:
         dv = ag.Control.from_time_function(lambda t: t)
         sh = ag.propagate_sensitivity(spec, prof, ens, 0, du, noise)
         sl = ag.propagate_sensitivity(spec, prof, ens, 2, dv, noise)
-        m1 = ag.propagate_second_sensitivity(spec, prof, ens, sh, sl, noise)
-        m2 = ag.propagate_second_sensitivity(spec, prof, ens, sl, sh, noise)
+        m1, m2 = ag.propagate_second_sensitivities(spec, ens,
+                                                   [(sh, sl), (sl, sh)], noise)
         assert np.allclose(m1.values, m2.values, rtol=1e-12, atol=1e-14)
 
     def test_matches_second_difference_stencil(self):
@@ -277,8 +295,8 @@ class TestSecondSensitivity:
         dv = ag.Control.from_time_function(lambda t: t)
         sh = ag.propagate_sensitivity(spec, prof, ens, 0, du, noise)
         sl = ag.propagate_sensitivity(spec, prof, ens, 1, dv, noise)
-        mixed = ag.propagate_second_sensitivity(spec, prof, ens, sh, sl,
-                                                noise)
+        mixed, = ag.propagate_second_sensitivities(spec, ens, [(sh, sl)],
+                                                   noise)
         pp = ag.simulate_paths(
             spec, prof.perturbed(0, du, eps).perturbed(1, dv, eps),
             grid, noise)
