@@ -23,9 +23,9 @@ from .bsde import (AdjointSolution, BsdeSolution, LinearBsdeSpec,
                    second_adjoint_process, sensitivity_outer_process,
                    solve_first_adjoint, solve_linear_bsde,
                    solve_second_adjoint, trace_duality_residual)
-from .derivatives import (DerivativeEstimate, cost_pathwise, cost_value,
-                          first_derivative_bsde, first_derivative_fd_sweep,
-                          first_derivative_sens, second_derivative_bsde,
+from .derivatives import (DerivativeEstimate, bsde_derivatives,
+                          cost_pathwise, cost_value,
+                          first_derivative_fd_sweep, first_derivative_sens,
                           second_derivative_fd_sweep,
                           second_derivative_z_oracle)
 from .alpha import (AlphaReport, BoundLedger, asymmetry, build_bound_ledger,

@@ -20,10 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsde import (RegressionBasis, apriori_constant, solve_first_adjoints,
-                   solve_second_adjoint)
-from .derivatives import (EPS_SCHEDULE, _own_control_integrals, cost_pathwise,
-                          second_derivative_bsde, second_derivative_fd_sweep,
+from .bsde import RegressionBasis, apriori_constant
+from .derivatives import (EPS_SCHEDULE, bsde_derivatives, cost_pathwise,
+                          second_derivative_fd_sweep,
                           second_derivative_z_oracle)
 from .model import (ConstantLedger, Control, ControlProfile, GameSpec,
                     NoiseBundle, TimeGrid)
@@ -113,10 +112,12 @@ def _mean_se(pathwise: np.ndarray):
 
 class _SharedEstimators:
     """Per-anchor cache: one ensemble, one sensitivity per (player,
-    direction), and for the adjoint route one costate pair per player.
-    Mixed responses vanish identically for affine coefficient games and
-    are propagated otherwise.  ``players`` restricts the cache to the
-    players actually queried (memory scales with its size)."""
+    direction), and for the adjoint route the pathwise integrals of
+    every ordered pair of distinct players over every direction pair,
+    keyed ``(i, id(di), j, id(dj))`` and contracted in one backward
+    sweep when the cache is built.  Mixed responses vanish identically
+    for affine coefficient games and are propagated otherwise.
+    ``players`` restricts the cache to the players actually queried."""
 
     def __init__(self, spec, controls, dirs, grid, noise, method, basis,
                  players=None):
@@ -130,14 +131,15 @@ class _SharedEstimators:
         self.sens = {(h, id(d)): s for (h, d), s in zip(targets, sens)}
         self.dirs = dirs
         self.zero_mixed = spec.has_affine_coefficients()
-        self.adj, self.sec = {}, {}
+        self.bsde = {}
         if method == "BSDE":
-            adjoints = solve_first_adjoints(spec, controls, self.ens, noise,
-                                            basis, players)
-            for p, adj in zip(players, adjoints):
-                self.adj[p] = adj
-                self.sec[p] = solve_second_adjoint(spec, self.ens, noise,
-                                                   basis, p, adj)
+            keys = [(i, id(di), j, id(dj)) for i in players for j in players
+                    if i != j for di in dirs for dj in dirs]
+            _, (_, pathwise) = bsde_derivatives(
+                spec, self.ens, noise, basis, second_jobs=[
+                    (i, self.sens[(i, di)], self.sens[(j, dj)])
+                    for i, di, j, dj in keys], return_pathwise=True)
+            self.bsde = dict(zip(keys, pathwise.values()))
 
     def _mixed(self, pairs):
         if self.zero_mixed:
@@ -160,20 +162,19 @@ class _SharedEstimators:
                 for entry in self._row_differences(i, j, di, dirs_j)]
 
     def _row_differences(self, i, j, di, dirs_j):
-        """The (di, dj) entries for every dj: one contraction of player
-        i's cost over the pairs and one of player j's over the swapped
-        pairs; only this row's mixed responses are alive at a time."""
-        pairs = [(self.sens[(i, id(di))], self.sens[(j, id(dj))])
-                 for dj in dirs_j]
-        swapped = [(sl, sh) for sh, sl in pairs]
-        args = (self.spec, self.ens, self.noise)
+        """The (di, dj) entries for every dj.  The adjoint route reads
+        the contracted integrals; the sensitivity route makes one
+        contraction of player i's cost over the pairs and one of player
+        j's over the swapped pairs, with only this row's mixed responses
+        alive at a time."""
         if self.method == "BSDE":
-            _, pw_ij = second_derivative_bsde(
-                *args, self.adj[i], self.sec[i], pairs, return_pathwise=True)
-            _, pw_ji = second_derivative_bsde(
-                *args, self.adj[j], self.sec[j], swapped,
-                return_pathwise=True)
+            rows = [(self.bsde[(i, id(di), j, id(dj))],
+                     self.bsde[(j, id(dj), i, id(di))]) for dj in dirs_j]
         else:
+            pairs = [(self.sens[(i, id(di))], self.sens[(j, id(dj))])
+                     for dj in dirs_j]
+            swapped = [(sl, sh) for sh, sl in pairs]
+            args = (self.spec, self.ens, self.noise)
             mixed = self._mixed(pairs)
             _, pw_ij = second_derivative_z_oracle(
                 *args, pairs, mixed, [i], return_pathwise=True)
@@ -183,12 +184,11 @@ class _SharedEstimators:
                             seed=m.seed) for m in mixed]
             _, pw_ji = second_derivative_z_oracle(
                 *args, swapped, mixed_ji, [j], return_pathwise=True)
-        out = []
-        for q in range(len(pairs)):
-            acc_ij, acc_ji = pw_ij[(i, q)], pw_ji[(j, q)]
-            out.append(_mean_se(acc_ij - acc_ji)
-                       + (float(acc_ij.mean()), float(acc_ji.mean())))
-        return out
+            rows = [(pw_ij[(i, q)], pw_ji[(j, q)])
+                    for q in range(len(pairs))]
+        return [_mean_se(acc_ij - acc_ji)
+                + (float(acc_ij.mean()), float(acc_ji.mean()))
+                for acc_ij, acc_ji in rows]
 
 
 def asymmetry(spec: GameSpec, controls: ControlProfile, i: int, j: int,
@@ -502,9 +502,12 @@ def _potential_pathwise(spec, anchor, profile, grid, noise, basis, order):
     for r, w in zip(nodes, weights):
         ens = simulate_paths(spec, anchor.combine(profile, 1.0 - r, r), grid,
                              noise)
-        for integral in _own_control_integrals(spec, ens, noise, basis,
-                                               directions):
-            acc += w * integral
+        _, (integrals, _) = bsde_derivatives(
+            spec, ens, noise, basis,
+            first_jobs=[(h, h, d) for h, d in enumerate(directions)],
+            return_pathwise=True)
+        for h in range(len(directions)):
+            acc += w * integrals[h]
     return acc
 
 

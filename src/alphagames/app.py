@@ -26,7 +26,7 @@ import numpy as np
 
 from . import alpha as alpha_mod
 from . import derivatives as deriv_mod
-from .bsde import RegressionBasis, solve_first_adjoints, solve_second_adjoint
+from .bsde import RegressionBasis
 from .model import (Control, ControlProfile, NoiseBundle, SampleBox,
                     TimeGrid, direction_dictionary, validate_game)
 from .presets import PRESET_IDS, build_preset, lq_scaling_params
@@ -250,13 +250,16 @@ def _cmd_simulate(cfg: ExperimentConfig, tables: Path):
     return results, validation.passed
 
 
-def _first_order(cfg: ExperimentConfig, spec, controls, dirs):
+def _first_order(cfg: ExperimentConfig, spec, controls, dirs,
+                 pair_targets=()):
     """Every first-order route on shared work: one ensemble, one
-    sensitivity sweep over all (player, direction) targets, first
-    adjoints for all players, one FD sweep per target and one
-    contraction per route.  Returns the ensemble, the sensitivities and
-    adjoints, and one (i, h, direction name, FD, SENS, BSDE) row per
-    cost player and target, target-major."""
+    sensitivity sweep over all (player, direction) targets, one FD sweep
+    per target, one SENS contraction, and one backward sweep for every
+    BSDE job, which include every cost player's mixed derivative in the
+    responses to each ``(a, b)`` pair of target indices in
+    ``pair_targets``.  Returns the ensemble, noise, sensitivities, one
+    (i, h, direction name, FD, SENS, BSDE) row per cost player and
+    target, target-major, and the mixed BSDE estimates by (i, pair)."""
     grid = cfg.grid()
     noise = _noise(cfg, spec)
     N = spec.n_players
@@ -264,33 +267,50 @@ def _first_order(cfg: ExperimentConfig, spec, controls, dirs):
     names = [name for _ in range(N) for name in cfg.directions[:len(dirs)]]
     ens = simulate_paths(spec, controls, grid, noise)
     sens = propagate_sensitivities(spec, controls, ens, targets, noise)
-    adjoints = solve_first_adjoints(spec, controls, ens, noise,
-                                    RegressionBasis(), range(N))
     sv = deriv_mod.first_derivative_sens(spec, ens, noise, sens)
-    bs = deriv_mod.first_derivative_bsde(spec, ens, noise, adjoints, targets)
+    bs, bs2 = deriv_mod.bsde_derivatives(
+        spec, ens, noise, RegressionBasis(),
+        first_jobs=[(i, h, d) for h, d in targets for i in range(N)],
+        second_jobs=[(i, sens[a], sens[b]) for a, b in pair_targets
+                     for i in range(N)])
     rows = []
     for s, ((h, direction), name) in enumerate(zip(targets, names)):
         fd = deriv_mod.first_derivative_fd_sweep(
             spec, controls, h, direction, grid, noise, cfg.eps_schedule)
-        rows += [(i, h, name, fd[i], sv[(i, s)], bs[(i, s)])
+        rows += [(i, h, name, fd[i], sv[(i, s)], bs[s * N + i])
                  for i in range(N)]
-    return ens, noise, sens, adjoints, rows
+    second = {(i, q): bs2[q * N + i] for q in range(len(pair_targets))
+              for i in range(N)}
+    return ens, noise, sens, rows, second
+
+
+def _agree(a, b, tol):
+    return abs(a.value - b.value) <= tol
+
+
+def _first_order_agree(fd, sv, bs, eps_min) -> bool:
+    """First-order agreement: FD against SENS and against BSDE, each
+    within three combined standard errors plus ten smallest FD steps."""
+    tol_s = 3.0 * (fd.std_error + sv.std_error) + 10.0 * eps_min
+    tol_b = 3.0 * (fd.std_error + bs.std_error) + 10.0 * eps_min
+    return _agree(fd, sv, tol_s) and _agree(fd, bs, tol_b)
 
 
 def _cmd_deriv(cfg: ExperimentConfig, tables: Path):
+    """Every first-order route, checked by cross-check's rule."""
     spec, _ = cfg.build_game()
     controls = cfg.anchor_profiles(spec.n_players)[0]
-    *_, first = _first_order(cfg, spec, controls, cfg.direction_controls())
+    _, _, _, first, _ = _first_order(cfg, spec, controls,
+                                     cfg.direction_controls())
     rows = [[i, h, -1, name, "", est.method, est.value, est.std_error]
             for i, h, name, *ests in first for est in ests]
     _write_csv(tables / "derivatives.csv",
                ["i", "h", "l", "dir_h", "dir_l", "method", "value", "se"],
                rows)
-    return {"n_rows": len(rows)}, True
-
-
-def _agree(a, b, tol):
-    return abs(a.value - b.value) <= tol
+    eps_min = min(cfg.eps_schedule)
+    ok = all(_first_order_agree(fd, sv, bs, eps_min)
+             for *_, fd, sv, bs in first)
+    return {"n_rows": len(rows), "all_agree": ok}, ok
 
 
 def _cmd_cross_check(cfg: ExperimentConfig, tables: Path):
@@ -302,21 +322,20 @@ def _cmd_cross_check(cfg: ExperimentConfig, tables: Path):
     dirs = cfg.direction_controls()[:2]
     dir_names = list(cfg.directions)[:2]
     eps_min = min(cfg.eps_schedule)
-    ens, noise, sens, adjoints, first = _first_order(cfg, spec, controls,
-                                                     dirs)
+    # pair q pairs target (h, first direction) with (l, second direction)
+    d1 = 1 % len(dirs)
+    pair_targets = [(h * len(dirs), l * len(dirs) + d1)
+                    for h in range(N) for l in range(h + 1, N)]
+    ens, noise, sens, first, bsdes = _first_order(cfg, spec, controls, dirs,
+                                                  pair_targets)
     rows, ok = [], True
     for i, h, name, fd, sv, bs in first:
-        tol_s = 3.0 * (fd.std_error + sv.std_error) + 10.0 * eps_min
-        tol_b = 3.0 * (fd.std_error + bs.std_error) + 10.0 * eps_min
-        good = _agree(fd, sv, tol_s) and _agree(fd, bs, tol_b)
+        good = _first_order_agree(fd, sv, bs, eps_min)
         ok = ok and good
         rows.append(["first", i, h, -1, name, "", fd.value, sv.value,
                      bs.value, float("nan"), int(good)])
 
-    # sh is target (h, first direction), sl target (l, second direction)
-    d1 = 1 % len(dirs)
-    pairs = [(sens[h * len(dirs)], sens[l * len(dirs) + d1])
-             for h in range(N) for l in range(h + 1, N)]
+    pairs = [(sens[a], sens[b]) for a, b in pair_targets]
     fds = [deriv_mod.second_derivative_fd_sweep(
                spec, controls, sh.perturbed_player, sl.perturbed_player,
                sh.direction, sl.direction, grid, noise, cfg.eps_schedule)
@@ -324,16 +343,7 @@ def _cmd_cross_check(cfg: ExperimentConfig, tables: Path):
     mixed = propagate_second_sensitivities(spec, ens, pairs, noise)
     zos = deriv_mod.second_derivative_z_oracle(spec, ens, noise, pairs,
                                                mixed, range(N))
-    # the mixed responses are dropped and one matrix adjoint is alive at
-    # a time, which bounds the memory
     del mixed
-    bsdes = {}
-    for i in range(N):
-        second = solve_second_adjoint(spec, ens, noise, RegressionBasis(), i,
-                                      adjoints[i])
-        bsdes.update(deriv_mod.second_derivative_bsde(
-            spec, ens, noise, adjoints[i], second, pairs))
-        del second
     for q, ((sh, sl), fd_q) in enumerate(zip(pairs, fds)):
         for i, fd in enumerate(fd_q):
             zo, bs = zos[(i, q)], bsdes[(i, q)]

@@ -19,9 +19,12 @@ of a matrix-valued system whose driver couples the unknown through the
 same coefficients on both sides and is forced by cost Hessians plus
 first-adjoint-weighted coefficient Hessians.
 
-One per-step backward sweep solves the first-order systems of any set
-of players together; it serves the stored solve and the potential's
-line integral, which contracts each step's layers as they are solved.
+Every solver runs through one backward loop.  The adjoint sweep solves
+the first-order systems of any set of players and the matrix systems of
+any subset of them in one pass with one linearization per step, and
+yields each step's layers with that slice data, so the derivative
+contractions consume the layers as they are solved; the stored solves
+are thin consumers of the same sweep.
 
 All reductions go through ``np.einsum`` so results do not depend on
 BLAS threading.
@@ -36,7 +39,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .model import ControlProfile, GameSpec, NoiseBundle
-from .sim import PathEnsemble, SensitivityEnsemble, assemble_variational
+from .sim import (PathEnsemble, SensitivityEnsemble, VariationalCoefficients,
+                  _second_order_slices, assemble_variational)
 
 __all__ = [
     "RegressionBasis",
@@ -159,9 +163,7 @@ class LinearBsdeSpec:
     (P, m, m)`` multiplies the value, ``driver_coef(k, j, ensemble) ->
     (P, m, m)`` multiplies driver j's martingale component, and
     ``forcing(k, ensemble) -> (P, m)`` is the affine part.  Any of the
-    coefficient callables may be None (zero).  ``postprocess`` is
-    applied to each fitted value layer (the matrix-valued instance
-    symmetrizes there).
+    coefficient callables may be None (zero).
     """
 
     m: int
@@ -170,7 +172,6 @@ class LinearBsdeSpec:
     value_coef: Optional[Callable] = None
     driver_coef: Optional[Callable] = None
     forcing: Optional[Callable] = None
-    postprocess: Optional[Callable] = None
 
 
 @dataclass
@@ -183,12 +184,28 @@ class BsdeSolution:
         return [asdict(d) for d in self.diagnostics]
 
 
+def _backward(ensemble: PathEnsemble, noise: NoiseBundle,
+              basis: RegressionBasis, d: int, terminal: np.ndarray, step):
+    """The backward loop of every solver: at each step k from M-1 down
+    to 0 one regressor fits the martingale components (P, d, m) of
+    every column of the next value layer (P, m) in one stacked fit, and
+    ``step(k, reg, ynext, z)`` returns the fitted value layer and what
+    to yield."""
+    if ensemble.seed != noise.seed or ensemble.grid != noise.grid:
+        raise ValueError("ensemble and noise bundle must share seed and grid")
+    dt = ensemble.grid.dt
+    ynext = terminal
+    for k in range(ensemble.grid.n_steps - 1, -1, -1):
+        reg = _Regressor(basis, ensemble.states[:, k, :], k)
+        z = reg.fit_martingale(ynext, noise.increments[:, k, :d], dt)
+        ynext, out = step(k, reg, ynext, z)
+        yield out
+
+
 def solve_linear_bsde(spec: LinearBsdeSpec, ensemble: PathEnsemble,
                       noise: NoiseBundle,
                       basis: RegressionBasis = RegressionBasis()) -> BsdeSolution:
     """Backward induction with least-squares conditional expectations."""
-    if ensemble.seed != noise.seed or ensemble.grid != noise.grid:
-        raise ValueError("ensemble and noise bundle must share seed and grid")
     M = ensemble.grid.n_steps
     P = ensemble.n_paths
     dt = ensemble.grid.dt
@@ -199,12 +216,9 @@ def solve_linear_bsde(spec: LinearBsdeSpec, ensemble: PathEnsemble,
     y[:, M, :] = np.asarray(spec.terminal(ensemble), dtype=float).reshape(P, m)
     if not np.all(np.isfinite(y[:, M, :])):
         raise FloatingPointError("non-finite terminal values")
-    diags = []
 
-    for k in range(M - 1, -1, -1):
-        reg = _Regressor(basis, ensemble.states[:, k, :], k)
-        ynext = y[:, k + 1, :]
-        z[:, k] = reg.fit_martingale(ynext, noise.increments[:, k, :d], dt)
+    def step(k, reg, ynext, zk):
+        z[:, k] = zk
         driver = np.zeros((P, m))
         if spec.value_coef is not None:
             A = spec.value_coef(k, ensemble)
@@ -217,13 +231,11 @@ def solve_linear_bsde(spec: LinearBsdeSpec, ensemble: PathEnsemble,
                                         optimize=False)
         if spec.forcing is not None:
             driver += spec.forcing(k, ensemble)
-        fitted = reg.fit(ynext + dt * driver)
-        if spec.postprocess is not None:
-            fitted = spec.postprocess(fitted)
-        y[:, k, :] = fitted
-        diags.append(reg.diagnostics())
-    diags.reverse()
-    return BsdeSolution(y=y, z=z, diagnostics=diags)
+        y[:, k, :] = reg.fit(ynext + dt * driver)
+        return y[:, k, :], reg.diagnostics()
+
+    diags = list(_backward(ensemble, noise, basis, d, y[:, M, :], step))
+    return BsdeSolution(y=y, z=z, diagnostics=diags[::-1])
 
 
 def apriori_constant(c1: float, d: int, T: float) -> float:
@@ -300,104 +312,6 @@ class AdjointSolution:
     Q_vals: np.ndarray  # (P, M, D, N)
     diagnostics: list
 
-    def q_own_component(self, h: int) -> np.ndarray:
-        """Component h of driver h's loading, shape (P, M)."""
-        return self.Q_vals[:, :, h, h]
-
-
-def _first_adjoint_sweep(spec, ensemble, noise, basis, players):
-    """Backward sweep of the costate systems of ``players``, which share
-    every coefficient, so each step fits all Q players' layers as
-    stacked columns of one regressor.  Yields the terminal value layer
-    (P, Q, N), then ``(k, value layer (P, Q, N), martingale layer
-    (P, D, Q, N), diagnostics)`` for k = M-1 down to 0."""
-    if ensemble.seed != noise.seed or ensemble.grid != noise.grid:
-        raise ValueError("ensemble and noise bundle must share seed and grid")
-    N, D = spec.n_players, spec.n_drivers
-    P = ensemble.n_paths
-    dt = ensemble.grid.dt
-    Q = len(players)
-
-    ynext = np.empty((P, Q, N))
-    xT = ensemble.states[:, -1, :]
-    for q, p in enumerate(players):
-        ynext[:, q, :] = spec.terminal_cost[p].dy(xT)
-    yield ynext
-
-    for k in range(ensemble.grid.n_steps - 1, -1, -1):
-        reg = _Regressor(basis, ensemble.states[:, k, :], k)
-        z = reg.fit_martingale(ynext.reshape(P, Q * N),
-                               noise.increments[:, k, :D],
-                               dt).reshape(P, D, Q, N)
-        t = ensemble.grid.nodes[k]
-        x = ensemble.states[:, k, :]
-        u = ensemble.realized_controls[:, k, :]
-        vc = assemble_variational(spec, t, x, u)
-        B0 = vc.drift_state()
-        driver = np.einsum("pba,pqb->pqa", B0, ynext, optimize=False)
-        for j in range(N):
-            # driver matrix j is the transpose of a single-row matrix
-            driver += np.einsum("pa,pq->pqa", vc.diffusion_row(j),
-                                z[:, j, :, j], optimize=False)
-        for q, p in enumerate(players):
-            driver[:, q, :] += spec.running_cost[p].dy(t, x, u)
-        ynext = reg.fit((ynext + dt * driver).reshape(P, Q * N)).reshape(
-            P, Q, N)
-        yield k, ynext, z, reg.diagnostics()
-
-
-def solve_first_adjoints(spec: GameSpec, controls: ControlProfile,
-                         ensemble: PathEnsemble, noise: NoiseBundle,
-                         basis: RegressionBasis, players) -> list:
-    """Costate systems for several players, every step's layers stored."""
-    players = list(players)
-    P, M = ensemble.n_paths, ensemble.grid.n_steps
-    y = np.empty((P, M + 1, len(players), spec.n_players))
-    z = np.empty((P, M, spec.n_drivers, len(players), spec.n_players))
-    sweep = _first_adjoint_sweep(spec, ensemble, noise, basis, players)
-    y[:, M] = next(sweep)
-    diags = []
-    for k, yk, zk, diag in sweep:
-        y[:, k], z[:, k] = yk, zk
-        diags.append(diag)
-    diags.reverse()
-    # basic slices: views into the shared solve buffers, no copies
-    return [AdjointSolution(player=p, P_vals=y[:, :, q, :],
-                            Q_vals=z[:, :, :, q, :],
-                            diagnostics=diags)
-            for q, p in enumerate(players)]
-
-
-def solve_first_adjoint(spec: GameSpec, controls: ControlProfile,
-                        ensemble: PathEnsemble, noise: NoiseBundle,
-                        basis: RegressionBasis, player: int) -> AdjointSolution:
-    """Costate system whose terminal value is the terminal-cost gradient
-    and whose driver transposes the state linearization."""
-    return solve_first_adjoints(spec, controls, ensemble, noise, basis,
-                                [player])[0]
-
-
-def coefficient_hessians(spec: GameSpec, ensemble: PathEnsemble, k: int):
-    """Pure joint-state Hessians of each player's drift and diffusion.
-
-    Only the explicit joint-state slot is differentiated; own-slot
-    curvature is booked in the derivative integrands instead, which is
-    the split under which the product-trace identities close.  Returns
-    (Hb, Hs), each (P, N, N, N) with [:, i] the Hessian of player i's
-    coefficient.
-    """
-    t = ensemble.grid.nodes[k]
-    x = ensemble.states[:, k, :]
-    u = ensemble.realized_controls[:, k, :]
-    P, N = x.shape
-    Hb = np.empty((P, N, N, N))
-    Hs = np.empty((P, N, N, N))
-    for i in range(N):
-        xi, ui = x[:, i], u[:, i]
-        Hb[:, i] = spec.drift[i].dyy(t, xi, x, ui)
-        Hs[:, i] = spec.diffusion[i].dyy(t, xi, x, ui)
-    return Hb, Hs
-
 
 @dataclass
 class SecondAdjointSolution:
@@ -413,84 +327,179 @@ class SecondAdjointSolution:
     diagnostics: list
 
 
-def _lyapunov_action(vc, mat):
-    """Driver action on a matrix layer: transposed drift linearization
-    from the left, drift linearization from the right, plus each
-    driver's diffusion matrix sandwiching the layer.  Exploits the
-    single-row support of the diffusion matrices."""
-    B0 = vc.drift_state()
+@dataclass(frozen=True)
+class AdjointStep:
+    """One backward step's solved layers and the slice data they were
+    solved with.  Costates and loadings are ordered as the sweep's
+    ``players``, matrix layers as its ``second`` players."""
+
+    k: int
+    vc: VariationalCoefficients
+    slices: Optional[dict]           # second partials, with matrix layers
+    costates: np.ndarray             # (P, Q, N)
+    loadings: np.ndarray             # (P, D, Q, N)
+    matrices: Optional[np.ndarray]   # (P, S, N, N)
+    matrix_loadings: Optional[np.ndarray]  # (P, D, S, N, N)
+    diagnostics: StepDiagnostics
+
+
+def _matrix_driver(B0, rows, so, mat, zmat, fyy, costate, qdiag):
+    """Driver of one player's matrix system at one step, on its layer
+    ``mat`` and martingale components ``zmat`` (P, D, N, N): the
+    transposed drift linearization ``B0`` from the left and ``B0`` from
+    the right, each driver's matrix (supported on row j of ``rows``)
+    sandwiching the layer and hitting its martingale component from
+    both sides, plus the forcing: the running-cost Hessian ``fyy`` and
+    the pure joint-state coefficient Hessians of ``so`` weighted by the
+    costate pair (``costate``, and ``qdiag``, each driver's own
+    component of its loading)."""
     out = np.einsum("pba,pbc->pac", B0, mat, optimize=False)
     out += np.einsum("pab,pbc->pac", mat, B0, optimize=False)
     N = mat.shape[-1]
-    rows = np.stack([vc.diffusion_row(j) for j in range(N)], axis=1)  # (P,j,a)
     diag = mat[:, np.arange(N), np.arange(N)]
     out += np.einsum("pj,pja,pjb->pab", diag, rows, rows, optimize=False)
-    return out, rows
+    for j in range(N):
+        # driver matrix j has a single row; its transpose against the
+        # martingale layer contributes two outer-product terms
+        out += np.einsum("pa,pb->pab", rows[:, j, :], zmat[:, j, j, :],
+                         optimize=False)
+        out += np.einsum("pa,pb->pab", zmat[:, j, :, j], rows[:, j, :],
+                         optimize=False)
+    out += fyy
+    out += np.einsum("pi,piab->pab", costate, so["b"][4], optimize=False)
+    out += np.einsum("pj,pjab->pab", qdiag, so["s"][4], optimize=False)
+    return out
 
 
-def solve_second_adjoint(spec: GameSpec, ensemble: PathEnsemble,
-                         noise: NoiseBundle, basis: RegressionBasis,
-                         player: int,
-                         first: AdjointSolution) -> SecondAdjointSolution:
-    """Matrix-valued backward system, regression on the vectorized
-    layers, driver applied in matrix form.
+def _adjoint_sweep(spec, ensemble, noise, basis, players, second=()):
+    """Backward sweep of the costate systems of ``players`` and the
+    matrix systems of the players in ``second``, each also in
+    ``players`` because its step-k costate pair forces its matrix
+    system.  A costate system has the terminal-cost gradient as terminal
+    value and the transposed linearization plus the running-cost
+    gradient as driver; a matrix system has the terminal-cost Hessian
+    and ``_matrix_driver``, and each fitted layer is symmetrized.
+    Own-slot curvature is booked in the derivative integrands instead,
+    the split under which the product-trace identities close.
 
-    Driver: the unknown matrix is hit by the transposed drift
-    linearization on the left and the drift linearization on the right,
-    sandwiched between each driver's diffusion matrix, and each
-    martingale component is hit from both sides by its driver's matrix;
-    forcing is the running-cost joint Hessian plus the coefficient
-    Hessians weighted by the first-order costate.  Terminal value is
-    the terminal-cost Hessian.  Each fitted layer is symmetrized.
-    """
-    if first.player != player:
-        raise ValueError("first-order adjoint was solved for another player")
-    if ensemble.seed != noise.seed or ensemble.grid != noise.grid:
-        raise ValueError("ensemble and noise bundle must share seed and grid")
+    The systems share every coefficient, so each step assembles one
+    linearization, evaluates the second partials once when matrix
+    layers are asked for, and fits every layer's martingale components
+    as stacked columns of one regressor; then comes the costate value
+    fit, then the matrix value fit, whose driver reads the step's
+    costates.  Yields the terminal layers ``(costates (P, Q, N),
+    matrices (P, S, N, N))``, then one ``AdjointStep`` per step, k =
+    M-1 down to 0."""
+    players, second = list(players), list(second)
     N, D = spec.n_players, spec.n_drivers
-    M = ensemble.grid.n_steps
     P = ensemble.n_paths
     dt = ensemble.grid.dt
-    m = N * N
+    Q, S = len(players), len(second)
+    own = [players.index(p) for p in second]
+    cols = Q * N
 
-    P2 = np.empty((P, M + 1, N, N))
-    Q2 = np.empty((P, M, D, N, N))
-    P2[:, M] = spec.terminal_cost[player].dyy(ensemble.states[:, -1, :])
-    diags = []
+    def split(layer):
+        lead = layer.shape[:-1]
+        return (layer[..., :cols].reshape(lead + (Q, N)),
+                layer[..., cols:].reshape(lead + (S, N, N)))
 
-    for k in range(M - 1, -1, -1):
-        reg = _Regressor(basis, ensemble.states[:, k, :], k)
-        ynext = P2[:, k + 1]
-        Q2[:, k] = reg.fit_martingale(ynext.reshape(P, m),
-                                      noise.increments[:, k, :D],
-                                      dt).reshape(P, D, N, N)
+    terminal = np.empty((P, cols + S * N * N))
+    costates, matrices = split(terminal)
+    xT = ensemble.states[:, -1, :]
+    for q, p in enumerate(players):
+        costates[:, q] = spec.terminal_cost[p].dy(xT)
+    for s, p in enumerate(second):
+        matrices[:, s] = spec.terminal_cost[p].dyy(xT)
+    yield costates, matrices
+
+    def step(k, reg, ynext, z):
+        ycost, ymat = split(ynext)
+        zcost, zmat = split(z)
         t = ensemble.grid.nodes[k]
         x = ensemble.states[:, k, :]
         u = ensemble.realized_controls[:, k, :]
         vc = assemble_variational(spec, t, x, u)
-        driver, rows = _lyapunov_action(vc, ynext)
+        B0 = vc.drift_state()
+        driver = np.einsum("pba,pqb->pqa", B0, ycost, optimize=False)
         for j in range(N):
-            # driver matrix j has a single row; its transpose against
-            # the martingale layer contributes two outer-product terms
-            zrow = Q2[:, k, j, j, :]            # row j of layer j
-            zcol = Q2[:, k, j, :, j]            # column j of layer j
-            driver += np.einsum("pa,pb->pab", rows[:, j, :], zrow,
-                                optimize=False)
-            driver += np.einsum("pa,pb->pab", zcol, rows[:, j, :],
-                                optimize=False)
-        driver += spec.running_cost[player].dyy(t, x, u)
-        Hb, Hs = coefficient_hessians(spec, ensemble, k)
-        driver += np.einsum("pi,piab->pab", first.P_vals[:, k, :], Hb,
-                            optimize=False)
-        qdiag = np.stack([first.Q_vals[:, k, j, j] for j in range(N)], axis=1)
-        driver += np.einsum("pj,pjab->pab", qdiag, Hs, optimize=False)
+            # driver matrix j is the transpose of a single-row matrix
+            driver += np.einsum("pa,pq->pqa", vc.diffusion_row(j),
+                                zcost[:, j, :, j], optimize=False)
+        for q, p in enumerate(players):
+            driver[:, q, :] += spec.running_cost[p].dy(t, x, u)
+        costates = reg.fit((ycost + dt * driver).reshape(P, cols)).reshape(
+            P, Q, N)
+        if not S:
+            return costates.reshape(P, cols), AdjointStep(
+                k, vc, None, costates, zcost, None, None, reg.diagnostics())
+        so = _second_order_slices(spec, t, x, u)
+        rows = np.stack([vc.diffusion_row(j) for j in range(N)], axis=1)
+        targets = np.empty((P, S, N, N))
+        for s, (p, q) in enumerate(zip(second, own)):
+            qdiag = np.stack([zcost[:, j, q, j] for j in range(N)], axis=1)
+            driver = _matrix_driver(B0, rows, so, ymat[:, s], zmat[:, :, s],
+                                    spec.running_cost[p].dyy(t, x, u),
+                                    costates[:, q], qdiag)
+            targets[:, s] = ymat[:, s] + dt * driver
+        fitted = reg.fit(targets.reshape(P, S * N * N)).reshape(P, S, N, N)
+        matrices = 0.5 * (fitted + np.swapaxes(fitted, 2, 3))
+        layer = np.concatenate([costates.reshape(P, cols),
+                                matrices.reshape(P, S * N * N)], axis=1)
+        return layer, AdjointStep(k, vc, so, costates, zcost, matrices,
+                                  zmat, reg.diagnostics())
 
-        fitted = reg.fit((ynext + dt * driver).reshape(P, m)).reshape(P, N, N)
-        P2[:, k] = 0.5 * (fitted + np.transpose(fitted, (0, 2, 1)))
-        diags.append(reg.diagnostics())
-    diags.reverse()
+    yield from _backward(ensemble, noise, basis, D, terminal, step)
+
+
+def solve_first_adjoints(spec: GameSpec, controls: ControlProfile,
+                         ensemble: PathEnsemble, noise: NoiseBundle,
+                         basis: RegressionBasis, players) -> list:
+    """Costate systems for several players, every step's layers stored."""
+    players = list(players)
+    P, M = ensemble.n_paths, ensemble.grid.n_steps
+    y = np.empty((P, M + 1, len(players), spec.n_players))
+    z = np.empty((P, M, spec.n_drivers, len(players), spec.n_players))
+    sweep = _adjoint_sweep(spec, ensemble, noise, basis, players)
+    y[:, M] = next(sweep)[0]
+    diags = []
+    for step in sweep:
+        y[:, step.k], z[:, step.k] = step.costates, step.loadings
+        diags.append(step.diagnostics)
+    # basic slices: views into the shared solve buffers, no copies
+    return [AdjointSolution(player=p, P_vals=y[:, :, q, :],
+                            Q_vals=z[:, :, :, q, :],
+                            diagnostics=diags[::-1])
+            for q, p in enumerate(players)]
+
+
+def solve_first_adjoint(spec: GameSpec, controls: ControlProfile,
+                        ensemble: PathEnsemble, noise: NoiseBundle,
+                        basis: RegressionBasis, player: int) -> AdjointSolution:
+    """Costate system whose terminal value is the terminal-cost gradient
+    and whose driver transposes the state linearization."""
+    return solve_first_adjoints(spec, controls, ensemble, noise, basis,
+                                [player])[0]
+
+
+def solve_second_adjoint(spec: GameSpec, ensemble: PathEnsemble,
+                         noise: NoiseBundle, basis: RegressionBasis,
+                         player: int) -> SecondAdjointSolution:
+    """Matrix-valued backward system of one player (see
+    ``_adjoint_sweep``), every step's layers stored; its costate pair is
+    solved alongside and dropped."""
+    N, D = spec.n_players, spec.n_drivers
+    P, M = ensemble.n_paths, ensemble.grid.n_steps
+    P2 = np.empty((P, M + 1, N, N))
+    Q2 = np.empty((P, M, D, N, N))
+    sweep = _adjoint_sweep(spec, ensemble, noise, basis, [player], [player])
+    P2[:, M] = next(sweep)[1][:, 0]
+    diags = []
+    for step in sweep:
+        P2[:, step.k] = step.matrices[:, 0]
+        Q2[:, step.k] = step.matrix_loadings[:, :, 0]
+        diags.append(step.diagnostics)
     return SecondAdjointSolution(player=player, P2=P2, Q2=Q2,
-                                 diagnostics=diags)
+                                 diagnostics=diags[::-1])
 
 
 @dataclass
@@ -586,7 +595,8 @@ def second_adjoint_process(spec: GameSpec, ensemble: PathEnsemble,
                            first: AdjointSolution,
                            second: SecondAdjointSolution) -> MatrixItoProcess:
     """The solved matrix adjoint as an Ito process: drift is minus the
-    recomputed driver, diffusion the stored martingale loadings."""
+    driver recomputed at each step's stored layers, diffusion the
+    stored martingale loadings."""
     N = spec.n_players
     M = ensemble.grid.n_steps
     P = ensemble.n_paths
@@ -596,23 +606,13 @@ def second_adjoint_process(spec: GameSpec, ensemble: PathEnsemble,
         x = ensemble.states[:, k, :]
         u = ensemble.realized_controls[:, k, :]
         vc = assemble_variational(spec, t, x, u)
-        B0 = vc.drift_state()
-        Pmat = second.P2[:, k]
-        drv = (np.einsum("pba,pbc->pac", B0, Pmat, optimize=False)
-               + np.einsum("pab,pbc->pac", Pmat, B0, optimize=False))
-        for j in range(N):
-            Pi = vc.diffusion_state(j)
-            drv += np.einsum("pba,pbc,pcd->pad", Pi, Pmat, Pi, optimize=False)
-            Qj = second.Q2[:, k, j]
-            drv += (np.einsum("pba,pbc->pac", Pi, Qj, optimize=False)
-                    + np.einsum("pab,pbc->pac", Qj, Pi, optimize=False))
-        drv += spec.running_cost[second.player].dyy(t, x, u)
-        Hb, Hs = coefficient_hessians(spec, ensemble, k)
-        drv += np.einsum("pi,piab->pab", first.P_vals[:, k, :], Hb,
-                         optimize=False)
+        rows = np.stack([vc.diffusion_row(j) for j in range(N)], axis=1)
         qdiag = np.stack([first.Q_vals[:, k, j, j] for j in range(N)], axis=1)
-        drv += np.einsum("pj,pjab->pab", qdiag, Hs, optimize=False)
-        drift[:, k] = -drv
+        drift[:, k] = -_matrix_driver(
+            vc.drift_state(), rows, _second_order_slices(spec, t, x, u),
+            second.P2[:, k], second.Q2[:, k],
+            spec.running_cost[second.player].dyy(t, x, u),
+            first.P_vals[:, k, :], qdiag)
     return MatrixItoProcess(values=second.P2,
                             drift=drift,
                             diffusion=second.Q2[:, :, :N, :, :])

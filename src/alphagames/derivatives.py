@@ -9,11 +9,15 @@
   mixed second-order sensitivity for second derivatives.
 
 Each route has one implementation.  The FD sweeps yield every cost
-player's estimate at once; the SENS, BSDE and Z-oracle contractions run
-over a whole list of perturbation targets (first order) or response
-pairs (second order) in one time sweep that evaluates each step's
-partials once, and return ``{(cost player, target or pair index):
-estimate}``.
+player's estimate at once; the SENS and Z-oracle contractions run over
+a whole list of perturbation targets (first order) or response pairs
+(second order) in one time sweep that evaluates each step's partials
+once, and return ``{(cost player, target or pair index): estimate}``.
+The BSDE route takes first- and second-order jobs for any cost players
+together and contracts them inside the one backward sweep that solves
+their adjoints, from the linearization and second partials that sweep
+evaluated, so no adjoint is ever stored; it returns ``{job index:
+estimate}`` per order.
 
 All dt-integrals use the left endpoint, matching the Euler filtration.
 Standard errors always come from pathwise differences, never from
@@ -26,10 +30,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsde import AdjointSolution, SecondAdjointSolution, _first_adjoint_sweep
+from .bsde import RegressionBasis, _adjoint_sweep
 from .model import Control, ControlProfile, GameSpec, NoiseBundle, TimeGrid
-from .sim import (PathEnsemble, _bilinear_sources, _dot, _second_order_slices,
-                  assemble_variational, simulate_cost_batch)
+from .sim import PathEnsemble, _bilinear_sources, _dot, simulate_cost_batch
 
 __all__ = [
     "DerivativeEstimate",
@@ -37,10 +40,9 @@ __all__ = [
     "cost_value",
     "first_derivative_fd_sweep",
     "first_derivative_sens",
-    "first_derivative_bsde",
     "second_derivative_fd_sweep",
     "second_derivative_z_oracle",
-    "second_derivative_bsde",
+    "bsde_derivatives",
 ]
 
 EPS_SCHEDULE = (1e-2, 5e-3, 2.5e-3)
@@ -72,7 +74,7 @@ def _keyed_estimates(acc: np.ndarray, keys: list, method: str, metadata,
     """One estimate per row of ``acc`` (rows in ``keys`` order, paths
     last), labelled by ``metadata(key)``; with ``return_pathwise`` also
     the pathwise rows under the same keys."""
-    pathwise = dict(zip(keys, acc.reshape(len(keys), -1)))
+    pathwise = dict(zip(keys, acc.reshape(len(keys), acc.shape[-1])))
     est = {key: DerivativeEstimate.from_pathwise(pw, method, metadata(key))
            for key, pw in pathwise.items()}
     if return_pathwise:
@@ -191,74 +193,6 @@ def first_derivative_sens(spec: GameSpec, ensemble: PathEnsemble,
                      "direction": sens_list[key[1]].direction.label})
 
 
-def _bsde_integrand(costate, loading, h, dub_h, dus_h, fu):
-    """Adjoint-route integrand in player h's control per unit direction
-    at one step, from a cost player's costate (P, N), martingale loading
-    (P, D, N) and running-cost control gradient fu."""
-    return costate[:, h] * dub_h + dus_h * loading[:, h, h] + fu[:, h]
-
-
-def first_derivative_bsde(spec: GameSpec, ensemble: PathEnsemble,
-                          noise: NoiseBundle, adjoints, targets,
-                          return_pathwise: bool = False):
-    """Adjoint route for every costate in ``adjoints`` against every
-    (h, direction) target: the derivative is the time integral of the
-    direction times (costate against the drift control loading, the
-    diffusion control loading against the matching martingale
-    component, and the direct cost term).
-
-    Returns {(adjoint player, target index): estimate}; with
-    ``return_pathwise`` also the pathwise integrals under the same keys.
-    """
-    grid = ensemble.grid
-    acc = np.zeros((len(adjoints), len(targets), ensemble.n_paths))
-    for k, t in enumerate(grid.nodes[:-1]):
-        x = ensemble.states[:, k, :]
-        u = ensemble.realized_controls[:, k, :]
-        loadings = {h: (spec.drift[h].du(t, x[:, h], x, u[:, h]),
-                        spec.diffusion[h].du(t, x[:, h], x, u[:, h]))
-                    for h in sorted({h for h, _ in targets})}
-        dvals = [d(t, k, noise.increments) for _, d in targets]
-        for a, adj in enumerate(adjoints):
-            fu = spec.running_cost[adj.player].du(t, x, u)
-            for s, (h, _) in enumerate(targets):
-                acc[a, s] += _bsde_integrand(
-                    adj.P_vals[:, k], adj.Q_vals[:, k], h, *loadings[h],
-                    fu) * dvals[s] * grid.dt
-    keys = [(adj.player, s) for adj in adjoints for s in range(len(targets))]
-    return _keyed_estimates(
-        acc, keys, "BSDE",
-        lambda key: {"player": key[0], "perturbed": targets[key[1]][0],
-                     "direction": targets[key[1]][1].label},
-        return_pathwise)
-
-
-def _own_control_integrals(spec, ensemble, noise, basis, directions):
-    """Pathwise adjoint-route derivative of each player's cost in its
-    own control along ``directions[h]``, shape (N, P), contracted step
-    by step from one backward sweep; the terms are summed forward in
-    time afterwards, as in ``first_derivative_bsde``, bit for bit."""
-    grid = ensemble.grid
-    N = spec.n_players
-    terms = np.empty((N, grid.n_steps, ensemble.n_paths))
-    sweep = _first_adjoint_sweep(spec, ensemble, noise, basis, range(N))
-    next(sweep)  # the terminal layer enters no integrand
-    for k, costates, martingales, _ in sweep:
-        t, x = grid.nodes[k], ensemble.states[:, k]
-        u = ensemble.realized_controls[:, k]
-        for h in range(N):
-            terms[h, k] = _bsde_integrand(
-                costates[:, h], martingales[:, :, h], h,
-                spec.drift[h].du(t, x[:, h], x, u[:, h]),
-                spec.diffusion[h].du(t, x[:, h], x, u[:, h]),
-                spec.running_cost[h].du(t, x, u)
-            ) * directions[h](t, k, noise.increments) * grid.dt
-    integrals = np.zeros((N, ensemble.n_paths))
-    for k in range(grid.n_steps):
-        integrals += terms[:, k]
-    return integrals
-
-
 def second_derivative_fd_sweep(spec: GameSpec, controls: ControlProfile,
                                h: int, l: int, dir_h: Control, dir_l: Control,
                                grid: TimeGrid, noise: NoiseBundle,
@@ -350,43 +284,72 @@ def second_derivative_z_oracle(spec: GameSpec, ensemble: PathEnsemble,
         return_pathwise)
 
 
-def second_derivative_bsde(spec: GameSpec, ensemble: PathEnsemble,
-                           noise: NoiseBundle, first: AdjointSolution,
-                           second: SecondAdjointSolution, pairs,
-                           return_pathwise: bool = False):
-    """Adjoint route for the mixed second derivatives of one cost
-    player, whose adjoint pair is (``first``, ``second``), against every
-    ``(sens_h, sens_l)`` pair; the mixed sensitivity is eliminated
-    entirely.
+def _direction_values(directions, t, k, noise):
+    """Each distinct direction's values at step k, keyed by identity."""
+    distinct = {id(d): d for d in directions}
+    return {key: d(t, k, noise.increments) for key, d in distinct.items()}
 
-    The martingale loadings enter with a fixed orientation: the term in
-    player h's direction reads row h of driver h's loading, the term in
-    player l's direction reads column l of driver l's loading.  That is
-    the orientation under which the product-trace bookkeeping closes.
 
-    Returns {(first.player, pair index): estimate}; with
+def bsde_derivatives(spec: GameSpec, ensemble: PathEnsemble,
+                     noise: NoiseBundle, basis: RegressionBasis,
+                     first_jobs=(), second_jobs=(),
+                     return_pathwise: bool = False):
+    """Adjoint route for every first-order job ``(i, h, direction)``
+    (player i's cost in player h's direction) and second-order job ``(i,
+    sens_h, sens_l)`` (in two distinct players' response directions).
+    One backward sweep solves every cost player's costate pair and every
+    second-order cost player's matrix adjoint; each step's layers are
+    contracted into the integrands as they are solved, then dropped.
+    First order: the direction times (costate against the drift control
+    loading, diffusion control loading against the matching martingale
+    component, direct cost term).  Second order: no mixed sensitivity;
+    the term in player h's direction reads row h of driver h's loading,
+    the term in l's reads column l of driver l's, the orientation under
+    which the product-trace bookkeeping closes.  The integrands are
+    summed forward in time afterwards; first-order ones are stored per
+    (cost player, perturbed player) and take each job's direction then.
+
+    Returns ``(first, second)``, each ``{job index: estimate}``; with
     ``return_pathwise`` also the pathwise integrals under the same keys.
     """
-    i = first.player
-    if second.player != i:
-        raise ValueError("adjoint pairs belong to different players")
-    hl = _pair_players(pairs)
+    first_jobs, second_jobs = list(first_jobs), list(second_jobs)
+    hl = _pair_players([(sh, sl) for _, sh, sl in second_jobs])
+    second = sorted({i for i, _, _ in second_jobs})
+    players = sorted({i for i, _, _ in first_jobs} | set(second))
+    rows = sorted({(i, h) for i, h, _ in first_jobs})
+    own = {i: q for q, i in enumerate(players)}
     grid = ensemble.grid
-    acc = np.zeros((len(pairs), ensemble.n_paths))
-    for k, t in enumerate(grid.nodes[:-1]):
+    N, M, P, dt = spec.n_players, grid.n_steps, ensemble.n_paths, grid.dt
+    integrands = np.empty((len(rows), M, P))
+    terms = np.empty((len(second_jobs), M, P))
+    sweep = _adjoint_sweep(spec, ensemble, noise, basis, players, second)
+    next(sweep)  # the terminal layers enter no integrand
+    for step in sweep:
+        k, vc = step.k, step.vc
+        t = grid.nodes[k]
         x = ensemble.states[:, k, :]
         u = ensemble.realized_controls[:, k, :]
-        vc = assemble_variational(spec, t, x, u)
-        so = _second_order_slices(spec, t, x, u)
-        P2, Q2 = second.P2[:, k], second.Q2[:, k]
-        fyu = spec.running_cost[i].dyu(t, x, u)
-        fuu = spec.running_cost[i].duu(t, x, u)
-        qdiag = np.stack([first.Q_vals[:, k, j, j]
-                          for j in range(spec.n_players)], axis=1)
-        for q, ((sh, sl), (h, l)) in enumerate(zip(pairs, hl)):
+        fu = {i: spec.running_cost[i].du(t, x, u)
+              for i in {i for i, _ in rows}}
+        for r, (i, h) in enumerate(rows):
+            q = own[i]
+            integrands[r, k] = (step.costates[:, q, h] * vc.dub[:, h]
+                                + vc.dus[:, h] * step.loadings[:, h, q, h]
+                                + fu[i][:, h])
+        cost = {}
+        for s, i in enumerate(second):
+            f, q = spec.running_cost[i], own[i]
+            cost[i] = (s, q, f.dyu(t, x, u), f.duu(t, x, u),
+                       np.stack([step.loadings[:, j, q, j]
+                                 for j in range(N)], axis=1))
+        dvals = _direction_values([sens.direction for _, sh, sl in second_jobs
+                                   for sens in (sh, sl)], t, k, noise)
+        sources = {}
+        for n, ((i, sh, sl), (h, l)) in enumerate(zip(second_jobs, hl)):
+            s, q, fyu, fuu, qdiag = cost[i]
+            P2, Q2 = step.matrices[:, s], step.matrix_loadings[:, :, s]
             yh, yl = sh.values[:, k, :], sl.values[:, k, :]
-            du_h = sh.direction(t, k, noise.increments)
-            du_l = sl.direction(t, k, noise.increments)
+            du_h, du_l = dvals[id(sh.direction)], dvals[id(sl.direction)]
             dus_h, dus_l = vc.dus[:, h], vc.dus[:, l]
             term_h = (vc.dub[:, h] * _dot(P2[:, h, :], yl)
                       + dus_h * P2[:, h, h] * _dot(vc.diffusion_row(h), yl)
@@ -397,12 +360,34 @@ def second_derivative_bsde(spec: GameSpec, ensemble: PathEnsemble,
                       + dus_l * _dot(yh, Q2[:, l, :, l]))
             term_l += _dot(yh, fyu[:, :, l])
             direct = fuu[:, h, l] * du_h * du_l
-            drift_src, diff_src = _bilinear_sources(
-                so, yh, yl, du_h, du_l, h, l, with_joint_hessian=False)
-            coupling = _dot(first.P_vals[:, k, :], drift_src)
+            key = (id(sh), id(sl))
+            if key not in sources:
+                sources[key] = _bilinear_sources(
+                    step.slices, yh, yl, du_h, du_l, h, l,
+                    with_joint_hessian=False)
+            drift_src, diff_src = sources[key]
+            coupling = _dot(step.costates[:, q], drift_src)
             coupling += _dot(qdiag, diff_src)
-            acc[q] += (term_h * du_h + term_l * du_l + direct
-                       + coupling) * grid.dt
-    return _keyed_estimates(
-        acc, [(i, q) for q in range(len(pairs))], "BSDE",
-        lambda key: {"player": key[0], "pair": hl[key[1]]}, return_pathwise)
+            terms[n, k] = (term_h * du_h + term_l * du_l + direct
+                           + coupling) * dt
+
+    first_acc = np.zeros((len(first_jobs), P))
+    row_of = [rows.index((i, h)) for i, h, _ in first_jobs]
+    second_acc = np.zeros((len(second_jobs), P))
+    for k in range(M):
+        dvals = _direction_values([d for _, _, d in first_jobs],
+                                  grid.nodes[k], k, noise)
+        for n, (_, _, d) in enumerate(first_jobs):
+            first_acc[n] += integrands[row_of[n], k] * dvals[id(d)] * dt
+        second_acc += terms[:, k]
+    first = _keyed_estimates(
+        first_acc, list(range(len(first_jobs))), "BSDE",
+        lambda n: {"player": first_jobs[n][0], "perturbed": first_jobs[n][1],
+                   "direction": first_jobs[n][2].label}, return_pathwise)
+    second = _keyed_estimates(
+        second_acc, list(range(len(second_jobs))), "BSDE",
+        lambda n: {"player": second_jobs[n][0], "pair": hl[n]},
+        return_pathwise)
+    if return_pathwise:
+        return (first[0], second[0]), (first[1], second[1])
+    return first, second

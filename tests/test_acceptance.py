@@ -2,9 +2,9 @@
 
 Each test prints one PASS/FAIL line (run with ``pytest -s`` to see them
 inline).  The first- and second-order duality criteria share one
-expensive fixture (ensemble, costates, sensitivities on the smooth
-nonlinear preset); everything else builds and frees its own data to
-stay inside the desk-scale memory budget.
+expensive fixture (noise and ensemble on the smooth nonlinear preset);
+everything else builds and frees its own data to stay inside the
+desk-scale memory budget.
 """
 
 import json
@@ -20,8 +20,8 @@ import pytest
 import alphagames as ag
 from alphagames.alpha import pairwise_quadratic_asymmetry
 from alphagames.bsde import (LinearBsdeSpec, apriori_bound_check,
-                             solve_first_adjoints, solve_linear_bsde)
-from alphagames.derivatives import (EPS_SCHEDULE, first_derivative_bsde,
+                             solve_linear_bsde)
+from alphagames.derivatives import (EPS_SCHEDULE, bsde_derivatives,
                                     first_derivative_fd_sweep,
                                     first_derivative_sens,
                                     second_derivative_fd_sweep)
@@ -55,22 +55,23 @@ def first_order_duality(spec, n, paths, steps, seed, controls):
     ens = ag.simulate_paths(spec, controls, grid, noise)
     sens_all = ag.propagate_sensitivities(spec, controls, ens, targets,
                                           noise, dtype=np.float32)
-    adjs = solve_first_adjoints(spec, controls, ens, noise,
-                                ag.RegressionBasis(), list(range(n)))
     sens_table = first_derivative_sens(spec, ens, noise, sens_all)
-    bsde_table = first_derivative_bsde(spec, ens, noise, adjs, targets)
+    del sens_all
+    bsde_table, _ = bsde_derivatives(
+        spec, ens, noise, ag.RegressionBasis(),
+        first_jobs=[(i, h, d) for h, d in targets for i in range(n)])
     worst = 0.0
     for tidx, (h, d) in enumerate(targets):
         di = tidx % len(dirs)
         for i in range(n):
             fd = fd_all[(h, di)][i]
             sv = sens_table[(i, tidx)]
-            bs = bsde_table[(i, tidx)]
+            bs = bsde_table[tidx * n + i]
             tol_s = 3 * (fd.std_error + sv.std_error) + 10 * EPS_MIN
             tol_b = 3 * (fd.std_error + bs.std_error) + 10 * EPS_MIN
             worst = max(worst, abs(fd.value - sv.value) / tol_s,
                         abs(fd.value - bs.value) / tol_b)
-    return worst, (grid, noise, ens, sens_all, adjs, dirs)
+    return worst, (grid, noise, ens, dirs)
 
 
 def test_criterion_01_first_derivative_duality_tanh():
@@ -97,13 +98,12 @@ def test_criterion_02_diffusion_control_coverage():
                   f"diffusion (D != 0); runtime {elapsed:.0f}s")
 
 
-def _second_order_sweep(spec, n, controls, grid, noise, ens, adjs, dirs):
+def _second_order_sweep(spec, n, controls, grid, noise, ens, dirs):
     """Worst gap-over-tolerance of mixed FD, Z-oracle and BSDE over every
     (cost player, pair): one mixed FD sweep per pair, one mixed
     sensitivity sweep and one Z-oracle contraction for all pairs and
-    players, and one BSDE contraction per player's matrix adjoint (one
-    alive at a time)."""
-    from alphagames.bsde import solve_second_adjoint
+    players, and one backward sweep whose BSDE contraction covers every
+    cost player and pair."""
     worst = 0.0
     du, dv = dirs[0], dirs[1]
     hl = [(h, l) for h in range(n) for l in range(h + 1, n)]
@@ -123,14 +123,12 @@ def _second_order_sweep(spec, n, controls, grid, noise, ens, adjs, dirs):
     zos = ag.second_derivative_z_oracle(spec, ens, noise, pairs, mixed,
                                         range(n))
     del mixed
+    _, bss = bsde_derivatives(spec, ens, noise, ag.RegressionBasis(),
+                              second_jobs=[(i, sh, sl) for i in range(n)
+                                           for sh, sl in pairs])
     for i in range(n):
-        sec = solve_second_adjoint(spec, ens, noise, ag.RegressionBasis(), i,
-                                   adjs[i])
-        bss = ag.second_derivative_bsde(spec, ens, noise, adjs[i], sec,
-                                        pairs)
-        del sec
         for q in range(len(pairs)):
-            fd, zo, bs = fds[q][i], zos[(i, q)], bss[(i, q)]
+            fd, zo, bs = fds[q][i], zos[(i, q)], bss[i * len(pairs) + q]
             tol_fz = 5 * (fd.std_error + zo.std_error) + 20 * EPS_MIN
             tol_fb = 5 * (fd.std_error + bs.std_error) + 20 * EPS_MIN
             tol_bz = 5 * (bs.std_error + zo.std_error) + 20 * EPS_MIN
@@ -144,20 +142,17 @@ def test_criterion_03_second_derivative_three_way():
     t0 = time.time()
     # smooth nonlinear preset at N=3, reusing the duality fixture
     if "tanh" in _CACHE:
-        spec, controls, grid, noise, ens, sens_all, adjs, dirs = \
-            _CACHE.pop("tanh")
+        spec, controls, grid, noise, ens, dirs = _CACHE.pop("tanh")
     else:
         spec, _ = ag.build_tanh_game(3)
         controls = ag.ControlProfile.constants([0.2, -0.1, 0.3])
         grid = ag.TimeGrid(50, 1.0)
         noise = ag.NoiseBundle.generate(11, grid, 100_000, 3)
         ens = ag.simulate_paths(spec, controls, grid, noise)
-        adjs = solve_first_adjoints(spec, controls, ens, noise,
-                                    ag.RegressionBasis(), [0, 1, 2])
         dirs = ag.direction_dictionary(1.0)
     worst_tanh = _second_order_sweep(spec, 3, controls, grid, noise, ens,
-                                     adjs, dirs)
-    del ens, adjs, noise
+                                     dirs)
+    del ens, noise
     _CACHE.clear()
 
     # weakly coupled quadratic preset with controlled diffusion at N=2
@@ -166,10 +161,8 @@ def test_criterion_03_second_derivative_three_way():
     grid2 = ag.TimeGrid(50, 1.0)
     noise2 = ag.NoiseBundle.generate(23, grid2, 100_000, 2)
     ens2 = ag.simulate_paths(spec2, controls2, grid2, noise2)
-    adjs2 = solve_first_adjoints(spec2, controls2, ens2, noise2,
-                                 ag.RegressionBasis(), [0, 1])
     worst_lq = _second_order_sweep(spec2, 2, controls2, grid2, noise2, ens2,
-                                   adjs2, ag.direction_dictionary(1.0))
+                                   ag.direction_dictionary(1.0))
     elapsed = time.time() - t0
     worst = max(worst_tanh, worst_lq)
     ok = worst <= 1.0 and elapsed < 600.0
@@ -254,7 +247,7 @@ def test_criterion_06_trace_duality():
     ens = ag.simulate_paths(spec, prof, grid, noise)
     basis = ag.RegressionBasis()
     adj = ag.solve_first_adjoint(spec, prof, ens, noise, basis, 0)
-    sec = ag.solve_second_adjoint(spec, ens, noise, basis, 0, adj)
+    sec = ag.solve_second_adjoint(spec, ens, noise, basis, 0)
     d1, d2 = ag.direction_dictionary(1.0)[:2]
     sh = ag.propagate_sensitivity(spec, prof, ens, 0, d1, noise)
     sl = ag.propagate_sensitivity(spec, prof, ens, 1, d2, noise)
@@ -441,10 +434,12 @@ def test_criterion_11_nash_gap():
 
 
 def test_criterion_12_reproducibility(tmp_path):
-    """Same seed, different thread environments: reports byte-identical.
+    """Same seed, different thread environments: reports and every
+    table byte-identical.
 
     Exercises the pipelines behind the other criteria (simulation, FD
-    stencils, sensitivities, regression costates, asymmetry assembly by
+    stencils, sensitivities, regression costates, first- and
+    second-order derivatives by every route, asymmetry assembly by
     each of the FD, BSDE and SENS routes, potential line integrals and
     their minimisation) through the command line at reduced scale;
     every criterion runs on these same deterministic primitives.
@@ -456,6 +451,7 @@ def test_criterion_12_reproducibility(tmp_path):
         "quad_order": 2, "out": "unused"}
     runs = {}
     for name, sub, method in (
+            ("deriv", "deriv", "FD"),
             ("cross-check", "cross-check", "FD"), ("alpha", "alpha", "FD"),
             ("alpha-BSDE", "alpha", "BSDE"), ("alpha-SENS", "alpha", "SENS"),
             ("scaling", "scaling", "FD"), ("potential", "potential", "FD"),
@@ -486,8 +482,11 @@ def test_criterion_12_reproducibility(tmp_path):
             blob = json.loads((outdir / "report.json").read_text())
             blob["timing"] = None
             blob["config"]["out"] = None
-            per_thread.append(json.dumps(blob, sort_keys=True))
+            tables = {path.name: path.read_bytes()
+                      for path in sorted((outdir / "tables").glob("*.csv"))}
+            assert tables, f"{name} wrote no table"
+            per_thread.append((json.dumps(blob, sort_keys=True), tables))
         blobs[name] = per_thread[0] == per_thread[1]
     ok = all(blobs.values())
-    report(12, ok, f"bit-identical report numerics across thread counts "
-                   f"for {sorted(blobs)}")
+    report(12, ok, f"bit-identical report numerics and tables across "
+                   f"thread counts for {sorted(blobs)}")

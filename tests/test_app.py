@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,8 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from alphagames import alpha
-from alphagames.app import ConfigError, ExperimentConfig, _noise, run
+from alphagames import alpha, derivatives
+from alphagames.app import ConfigError, ExperimentConfig, _noise, main, run
 
 
 def write_config(tmp_path, **kw):
@@ -134,6 +135,25 @@ class TestSubcommands:
             assert (got["FD"], got["SENS"], got["BSDE"]) == \
                 (r["fd"], r["sens"], r["bsde"])
 
+    def test_deriv_fails_on_a_disagreeing_route(self, tmp_path,
+                                                monkeypatch):
+        # deriv checks cross-check's first-order agreement rule, so a
+        # route that drifts off the others fails the run and exits 1
+        path, _ = write_config(tmp_path, directions=["const", "ramp"])
+        cfg = ExperimentConfig.from_file(str(path))
+        rep = run(cfg, "deriv")
+        assert rep["passed"] and rep["results"]["all_agree"]
+        sens = derivatives.first_derivative_sens
+
+        def shifted(*args, **kwargs):
+            return {key: dataclasses.replace(est, value=est.value + 1.0)
+                    for key, est in sens(*args, **kwargs).items()}
+
+        monkeypatch.setattr(derivatives, "first_derivative_sens", shifted)
+        rep = run(cfg, "deriv")
+        assert not rep["passed"] and not rep["results"]["all_agree"]
+        assert main(["deriv", "--config", str(path)]) == 1
+
     def test_potential_value_matches_library(self, tmp_path):
         # the subcommand reads the profile's potential off the deviation
         # gaps' shared base line integral
@@ -187,13 +207,14 @@ class TestCli:
         assert "0" in flags and "1" in flags
 
     def test_reproducible_across_thread_counts(self, tmp_path):
-        """Identical config and seed give bit-identical numeric output
-        regardless of the BLAS/OpenMP thread environment."""
+        """Identical config and seed give bit-identical numeric output,
+        report and tables, regardless of the BLAS/OpenMP thread
+        environment."""
         path, _ = write_config(tmp_path, paths=600, steps=8,
                                preset_params={"Qhat": [0.5, 1.5],
                                               "D": 0.2},
                                anchors=["zero"], directions=["const"])
-        reports = []
+        reports, tables = [], []
         for threads, outdir in (("1", "a"), ("4", "b")):
             out = self.run_cli(
                 ["cross-check", "--config", str(path), "--out",
@@ -207,7 +228,11 @@ class TestCli:
             blob["timing"] = None
             blob["config"]["out"] = None
             reports.append(json.dumps(blob, sort_keys=True))
+            tables.append({p.name: p.read_bytes() for p in sorted(
+                (tmp_path / outdir / "tables").glob("*.csv"))})
         assert reports[0] == reports[1]
+        assert list(tables[0]) == ["cross_check.csv"]
+        assert tables[0] == tables[1]
 
     def test_rerun_bit_identical(self, tmp_path):
         path, _ = write_config(tmp_path, paths=600, steps=8)

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import alphagames as ag
-from alphagames.bsde import (LinearBsdeSpec, _Regressor, apriori_bound_check,
-                             apriori_constant, solve_first_adjoints,
-                             solve_linear_bsde, solve_second_adjoint)
+from alphagames.bsde import (LinearBsdeSpec, _adjoint_sweep, _Regressor,
+                             apriori_bound_check, apriori_constant,
+                             solve_first_adjoints, solve_linear_bsde,
+                             solve_second_adjoint)
 from alphagames.model import Coefficient, RunningCost, TerminalCost
 
 from oracles import bs_closed_form_bsde
@@ -282,10 +283,8 @@ class TestSecondAdjoint:
         noise = ag.NoiseBundle.generate(8, grid, 2000, 2)
         prof = ag.ControlProfile.zeros(2)
         ens = ag.simulate_paths(spec, prof, grid, noise)
-        adj = ag.solve_first_adjoint(spec, prof, ens, noise,
-                                     ag.RegressionBasis(), 0)
         sec = ag.solve_second_adjoint(spec, ens, noise,
-                                      ag.RegressionBasis(), 0, adj)
+                                      ag.RegressionBasis(), 0)
         assert np.allclose(sec.P2, 0.0, atol=1e-10)
         assert np.allclose(sec.Q2, 0.0, atol=1e-8)
 
@@ -306,10 +305,8 @@ class TestSecondAdjoint:
         noise = ag.NoiseBundle.generate(9, grid, 4000, 1)
         prof = ag.ControlProfile.constants([0.5])
         ens = ag.simulate_paths(spec, prof, grid, noise)
-        adj = ag.solve_first_adjoint(spec, prof, ens, noise,
-                                     ag.RegressionBasis(), 0)
         sec = ag.solve_second_adjoint(spec, ens, noise,
-                                      ag.RegressionBasis(), 0, adj)
+                                      ag.RegressionBasis(), 0)
         assert np.allclose(sec.P2, 1.0, atol=1e-5)
 
     def test_lq_terminal_hessian_pattern(self):
@@ -320,15 +317,45 @@ class TestSecondAdjoint:
         noise = ag.NoiseBundle.generate(10, grid, 1000, n)
         prof = ag.ControlProfile.zeros(n)
         ens = ag.simulate_paths(spec, prof, grid, noise)
-        adj = ag.solve_first_adjoint(spec, prof, ens, noise,
-                                     ag.RegressionBasis(), 0)
         sec = ag.solve_second_adjoint(spec, ens, noise,
-                                      ag.RegressionBasis(), 0, adj)
+                                      ag.RegressionBasis(), 0)
         w = np.array([1 - 0.5, -0.5])
         expect = G[0] * np.outer(w, w)
         assert np.allclose(sec.P2[:, -1], expect[None])
         sym_gap = np.abs(sec.P2 - np.transpose(sec.P2, (0, 1, 3, 2)))
         assert sym_gap.max() <= 1e-10
+
+
+    @pytest.mark.parametrize("preset,n,params", [("tanh-coupled", 3, {}),
+                                                 ("lq", 2, {"D": 0.4})])
+    def test_stored_layers_are_the_stacked_sweeps_slices(self, preset, n,
+                                                          params):
+        # every player's costate and matrix layers solved in one stacked
+        # sweep; each stored solve is that sweep's slice for its player
+        spec, _ = ag.build_preset(preset, n, **params)
+        grid = ag.TimeGrid(6, 1.0)
+        noise = ag.NoiseBundle.generate(12, grid, 800, spec.n_drivers)
+        prof = ag.ControlProfile.constants([0.2 - 0.15 * i for i in range(n)])
+        ens = ag.simulate_paths(spec, prof, grid, noise)
+        basis = ag.RegressionBasis()
+        sweep = _adjoint_sweep(spec, ens, noise, basis, range(n), range(n))
+        costates, matrices = next(sweep)
+        steps = {step.k: step for step in sweep}
+        assert sorted(steps) == list(range(grid.n_steps))
+        firsts = solve_first_adjoints(spec, prof, ens, noise, basis, range(n))
+        for i in range(n):
+            sec = solve_second_adjoint(spec, ens, noise, basis, i)
+            first = firsts[i]
+            assert np.array_equal(sec.P2[:, -1], matrices[:, i])
+            assert np.array_equal(first.P_vals[:, -1], costates[:, i])
+            for k, step in steps.items():
+                assert np.array_equal(sec.P2[:, k], step.matrices[:, i])
+                assert np.array_equal(sec.Q2[:, k],
+                                      step.matrix_loadings[:, :, i])
+                assert np.array_equal(first.P_vals[:, k],
+                                      step.costates[:, i])
+                assert np.array_equal(first.Q_vals[:, k],
+                                      step.loadings[:, :, i])
 
 
 class TestStackedMartingaleFit:
@@ -376,10 +403,8 @@ class TestStackedMartingaleFit:
 
     def test_second_adjoint(self, solved):
         spec, prof, ens, noise, dt = solved
-        first = ag.solve_first_adjoint(spec, prof, ens, noise,
-                                       ag.RegressionBasis(), 1)
         sec = solve_second_adjoint(spec, ens, noise,
-                                   ag.RegressionBasis(), 1, first)
+                                   ag.RegressionBasis(), 1)
         P, k = ens.n_paths, 2
         want = self.replay(ens, noise, dt, sec.P2[:, k + 1].reshape(P, -1), k)
         assert np.allclose(sec.Q2[:, k].reshape(want.shape), want,
@@ -424,7 +449,7 @@ class TestTraceDuality:
         ens = ag.simulate_paths(spec, prof, grid, noise)
         basis = ag.RegressionBasis()
         adj = ag.solve_first_adjoint(spec, prof, ens, noise, basis, 0)
-        sec = ag.solve_second_adjoint(spec, ens, noise, basis, 0, adj)
+        sec = ag.solve_second_adjoint(spec, ens, noise, basis, 0)
         d1, d2 = ag.direction_dictionary(1.0)[:2]
         sh = ag.propagate_sensitivity(spec, prof, ens, 0, d1, noise)
         sl = ag.propagate_sensitivity(spec, prof, ens, 1, d2, noise)

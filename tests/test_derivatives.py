@@ -145,10 +145,8 @@ class TestFirstDerivatives:
         sens = ag.propagate_sensitivity(spec, prof, ens, 0, d, noise)
         sv = ag.first_derivative_sens(spec, ens, noise, [sens])[(0, 0)]
         assert np.isclose(sv.value, 1.0) and sv.std_error < 1e-12
-        adj = ag.solve_first_adjoint(spec, prof, ens, noise,
-                                     ag.RegressionBasis(), 0)
-        bs = ag.first_derivative_bsde(spec, ens, noise, [adj],
-                                      [(0, d)])[(0, 0)]
+        bs = ag.bsde_derivatives(spec, ens, noise, ag.RegressionBasis(),
+                                 first_jobs=[(0, 0, d)])[0][0]
         assert abs(bs.value - 1.0) < 1e-6
 
     def test_zero_direction_exact_zero(self, tanh_setup):
@@ -167,9 +165,8 @@ class TestFirstDerivatives:
                                            noise)[i]
             sens = ag.propagate_sensitivity(spec, controls, ens, h, d, noise)
             sv = ag.first_derivative_sens(spec, ens, noise, [sens])[(i, 0)]
-            adj = ag.solve_first_adjoint(spec, controls, ens, noise, basis, i)
-            bs = ag.first_derivative_bsde(spec, ens, noise, [adj],
-                                          [(h, d)])[(i, 0)]
+            bs = ag.bsde_derivatives(spec, ens, noise, basis,
+                                     first_jobs=[(i, h, d)])[0][0]
             assert abs(fd.value - sv.value) <= \
                 3 * (fd.std_error + sv.std_error) + 10 * min(EPS_SCHEDULE)
             assert abs(fd.value - bs.value) <= \
@@ -185,9 +182,8 @@ class TestFirstDerivatives:
         d = ag.Control.constant(1.0)
         for i, h in [(0, 0), (0, 1), (1, 0)]:
             fd = first_derivative_fd_sweep(spec, prof, h, d, grid, noise)[i]
-            adj = ag.solve_first_adjoint(spec, prof, ens, noise, basis, i)
-            bs = ag.first_derivative_bsde(spec, ens, noise, [adj],
-                                          [(h, d)])[(i, 0)]
+            bs = ag.bsde_derivatives(spec, ens, noise, basis,
+                                     first_jobs=[(i, h, d)])[0][0]
             assert abs(fd.value - bs.value) <= \
                 3 * (fd.std_error + bs.std_error) + 10 * min(EPS_SCHEDULE)
 
@@ -201,12 +197,11 @@ class TestFirstDerivatives:
         a = ag.first_derivative_sens(spec, ens, noise, [sens1])[(1, 0)]
         b = ag.first_derivative_sens(spec, ens, noise, [sens2])[(1, 0)]
         assert np.isclose(b.value, 2.5 * a.value, rtol=1e-12)
-        adj = ag.solve_first_adjoint(spec, controls, ens, noise,
-                                     ag.RegressionBasis(), 1)
-        ba = ag.first_derivative_bsde(spec, ens, noise, [adj],
-                                      [(0, d)])[(1, 0)]
-        bb = ag.first_derivative_bsde(spec, ens, noise, [adj],
-                                      [(0, scaled)])[(1, 0)]
+        basis = ag.RegressionBasis()
+        ba = ag.bsde_derivatives(spec, ens, noise, basis,
+                                 first_jobs=[(1, 0, d)])[0][0]
+        bb = ag.bsde_derivatives(spec, ens, noise, basis,
+                                 first_jobs=[(1, 0, scaled)])[0][0]
         assert np.isclose(bb.value, 2.5 * ba.value, rtol=1e-12)
 
     def test_forward_difference_order_at_least_one(self, tanh_setup):
@@ -254,11 +249,8 @@ class TestSecondDerivatives:
         zo = ag.second_derivative_z_oracle(spec, ens, noise, [(sh, sl)],
                                            mixed, [0])[(0, 0)]
         assert np.isclose(zo.value, 1.0)
-        basis = ag.RegressionBasis()
-        adj = ag.solve_first_adjoint(spec, prof, ens, noise, basis, 0)
-        sec = ag.solve_second_adjoint(spec, ens, noise, basis, 0, adj)
-        bs = ag.second_derivative_bsde(spec, ens, noise, adj, sec,
-                                       [(sh, sl)])[(0, 0)]
+        bs = ag.bsde_derivatives(spec, ens, noise, ag.RegressionBasis(),
+                                 second_jobs=[(0, sh, sl)])[1][0]
         assert abs(bs.value - 1.0) < 1e-5
 
     def test_same_player_rejected(self):
@@ -285,13 +277,13 @@ class TestSecondDerivatives:
                                          noise)
         zos = ag.second_derivative_z_oracle(spec, ens, noise, [(sh, sl)],
                                             mixed, range(3))
+        _, bss = ag.bsde_derivatives(spec, ens, noise, basis,
+                                     second_jobs=[(i, sh, sl)
+                                                  for i in range(3)])
         for i in range(3):
             fd = fds[i]
             zo = zos[(i, 0)]
-            adj = ag.solve_first_adjoint(spec, controls, ens, noise, basis, i)
-            sec = ag.solve_second_adjoint(spec, ens, noise, basis, i, adj)
-            bs = ag.second_derivative_bsde(spec, ens, noise, adj, sec,
-                                           [(sh, sl)])[(i, 0)]
+            bs = bss[i]
             assert abs(fd.value - zo.value) <= \
                 5 * (fd.std_error + zo.std_error) + 20 * eps_min
             assert abs(fd.value - bs.value) <= \
@@ -319,38 +311,53 @@ class TestSecondDerivatives:
             5 * (fd1.std_error + fd2.std_error) + 1e-8
 
 
+def _stored_first_order(spec, ens, noise, adj, h, direction):
+    """Pathwise adjoint-route integral of ``adj.player``'s cost in player
+    h's direction, contracted from a stored costate pair after the
+    solve: the left-endpoint sum in forward time."""
+    grid = ens.grid
+    acc = np.zeros(ens.n_paths)
+    for k, t in enumerate(grid.nodes[:-1]):
+        x, u = ens.states[:, k, :], ens.realized_controls[:, k, :]
+        xh, uh = x[:, h], u[:, h]
+        integrand = (adj.P_vals[:, k, h] * spec.drift[h].du(t, xh, x, uh)
+                     + spec.diffusion[h].du(t, xh, x, uh)
+                     * adj.Q_vals[:, k, h, h]
+                     + spec.running_cost[adj.player].du(t, x, u)[:, h])
+        acc += integrand * direction(t, k, noise.increments) * grid.dt
+    return acc
+
+
 class TestSweepHelpers:
     def test_batched_contractions_match_single_target(self, tanh_setup):
         spec, grid, noise, controls, ens = tanh_setup
-        from alphagames.bsde import solve_first_adjoints
+        basis = ag.RegressionBasis()
         dirs = ag.direction_dictionary(1.0)[:2]
         targets = [(h, d) for h in range(3) for d in dirs]
         sens_all = ag.propagate_sensitivities(spec, controls, ens, targets,
                                               noise)
-        adjs = solve_first_adjoints(spec, controls, ens, noise,
-                                    ag.RegressionBasis(), [0, 1, 2])
         sens_table = ag.first_derivative_sens(spec, ens, noise, sens_all)
-        bsde_table = ag.first_derivative_bsde(spec, ens, noise, adjs,
-                                              targets)
+        bsde_table, _ = ag.bsde_derivatives(
+            spec, ens, noise, basis,
+            first_jobs=[(i, h, d) for h, d in targets for i in range(3)])
         for tidx, (h, d) in enumerate(targets[:3]):
             single = ag.propagate_sensitivity(spec, controls, ens, h, d,
                                               noise)
             for i in (0, 2):
                 sv = ag.first_derivative_sens(spec, ens, noise,
                                               [single])[(i, 0)]
-                bs = ag.first_derivative_bsde(spec, ens, noise, [adjs[i]],
-                                              [(h, d)])[(i, 0)]
+                bs = ag.bsde_derivatives(spec, ens, noise, basis,
+                                         first_jobs=[(i, h, d)])[0][0]
                 assert np.isclose(sens_table[(i, tidx)].value, sv.value,
                                   rtol=1e-10)
-                assert np.isclose(bsde_table[(i, tidx)].value, bs.value,
+                assert np.isclose(bsde_table[3 * tidx + i].value, bs.value,
                                   rtol=1e-10)
 
     @pytest.mark.parametrize("preset,n", [("tanh-coupled", 3),
                                           ("common-noise", 2), ("lq", 4)])
     def test_streamed_own_control_integrals_match_stored(self, preset, n):
         # one sweep for every player, contracted step by step as it is
-        # solved, against a stored single-player solve and contraction
-        from alphagames.derivatives import _own_control_integrals
+        # solved, against a stored single-player solve contracted after
         spec, _ = ag.build_preset(preset, n)
         grid = ag.TimeGrid(10, 1.0)
         noise = ag.NoiseBundle.generate(4, grid, 1500, spec.n_drivers)
@@ -359,14 +366,16 @@ class TestSweepHelpers:
         basis = ag.RegressionBasis()
         dirs = ag.direction_dictionary(1.0)
         directions = [dirs[h % len(dirs)] for h in range(n)]
-        got = _own_control_integrals(spec, ens, noise, basis, directions)
-        assert got.shape == (n, ens.n_paths)
+        _, (got, _) = ag.bsde_derivatives(
+            spec, ens, noise, basis,
+            first_jobs=[(h, h, directions[h]) for h in range(n)],
+            return_pathwise=True)
+        assert sorted(got) == list(range(n))
         for h in range(n):
             adj = ag.solve_first_adjoint(spec, prof, ens, noise, basis, h)
-            _, want = ag.first_derivative_bsde(spec, ens, noise, [adj],
-                                               [(h, directions[h])],
-                                               return_pathwise=True)
-            assert np.allclose(got[h], want[(h, 0)], rtol=0, atol=0)
+            want = _stored_first_order(spec, ens, noise, adj, h,
+                                       directions[h])
+            assert np.allclose(got[h], want, rtol=0, atol=0)
 
 
 def _second_order_case(preset, n, **params):
@@ -385,27 +394,25 @@ def _second_order_case(preset, n, **params):
     return spec, prof, ens, noise, pairs
 
 
+CASES = [("tanh-coupled", 3, {}), ("lq", 2, {"D": 0.4})]
+
+
 class TestSecondOrderEngine:
-    @pytest.mark.parametrize("preset,n,params", [("tanh-coupled", 3, {}),
-                                                 ("lq", 2, {"D": 0.4})])
+    @pytest.mark.parametrize("preset,n,params", CASES)
     def test_batched_routes_match_one_pair_calls(self, preset, n, params):
-        from alphagames.bsde import solve_first_adjoints
         spec, prof, ens, noise, pairs = _second_order_case(preset, n,
                                                            **params)
         basis = ag.RegressionBasis()
-        adjs = solve_first_adjoints(spec, prof, ens, noise, basis, range(n))
-        secs = [ag.solve_second_adjoint(spec, ens, noise, basis, i, adjs[i])
-                for i in range(n)]
         mixed = ag.propagate_second_sensitivities(spec, ens, pairs, noise)
         _, zo = ag.second_derivative_z_oracle(spec, ens, noise, pairs, mixed,
                                               range(n), return_pathwise=True)
-        bs = {}
-        for i in range(n):
-            bs.update(ag.second_derivative_bsde(spec, ens, noise, adjs[i],
-                                                secs[i], pairs,
-                                                return_pathwise=True)[1])
-        assert sorted(zo) == sorted(bs) == [(i, q) for i in range(n)
-                                            for q in range(len(pairs))]
+        jobs = [(i, sh, sl) for i in range(n) for sh, sl in pairs]
+        _, (_, bs) = ag.bsde_derivatives(spec, ens, noise, basis,
+                                         second_jobs=jobs,
+                                         return_pathwise=True)
+        assert sorted(zo) == [(i, q) for i in range(n)
+                              for q in range(len(pairs))]
+        assert sorted(bs) == list(range(len(jobs)))
         for q, pair in enumerate(pairs):
             one = ag.propagate_second_sensitivities(spec, ens, [pair], noise)
             np.testing.assert_allclose(mixed[q].values, one[0].values,
@@ -413,22 +420,20 @@ class TestSecondOrderEngine:
             for i in range(n):
                 _, zo1 = ag.second_derivative_z_oracle(
                     spec, ens, noise, [pair], one, [i], return_pathwise=True)
-                _, bs1 = ag.second_derivative_bsde(
-                    spec, ens, noise, adjs[i], secs[i], [pair],
+                _, (_, bs1) = ag.bsde_derivatives(
+                    spec, ens, noise, basis, second_jobs=[(i, *pair)],
                     return_pathwise=True)
                 np.testing.assert_allclose(zo[(i, q)], zo1[(i, 0)],
                                            rtol=0, atol=0)
-                np.testing.assert_allclose(bs[(i, q)], bs1[(i, 0)],
+                np.testing.assert_allclose(bs[i * len(pairs) + q], bs1[0],
                                            rtol=0, atol=0)
 
     def test_one_linearization_per_step_for_all_pairs(self, monkeypatch):
-        from alphagames import derivatives as deriv_mod
+        from alphagames import bsde as bsde_mod
         from alphagames import sim as sim_mod
         spec, prof, ens, noise, pairs = _second_order_case("tanh-coupled", 3)
         pairs = [pairs[0], pairs[5], pairs[-1]]
-        basis = ag.RegressionBasis()
-        adj = ag.solve_first_adjoint(spec, prof, ens, noise, basis, 1)
-        sec = ag.solve_second_adjoint(spec, ens, noise, basis, 1, adj)
+        dirs = ag.direction_dictionary(1.0)[:2]
         calls = {"linearization": 0, "second partials": 0}
 
         def counting(key, fn):
@@ -441,12 +446,48 @@ class TestSecondOrderEngine:
                                  sim_mod.assemble_variational)
         second_partials = counting("second partials",
                                    sim_mod._second_order_slices)
-        for mod in (sim_mod, deriv_mod):
+        for mod in (sim_mod, bsde_mod):
             monkeypatch.setattr(mod, "assemble_variational", linearization)
             monkeypatch.setattr(mod, "_second_order_slices", second_partials)
         M = ens.grid.n_steps
         ag.propagate_second_sensitivities(spec, ens, pairs, noise)
         assert calls == {"linearization": M, "second partials": M}
+        # every cost player's first- and second-order jobs in one sweep;
+        # solving each player's adjoints apart and contracting them
+        # again linearized 7M times
         calls.update({"linearization": 0, "second partials": 0})
-        ag.second_derivative_bsde(spec, ens, noise, adj, sec, pairs)
+        ag.bsde_derivatives(
+            spec, ens, noise, ag.RegressionBasis(),
+            first_jobs=[(i, h, d) for i in range(3) for h in range(3)
+                        for d in dirs],
+            second_jobs=[(i, sh, sl) for i in range(3) for sh, sl in pairs])
         assert calls == {"linearization": M, "second partials": M}
+
+
+class TestAdjointSweep:
+    @pytest.mark.parametrize("preset,n,params", CASES)
+    def test_first_order_jobs_match_one_job_calls(self, preset, n, params):
+        # first-order jobs of every cost player, swept with every
+        # second-order job, against one sweep per first-order job
+        spec, prof, ens, noise, pairs = _second_order_case(preset, n,
+                                                           **params)
+        basis = ag.RegressionBasis()
+        dirs = ag.direction_dictionary(1.0)[:2]
+        jobs = [(i, h, d) for i in range(n) for h in range(n) for d in dirs]
+        _, (first, _) = ag.bsde_derivatives(
+            spec, ens, noise, basis, first_jobs=jobs,
+            second_jobs=[(i, sh, sl) for i in range(n) for sh, sl in pairs],
+            return_pathwise=True)
+        assert sorted(first) == list(range(len(jobs)))
+        for n_job, job in enumerate(jobs):
+            _, (one, _) = ag.bsde_derivatives(spec, ens, noise, basis,
+                                              first_jobs=[job],
+                                              return_pathwise=True)
+            np.testing.assert_allclose(first[n_job], one[0], rtol=0, atol=0)
+
+    def test_jobs_need_distinct_players(self):
+        spec, prof, ens, noise, pairs = _second_order_case("lq", 2)
+        sh = pairs[0][0]
+        with pytest.raises(ValueError):
+            ag.bsde_derivatives(spec, ens, noise, ag.RegressionBasis(),
+                                second_jobs=[(0, sh, sh)])
