@@ -1,9 +1,10 @@
 """Simulate a preset game and check its constant ledger.
 
-Builds the weakly coupled quadratic game, validates every coefficient
-growth/decay inequality against the auto-filled ledger, simulates an
-ensemble, and compares empirical state moments with the closed-form
-caps implied by the same ledger.
+Builds the weakly coupled quadratic game, evaluates its joint drift
+for every player on one slice of states and controls, validates every
+coefficient growth/decay inequality against the auto-filled ledger,
+simulates an ensemble, and compares empirical state moments with the
+closed-form caps implied by the same ledger.
 """
 
 import numpy as np
@@ -21,6 +22,15 @@ print("== ledger ==")
 print(f"  L_b={ledger.L_b:.3f}  L_y_b={ledger.L_y_b:.3f}  "
       f"L_sigma={ledger.L_sigma:.3f}  L_y_sigma={ledger.L_y_sigma:.3f}  "
       f"combined coupling={ledger.L_y_b_sigma:.3f}")
+
+x0 = spec.initial_states(SEED, 4)
+u0 = controls.evaluate(0.0, 0, noise)[:4]
+slice0 = ag.Slice(0.0, x0, x0, u0)
+print("== joint evaluators at t=0, first 4 paths ==")
+print(f"  drift (P, N) =\n{spec.drift.value(slice0).round(4)}")
+print(f"  d drift_0 / d y = {spec.drift.dy(slice0)[0, 0].round(4)}  "
+      f"(row 0 of the (P, N, N) joint gradient)")
+print(f"  joint-state Hessian structure: {spec.drift.dyy(slice0).kind}")
 
 report = ag.validate_game(spec, ledger, ag.SampleBox(), 256)
 worst = report.worst()

@@ -9,9 +9,10 @@ closed-form constant ledgers.
 """
 
 from .model import (Coefficient, ConstantLedger, Control, ControlProfile,
-                    CostGapNorms, GameSpec, InitialSampler, NoiseBundle,
-                    RunningCost, SampleBox, TerminalCost, TimeGrid,
-                    direction_dictionary, fd_coefficient, validate_game)
+                    CostGapNorms, GameSpec, Hessian, InitialSampler,
+                    NoiseBundle, RunningCost, SampleBox, Slice, TerminalCost,
+                    TimeGrid, direction_dictionary, fd_coefficient,
+                    validate_game)
 from .sim import (PathEnsemble, SecondSensitivityEnsemble,
                   SensitivityEnsemble, VariationalCoefficients,
                   assemble_variational, empirical_moment,

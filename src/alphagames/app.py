@@ -86,9 +86,20 @@ class ExperimentConfig:
             deriv_mod._check_schedule(self.eps_schedule)
         except (TypeError, ValueError, ZeroDivisionError) as e:
             raise ConfigError(f"eps_schedule: {e}")
+        if not self.directions:
+            raise ConfigError("directions: must name at least one direction")
         for name in self.directions:
             if name not in _DIRECTION_NAMES:
                 raise ConfigError(f"directions: unknown name {name!r}")
+        if self.quad_order < 1:
+            raise ConfigError("quad_order: must be >= 1")
+        if not self.scaling_players or min(self.scaling_players) < 1:
+            raise ConfigError("scaling_players: must be nonempty, each >= 1")
+        try:
+            self.build_game()
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"preset_params: {e}")
+        self.anchor_profiles(1)  # parses every anchor
 
     @classmethod
     def from_file(cls, path: str, overrides: dict = None):
@@ -145,8 +156,11 @@ class ExperimentConfig:
             if kind == "zero":
                 profs.append(ControlProfile.zeros(n_players))
             elif kind == "constant":
-                profs.append(ControlProfile.constants(
-                    [float(arg or 0.5)] * n_players))
+                try:
+                    c = float(arg or 0.5)
+                except ValueError:
+                    raise ConfigError(f"anchors: bad constant {arg!r}")
+                profs.append(ControlProfile.constants([c] * n_players))
             elif kind == "ramp":
                 T = self.horizon
                 profs.append(ControlProfile(

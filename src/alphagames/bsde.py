@@ -38,7 +38,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import ControlProfile, GameSpec, NoiseBundle
+from .model import ControlProfile, GameSpec, NoiseBundle, Slice
 from .sim import (PathEnsemble, SensitivityEnsemble, VariationalCoefficients,
                   _second_order_slices, assemble_variational)
 
@@ -366,8 +366,8 @@ def _matrix_driver(B0, rows, so, mat, zmat, fyy, costate, qdiag):
         out += np.einsum("pa,pb->pab", zmat[:, j, :, j], rows[:, j, :],
                          optimize=False)
     out += fyy
-    out += np.einsum("pi,piab->pab", costate, so["b"][4], optimize=False)
-    out += np.einsum("pj,pjab->pab", qdiag, so["s"][4], optimize=False)
+    out += so["b"][4].weighted(costate)
+    out += so["s"][4].weighted(qdiag)
     return out
 
 
@@ -406,10 +406,10 @@ def _adjoint_sweep(spec, ensemble, noise, basis, players, second=()):
     terminal = np.empty((P, cols + S * N * N))
     costates, matrices = split(terminal)
     xT = ensemble.states[:, -1, :]
-    for q, p in enumerate(players):
-        costates[:, q] = spec.terminal_cost[p].dy(xT)
-    for s, p in enumerate(second):
-        matrices[:, s] = spec.terminal_cost[p].dyy(xT)
+    end = Slice(ensemble.grid.horizon, xT, xT)
+    costates[:] = spec.terminal_cost.dy(end)[:, players]
+    if S:
+        matrices[:] = spec.terminal_cost.dyy(end)[:, second]
     yield costates, matrices
 
     def step(k, reg, ynext, z):
@@ -425,21 +425,20 @@ def _adjoint_sweep(spec, ensemble, noise, basis, players, second=()):
             # driver matrix j is the transpose of a single-row matrix
             driver += np.einsum("pa,pq->pqa", vc.diffusion_row(j),
                                 zcost[:, j, :, j], optimize=False)
-        for q, p in enumerate(players):
-            driver[:, q, :] += spec.running_cost[p].dy(t, x, u)
+        driver += spec.running_cost.dy(vc.slice)[:, players]
         costates = reg.fit((ycost + dt * driver).reshape(P, cols)).reshape(
             P, Q, N)
         if not S:
             return costates.reshape(P, cols), AdjointStep(
                 k, vc, None, costates, zcost, None, None, reg.diagnostics())
-        so = _second_order_slices(spec, t, x, u)
+        so = _second_order_slices(spec, vc.slice)
         rows = np.stack([vc.diffusion_row(j) for j in range(N)], axis=1)
+        fyy = spec.running_cost.dyy(vc.slice)
         targets = np.empty((P, S, N, N))
         for s, (p, q) in enumerate(zip(second, own)):
             qdiag = np.stack([zcost[:, j, q, j] for j in range(N)], axis=1)
             driver = _matrix_driver(B0, rows, so, ymat[:, s], zmat[:, :, s],
-                                    spec.running_cost[p].dyy(t, x, u),
-                                    costates[:, q], qdiag)
+                                    fyy[:, p], costates[:, q], qdiag)
             targets[:, s] = ymat[:, s] + dt * driver
         fitted = reg.fit(targets.reshape(P, S * N * N)).reshape(P, S, N, N)
         matrices = 0.5 * (fitted + np.swapaxes(fitted, 2, 3))
@@ -609,9 +608,9 @@ def second_adjoint_process(spec: GameSpec, ensemble: PathEnsemble,
         rows = np.stack([vc.diffusion_row(j) for j in range(N)], axis=1)
         qdiag = np.stack([first.Q_vals[:, k, j, j] for j in range(N)], axis=1)
         drift[:, k] = -_matrix_driver(
-            vc.drift_state(), rows, _second_order_slices(spec, t, x, u),
+            vc.drift_state(), rows, _second_order_slices(spec, vc.slice),
             second.P2[:, k], second.Q2[:, k],
-            spec.running_cost[second.player].dyy(t, x, u),
+            spec.running_cost.dyy(vc.slice)[:, second.player],
             first.P_vals[:, k, :], qdiag)
     return MatrixItoProcess(values=second.P2,
                             drift=drift,

@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bsde import RegressionBasis, _adjoint_sweep
-from .model import Control, ControlProfile, GameSpec, NoiseBundle, TimeGrid
+from .model import (Control, ControlProfile, GameSpec, NoiseBundle, Slice,
+                    TimeGrid)
 from .sim import PathEnsemble, _bilinear_sources, _dot, simulate_cost_batch
 
 __all__ = [
@@ -82,20 +83,24 @@ def _keyed_estimates(acc: np.ndarray, keys: list, method: str, metadata,
     return est
 
 
+def _slices(ensemble: PathEnsemble):
+    """(k, slice) at every step's left endpoint."""
+    for k, t in enumerate(ensemble.grid.nodes[:-1]):
+        x = ensemble.states[:, k, :]
+        yield k, Slice(t, x, x, ensemble.realized_controls[:, k, :])
+
+
+def _terminal(ensemble: PathEnsemble) -> Slice:
+    xT = ensemble.states[:, -1, :]
+    return Slice(ensemble.grid.horizon, xT, xT)
+
+
 def cost_pathwise(spec: GameSpec, ensemble: PathEnsemble) -> np.ndarray:
     """Per-path realized cost of every player, shape (P, N)."""
-    grid = ensemble.grid
-    P = ensemble.n_paths
-    N = spec.n_players
-    out = np.zeros((P, N))
-    for k, t in enumerate(grid.nodes[:-1]):
-        x = ensemble.states[:, k, :]
-        u = ensemble.realized_controls[:, k, :]
-        for i in range(N):
-            out[:, i] += spec.running_cost[i].value(t, x, u) * grid.dt
-    xT = ensemble.states[:, -1, :]
-    for i in range(N):
-        out[:, i] += spec.terminal_cost[i].value(xT)
+    out = np.zeros((ensemble.n_paths, spec.n_players))
+    for _, sl in _slices(ensemble):
+        out += spec.running_cost.value(sl) * ensemble.grid.dt
+    out += spec.terminal_cost.value(_terminal(ensemble))
     return out
 
 
@@ -169,22 +174,18 @@ def first_derivative_sens(spec: GameSpec, ensemble: PathEnsemble,
     grid = ensemble.grid
     N = spec.n_players
     acc = np.zeros((N, len(sens_list), ensemble.n_paths))
-    for k, t in enumerate(grid.nodes[:-1]):
-        x = ensemble.states[:, k, :]
-        u = ensemble.realized_controls[:, k, :]
-        dvals = [s.direction(t, k, noise.increments) for s in sens_list]
+    for k, sl in _slices(ensemble):
+        dvals = [s.direction(sl.t, k, noise.increments) for s in sens_list]
+        fy, fu = spec.running_cost.dy(sl), spec.running_cost.du(sl)
         for i in range(N):
-            fy = spec.running_cost[i].dy(t, x, u)
-            fu = spec.running_cost[i].du(t, x, u)
             for s, sens in enumerate(sens_list):
-                acc[i, s] += (_dot(fy, sens.values[:, k, :])
-                              + fu[:, sens.perturbed_player] * dvals[s]
+                acc[i, s] += (_dot(fy[:, i], sens.values[:, k, :])
+                              + fu[:, i, sens.perturbed_player] * dvals[s]
                               ) * grid.dt
-    xT = ensemble.states[:, -1, :]
+    gy = spec.terminal_cost.dy(_terminal(ensemble))
     for i in range(N):
-        gy = spec.terminal_cost[i].dy(xT)
         for s, sens in enumerate(sens_list):
-            acc[i, s] += _dot(gy, sens.values[:, -1, :])
+            acc[i, s] += _dot(gy[:, i], sens.values[:, -1, :])
     keys = [(i, s) for i in range(N) for s in range(len(sens_list))]
     return _keyed_estimates(
         acc, keys, "SENS",
@@ -252,32 +253,30 @@ def second_derivative_z_oracle(spec: GameSpec, ensemble: PathEnsemble,
     players = list(players)
     grid = ensemble.grid
     acc = np.zeros((len(players), len(pairs), ensemble.n_paths))
-    for k, t in enumerate(grid.nodes[:-1]):
-        x = ensemble.states[:, k, :]
-        u = ensemble.realized_controls[:, k, :]
-        dvals = [(sh.direction(t, k, noise.increments),
-                  sl.direction(t, k, noise.increments)) for sh, sl in pairs]
+    f, g = spec.running_cost, spec.terminal_cost
+    for k, s in _slices(ensemble):
+        dvals = [(sh.direction(s.t, k, noise.increments),
+                  sl.direction(s.t, k, noise.increments)) for sh, sl in pairs]
+        fy, fyy, fyu, fuu = f.dy(s), f.dyy(s), f.dyu(s), f.duu(s)
         for a, i in enumerate(players):
-            f = spec.running_cost[i]
-            fy, fyy = f.dy(t, x, u), f.dyy(t, x, u)
-            fyu, fuu = f.dyu(t, x, u), f.duu(t, x, u)
             for q, ((sh, sl), (h, l)) in enumerate(zip(pairs, hl)):
                 yh, yl = sh.values[:, k, :], sl.values[:, k, :]
                 du_h, du_l = dvals[q]
-                acc[a, q] += (np.einsum("pa,pab,pb->p", yh, fyy, yl,
+                acc[a, q] += (np.einsum("pa,pab,pb->p", yh, fyy[:, i], yl,
                                         optimize=False)
-                              + du_h * _dot(fyu[:, :, h], yl)
-                              + du_l * _dot(yh, fyu[:, :, l])
-                              + fuu[:, h, l] * du_h * du_l) * grid.dt
-                acc[a, q] += _dot(fy, mixed[q].values[:, k, :]) * grid.dt
-    xT = ensemble.states[:, -1, :]
+                              + du_h * _dot(fyu[:, i, :, h], yl)
+                              + du_l * _dot(yh, fyu[:, i, :, l])
+                              + fuu[:, i, h, l] * du_h * du_l) * grid.dt
+                acc[a, q] += _dot(fy[:, i],
+                                  mixed[q].values[:, k, :]) * grid.dt
+    end = _terminal(ensemble)
+    gy, gyy = g.dy(end), g.dyy(end)
     for a, i in enumerate(players):
-        gyy = spec.terminal_cost[i].dyy(xT)
-        gy = spec.terminal_cost[i].dy(xT)
         for q, (sh, sl) in enumerate(pairs):
-            acc[a, q] += np.einsum("pa,pab,pb->p", sh.values[:, -1, :], gyy,
-                                   sl.values[:, -1, :], optimize=False)
-            acc[a, q] += _dot(gy, mixed[q].values[:, -1, :])
+            acc[a, q] += np.einsum("pa,pab,pb->p", sh.values[:, -1, :],
+                                   gyy[:, i], sl.values[:, -1, :],
+                                   optimize=False)
+            acc[a, q] += _dot(gy[:, i], mixed[q].values[:, -1, :])
     return _keyed_estimates(
         acc, [(i, q) for i in players for q in range(len(pairs))],
         "Z-ORACLE", lambda key: {"player": key[0], "pair": hl[key[1]]},
@@ -324,24 +323,21 @@ def bsde_derivatives(spec: GameSpec, ensemble: PathEnsemble,
     terms = np.empty((len(second_jobs), M, P))
     sweep = _adjoint_sweep(spec, ensemble, noise, basis, players, second)
     next(sweep)  # the terminal layers enter no integrand
+    f = spec.running_cost
     for step in sweep:
-        k, vc = step.k, step.vc
+        k, vc, at = step.k, step.vc, step.vc.slice
         t = grid.nodes[k]
-        x = ensemble.states[:, k, :]
-        u = ensemble.realized_controls[:, k, :]
-        fu = {i: spec.running_cost[i].du(t, x, u)
-              for i in {i for i, _ in rows}}
+        fu = f.du(at) if rows else None
         for r, (i, h) in enumerate(rows):
             q = own[i]
             integrands[r, k] = (step.costates[:, q, h] * vc.dub[:, h]
                                 + vc.dus[:, h] * step.loadings[:, h, q, h]
-                                + fu[i][:, h])
-        cost = {}
-        for s, i in enumerate(second):
-            f, q = spec.running_cost[i], own[i]
-            cost[i] = (s, q, f.dyu(t, x, u), f.duu(t, x, u),
-                       np.stack([step.loadings[:, j, q, j]
-                                 for j in range(N)], axis=1))
+                                + fu[:, i, h])
+        fyu, fuu = (f.dyu(at), f.duu(at)) if second else (None, None)
+        cost = {i: (s, own[i], fyu[:, i], fuu[:, i],
+                    np.stack([step.loadings[:, j, own[i], j]
+                              for j in range(N)], axis=1))
+                for s, i in enumerate(second)}
         dvals = _direction_values([sens.direction for _, sh, sl in second_jobs
                                    for sens in (sh, sl)], t, k, noise)
         sources = {}

@@ -1,26 +1,39 @@
 """Domain types for N-player controlled diffusions.
 
-A game is a bundle of per-player coefficient evaluators (drift and
-diffusion of the private state), per-player cost evaluators, initial
-state samplers, and an optional shared Brownian driver.  Evaluators
+A game is a bundle of joint evaluators, one per quantity (the drift
+and the diffusion of the private states, the running and the terminal
+costs), each returning every player at once, plus per-player initial
+state samplers and an optional shared Brownian driver.  Evaluators
 carry analytic partial derivatives; nothing in this module integrates
-anything.  All types are immutable after construction and evaluators
-are required to be pure functions of their arguments.
+anything.  All types are immutable after construction.  Evaluators are
+pure functions of the slice they read and keep no module-level state:
+what several of them share (the state mean, tanh of the state and the
+control, the tanh sum) is computed lazily on the slice and freed with
+it.
 
 Conventions used throughout the package:
 
 * private states are one-dimensional, so a game with N players has an
   N-dimensional joint state;
-* evaluators are vectorized over Monte Carlo paths: ``t`` is a scalar,
-  own state ``x`` and own control ``u`` have shape ``(P,)``, the joint
-  state ``y`` has shape ``(P, N)``;
-* gradients in the joint state have shape ``(P, N)`` and joint-state
-  Hessians ``(P, N, N)``.
+* every evaluator reads one ``Slice(t, x, y, u)`` over P Monte Carlo
+  paths: own states ``x``, joint state ``y`` and own controls ``u``,
+  each (P, N), column i being player i's; ``t`` is a scalar in the
+  sweeps and a (P, 1) column in validation.  The sweeps pass the same
+  array as ``x`` and ``y``; validation samples them independently.
+  Coefficients read ``x``, ``y`` and ``u``; costs read ``y`` and ``u``
+  only (terminal costs ``y`` only);
+* coefficient values and own partials (``dx, du, dxx, dxu, duu``) are
+  (P, N), column i for player i; joint gradients (``dy, dxy, duy``)
+  are (P, N, N), row i for player i; joint-state Hessians are a
+  ``Hessian`` of declared structure;
+* cost values are (P, N), cost gradients (P, N, N) and cost Hessians
+  (P, N, N, N), player first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -28,6 +41,8 @@ import numpy as np
 from . import rng
 
 __all__ = [
+    "Slice",
+    "Hessian",
     "Coefficient",
     "RunningCost",
     "TerminalCost",
@@ -46,72 +61,155 @@ __all__ = [
 ]
 
 
-def _zeros_like_x(t, x, y, u):
-    return np.zeros_like(np.asarray(x, dtype=float))
+class Slice:
+    """One time step's evaluator arguments (see the module conventions)
+    and the quantities several evaluators share, each computed on first
+    use and freed with the slice."""
+
+    def __init__(self, t, x, y, u=None):
+        self.t, self.x, self.y, self.u = t, x, y, u
+
+    # reductions over players run on row-major copies: numpy sums rows
+    # of eight or more in another order than columns
+
+    @cached_property
+    def mean(self):
+        """(P,) average of the joint state."""
+        return np.ascontiguousarray(self.y).mean(axis=1)
+
+    @cached_property
+    def tanh_y(self):
+        return np.tanh(self.y)
+
+    @cached_property
+    def tanh_x(self):
+        return self.tanh_y if self.x is self.y else np.tanh(self.x)
+
+    @cached_property
+    def tanh_u(self):
+        return np.tanh(self.u)
+
+    @cached_property
+    def tanh_sum(self):
+        """(P,) sum over players of tanh of the joint state."""
+        return np.ascontiguousarray(self.tanh_y).sum(axis=1)
 
 
-def _zeros_like_y(t, x, y, u):
-    return np.zeros_like(np.asarray(y, dtype=float))
+class Hessian:
+    """Joint-state Hessians of every player's coefficient at one slice,
+    in a declared structure: ``zero``; ``diagonal``, where ``data[p, i,
+    n]`` is player i's second derivative in y_n and every mixed entry
+    is zero; or ``dense``, ``data[p, i, n, m]``.  Consumers use only the
+    two contractions and the dense view, so none branches on the
+    structure, and a zero or diagonal Hessian never builds an N^4 array
+    per path.  Contractions sum in ascending index order."""
+
+    def __init__(self, kind: str, shape, data=None):
+        self.kind, self.shape, self.data = kind, tuple(shape), data
+
+    @classmethod
+    def zero(cls, shape) -> "Hessian":
+        """Identically zero; ``shape`` is (P, N)."""
+        return cls("zero", shape)
+
+    @classmethod
+    def diagonal(cls, data) -> "Hessian":
+        return cls("diagonal", data.shape[:2], data)
+
+    @classmethod
+    def dense(cls, data) -> "Hessian":
+        return cls("dense", data.shape[:2], data)
+
+    def bilinear(self, a, b) -> np.ndarray:
+        """(P, N): row i is the form of player i's Hessian on the (P, N)
+        vectors ``a`` and ``b``."""
+        if self.kind == "dense":
+            return np.einsum("pn,pinm,pm->pi", a, self.data, b,
+                             optimize=False)
+        out = np.zeros(self.shape)
+        if self.kind == "diagonal":
+            terms = a[:, None, :] * self.data * b[:, None, :]
+            for n in range(self.shape[1]):
+                out += terms[..., n]
+        return out
+
+    def weighted(self, w) -> np.ndarray:
+        """(P, N, N): the players' Hessians summed with (P, N) weights."""
+        if self.kind == "dense":
+            return np.einsum("pi,piab->pab", w, self.data, optimize=False)
+        P, N = self.shape
+        out = np.zeros((P, N, N))
+        if self.kind == "diagonal":
+            terms = w[:, :, None] * self.data
+            diagonal = np.einsum("pii->pi", out)  # writable view
+            for i in range(N):
+                diagonal += terms[:, i]
+        return out
+
+    def dense_view(self) -> np.ndarray:
+        """(P, N, N, N) array of every entry."""
+        P, N = self.shape
+        if self.kind == "dense":
+            return self.data
+        if self.kind == "diagonal":
+            return self.data[..., None] * np.eye(N)
+        return np.zeros((P, N, N, N))
 
 
-def _zeros_hess(t, x, y, u):
-    y = np.asarray(y, dtype=float)
-    return np.zeros(y.shape + (y.shape[-1],))
+def _zero(tail):
+    """Evaluator of a partial declared zero: (P, N) plus ``tail`` more
+    axes of size N, or a zero ``Hessian`` when ``tail`` is None."""
+    def zero(s):
+        P, N = s.y.shape
+        if tail is None:
+            return Hessian.zero((P, N))
+        return np.zeros((P, N) + (N,) * tail)
+    return zero
 
 
-class Coefficient:
-    """One player's drift or diffusion term with analytic partials.
+class _Evaluators:
+    """A value evaluator plus the partials named in ``PARTIALS`` (name ->
+    trailing N axes after (P, N)); a partial not supplied is identically
+    zero."""
 
-    Any partial not supplied is identically zero.  ``dy`` returns the
-    full gradient in the joint state, ``dyy`` the full Hessian, and
-    ``dxy``/``duy`` the mixed own-state/joint-state and control/joint-
-    state derivative vectors.
-    """
+    PARTIALS: dict = {}
 
-    def __init__(self, value, dx=None, du=None, dy=None, dxx=None, dxu=None,
-                 duu=None, dxy=None, duy=None, dyy=None):
+    def __init__(self, value, **partials):
+        unknown = set(partials) - set(self.PARTIALS)
+        if unknown:
+            raise TypeError(f"unknown partials {sorted(unknown)}")
         self.value = value
-        self.dx = dx or _zeros_like_x
-        self.du = du or _zeros_like_x
-        self.dy = dy or _zeros_like_y
-        self.dxx = dxx or _zeros_like_x
-        self.dxu = dxu or _zeros_like_x
-        self.duu = duu or _zeros_like_x
-        self.dxy = dxy or _zeros_like_y
-        self.duy = duy or _zeros_like_y
-        self.dyy = dyy or _zeros_hess
-        self.is_affine = all(f is None for f in
-                             (dxx, dxu, duu, dxy, duy, dyy))
+        self.supplied = {k for k, f in partials.items() if f is not None}
+        for name, tail in self.PARTIALS.items():
+            setattr(self, name, partials.get(name) or _zero(tail))
 
 
-class RunningCost:
-    """Per-player running cost f(t, y, u) with partials in (y, u).
+class Coefficient(_Evaluators):
+    """Drift or diffusion of every player's private state, b_i(t, x_i,
+    y, u_i), with analytic partials in the own state, the own control
+    and the joint state; ``dyy`` returns a ``Hessian``."""
 
-    Here ``y`` is the joint state (P, N) and ``u`` the joint control
-    profile (P, N).  ``dyu[a, b]`` is the derivative in state ``a`` and
-    control ``b``.
-    """
+    PARTIALS = {"dx": 0, "du": 0, "dxx": 0, "dxu": 0, "duu": 0,
+                "dy": 1, "dxy": 1, "duy": 1, "dyy": None}
 
-    def __init__(self, value, dy=None, du=None, dyy=None, dyu=None, duu=None):
-        zeros_vec = lambda t, y, u: np.zeros_like(np.asarray(y, dtype=float))
-        zeros_mat = lambda t, y, u: np.zeros(
-            np.asarray(y).shape + (np.asarray(y).shape[-1],))
-        self.value = value
-        self.dy = dy or zeros_vec
-        self.du = du or zeros_vec
-        self.dyy = dyy or zeros_mat
-        self.dyu = dyu or zeros_mat
-        self.duu = duu or zeros_mat
+    @property
+    def is_affine(self) -> bool:
+        """Every second partial is declared zero."""
+        return not self.supplied - {"dx", "du", "dy"}
 
 
-class TerminalCost:
-    """Per-player terminal cost g(y) with gradient and Hessian."""
+class RunningCost(_Evaluators):
+    """Every player's running cost f_i(t, y, u) with partials in the
+    joint state and control; ``dyu[:, i, a, b]`` is player i's
+    derivative in state a and control b."""
 
-    def __init__(self, value, dy=None, dyy=None):
-        self.value = value
-        self.dy = dy or (lambda y: np.zeros_like(np.asarray(y, dtype=float)))
-        self.dyy = dyy or (lambda y: np.zeros(
-            np.asarray(y).shape + (np.asarray(y).shape[-1],)))
+    PARTIALS = {"dy": 1, "du": 1, "dyy": 2, "dyu": 2, "duu": 2}
+
+
+class TerminalCost(_Evaluators):
+    """Every player's terminal cost g_i(y) with gradient and Hessian."""
+
+    PARTIALS = {"dy": 1, "dyy": 2}
 
 
 class InitialSampler:
@@ -177,33 +275,34 @@ class GameSpec:
     n_players: int
     horizon: float
     initial_samplers: Sequence[InitialSampler]
-    drift: Sequence[Coefficient]
-    diffusion: Sequence[Coefficient]
-    running_cost: Sequence[RunningCost]
-    terminal_cost: Sequence[TerminalCost]
+    drift: Coefficient
+    diffusion: Coefficient
+    running_cost: RunningCost
+    terminal_cost: TerminalCost
     common_noise: bool = False
 
     def __post_init__(self):
-        n = self.n_players
-        if n < 1:
+        if self.n_players < 1:
             raise ValueError("n_players must be positive")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
-        for name in ("initial_samplers", "drift", "diffusion",
-                     "running_cost", "terminal_cost"):
-            if len(getattr(self, name)) != n:
-                raise ValueError(f"{name} must have one entry per player")
+        if len(self.initial_samplers) != self.n_players:
+            raise ValueError("initial_samplers must have one entry per player")
 
     @property
     def n_drivers(self) -> int:
         return self.n_players + (1 if self.common_noise else 0)
 
     def has_affine_coefficients(self) -> bool:
-        """True when every drift/diffusion second partial is the zero
-        default, in which case the mixed control response vanishes
+        """True when every drift/diffusion second partial is declared
+        zero, in which case the mixed control response vanishes
         identically."""
-        return all(c.is_affine for c in
-                   list(self.drift) + list(self.diffusion))
+        return self.drift.is_affine and self.diffusion.is_affine
+
+    def initial_states(self, seed: int, n_paths: int) -> np.ndarray:
+        """(P, N) initial states, player i's column drawn by its sampler."""
+        return np.stack([s.draw(seed, n_paths, i)
+                         for i, s in enumerate(self.initial_samplers)], axis=1)
 
 
 @dataclass(frozen=True)
@@ -515,6 +614,11 @@ class ValidationReport:
         return max(self.records, key=lambda r: r.ratio)
 
 
+def _per_player(a) -> np.ndarray:
+    """(N,) maxima of an array whose axis 1 is the player."""
+    return np.max(a, axis=tuple(d for d in range(a.ndim) if d != 1))
+
+
 def validate_game(spec: GameSpec, ledger: ConstantLedger,
                   box: SampleBox = SampleBox(), n_samples: int = 256,
                   check_fd: bool = True) -> ValidationReport:
@@ -523,92 +627,75 @@ def validate_game(spec: GameSpec, ledger: ConstantLedger,
     Each inequality is sampled on the box; the report lists the worst
     ratio of sampled value to ledger bound.  The game passes iff every
     ratio is at most 1 + 1e-6.  Non-finite evaluator output raises with
-    a diagnostic naming the player, point, and derivative tag.
+    a diagnostic naming the player, point, and derivative tag.  Every
+    player's own state is the same sample, drawn independently of the
+    joint state.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     N = spec.n_players
     records: list[ValidationRecord] = []
-    messages: list[str] = []
 
     ts, xs, ys, us = _sample_points(spec, box, n_samples)
+    x = np.repeat(xs[:, None], N, axis=1)
+    sl = Slice(ts[:, None], x, ys, us)
+    origin = Slice(ts[:, None], np.zeros_like(x), np.zeros_like(ys), us)
     kd = np.eye(N)
 
+    checks = {}
+    for tag, coef, L, L_y in (("b", spec.drift, ledger.L_b, ledger.L_y_b),
+                              ("sigma", spec.diffusion, ledger.L_sigma,
+                               ledger.L_y_sigma)):
+        e = {"value0": coef.value(origin),
+             **{name: getattr(coef, name)(sl) for name in
+                ("dx", "du", "duu", "dxx", "dxu", "dy", "dxy", "duy")},
+             "dyy": coef.dyy(sl).dense_view()}
+        inequalities = [
+            ("linear growth |phi(t,0,0,u)|",
+             np.abs(e["value0"]) / (1.0 + np.abs(us)), L),
+            ("|d_x|+|d_u|+|d_uu|",
+             np.abs(e["dx"]) + np.abs(e["du"]) + np.abs(e["duu"]), L),
+            ("|d_xx|+|d_xu|", np.abs(e["dxx"]) + np.abs(e["dxu"]), L),
+            ("N*|d_yj|", N * np.abs(e["dy"]), L_y),
+            ("N*(|d_xyj|+|d_uyj|)",
+             N * (np.abs(e["dxy"]) + np.abs(e["duy"])), L_y),
+            ("N*|d_yjyj|",
+             N * np.abs(e["dyy"][:, :, np.arange(N), np.arange(N)]), L_y),
+        ] + ([("N^2*|d_yjyk|, j!=k",
+               N * N * (np.abs(e["dyy"]) * (1.0 - kd)), L_y)]
+             if N > 1 else [])
+        checks[tag] = e, [(label, _per_player(arr), bound)
+                          for label, arr, bound in inequalities]
     for i in range(N):
-        for tag, coef, L, L_y in (("b", spec.drift[i], ledger.L_b, ledger.L_y_b),
-                                  ("sigma", spec.diffusion[i], ledger.L_sigma,
-                                   ledger.L_y_sigma)):
-            u_own = us[:, i]
-            zero_x = np.zeros_like(xs)
-            zero_y = np.zeros_like(ys)
-            evals = {
-                "value0": coef.value(ts, zero_x, zero_y, u_own),
-                "dx": coef.dx(ts, xs, ys, u_own),
-                "du": coef.du(ts, xs, ys, u_own),
-                "duu": coef.duu(ts, xs, ys, u_own),
-                "dxx": coef.dxx(ts, xs, ys, u_own),
-                "dxu": coef.dxu(ts, xs, ys, u_own),
-                "dy": coef.dy(ts, xs, ys, u_own),
-                "dxy": coef.dxy(ts, xs, ys, u_own),
-                "duy": coef.duy(ts, xs, ys, u_own),
-                "dyy": coef.dyy(ts, xs, ys, u_own),
-            }
-            for name, arr in evals.items():
-                bad = ~np.isfinite(arr)
+        for tag, (e, inequalities) in checks.items():
+            for name, arr in e.items():
+                bad = ~np.isfinite(arr[:, i])
                 if np.any(bad):
                     p = int(np.argwhere(bad)[0][0])
                     raise FloatingPointError(
                         f"non-finite {tag}_{i} derivative {name} for player "
-                        f"{i} at t={ts[p]:.4g}, x={xs[p]:.4g}, u={u_own[p]:.4g}")
-
-            growth = np.abs(evals["value0"]) / (1.0 + np.abs(u_own))
-            checks = [
-                ("linear growth |phi(t,0,0,u)|", float(np.max(growth)), L),
-                ("|d_x|+|d_u|+|d_uu|",
-                 float(np.max(np.abs(evals["dx"]) + np.abs(evals["du"])
-                              + np.abs(evals["duu"]))), L),
-                ("|d_xx|+|d_xu|",
-                 float(np.max(np.abs(evals["dxx"]) + np.abs(evals["dxu"]))), L),
-                ("N*|d_yj|", float(np.max(N * np.abs(evals["dy"]))), L_y),
-                ("N*(|d_xyj|+|d_uyj|)",
-                 float(np.max(N * (np.abs(evals["dxy"])
-                                   + np.abs(evals["duy"])))), L_y),
-                ("N*|d_yjyj|",
-                 float(np.max(N * np.abs(evals["dyy"][:, np.arange(N),
-                                                      np.arange(N)]))), L_y),
-            ]
-            if N > 1:
-                off = np.abs(evals["dyy"]) * (1.0 - kd)
-                checks.append(("N^2*|d_yjyk|, j!=k",
-                               float(np.max(N * N * off)), L_y))
-            for label, worst, bound in checks:
-                records.append(ValidationRecord(
-                    player=i, coefficient=tag, inequality=label,
-                    worst_value=worst, bound=bound,
-                    ratio=_ratio(worst, bound)))
+                        f"{i} at t={ts[p]:.4g}, x={xs[p]:.4g}, "
+                        f"u={us[p, i]:.4g}")
+            records += [ValidationRecord(
+                player=i, coefficient=tag, inequality=label,
+                worst_value=float(worst[i]), bound=bound,
+                ratio=_ratio(float(worst[i]), bound))
+                for label, worst, bound in inequalities]
 
     # cost second derivatives bounded on the box, and pairwise gap
     # sup-norms never exceeded by sampled values
+    f, g = spec.running_cost, spec.terminal_cost
+    hessians = (("f_yy", f.dyy(sl)), ("f_yu", f.dyu(sl)),
+                ("f_uu", f.duu(sl)), ("g_yy", g.dyy(sl)))
     for i in range(N):
-        f, g = spec.running_cost[i], spec.terminal_cost[i]
-        for name, arr in (("f_yy", f.dyy(ts, ys, us)),
-                          ("f_yu", f.dyu(ts, ys, us)),
-                          ("f_uu", f.duu(ts, ys, us)),
-                          ("g_yy", g.dyy(ys))):
-            if not np.all(np.isfinite(arr)):
+        for name, arr in hessians:
+            if not np.all(np.isfinite(arr[:, i])):
                 raise FloatingPointError(
                     f"non-finite cost derivative {name} for player {i}")
     for (i, j), gap in ledger.cost_gaps.items():
-        fi, fj = spec.running_cost[i], spec.running_cost[j]
-        gi, gj = spec.terminal_cost[i], spec.terminal_cost[j]
-        pairs = (
-            ("f_yy", np.abs(fi.dyy(ts, ys, us) - fj.dyy(ts, ys, us)), gap.f_yy),
-            ("f_yu", np.abs(fi.dyu(ts, ys, us) - fj.dyu(ts, ys, us)), gap.f_yu),
-            ("f_uu", np.abs(fi.duu(ts, ys, us) - fj.duu(ts, ys, us)), gap.f_uu),
-            ("g_yy", np.abs(gi.dyy(ys) - gj.dyy(ys)), gap.g_yy),
-        )
-        for name, sampled, bound in pairs:
-            worst = float(np.max(sampled - bound[None]))
+        for name, arr in hessians:
+            bound = getattr(gap, name)
+            worst = float(np.max(np.abs(arr[:, i] - arr[:, j]) - bound[None]))
             ref = float(np.max(bound)) if np.max(bound) > 0 else 1.0
             records.append(ValidationRecord(
                 player=i, coefficient=f"gap({i},{j}).{name}",
@@ -616,176 +703,137 @@ def validate_game(spec: GameSpec, ledger: ConstantLedger,
                 worst_value=worst, bound=0.0,
                 ratio=1.0 + worst / ref if worst > 1e-9 * ref else 0.0))
 
-    if check_fd:
-        msgs = _check_partial_consistency(spec, ts, xs, ys, us)
-        messages.extend(msgs)
-
+    messages = _check_partial_consistency(spec, sl) if check_fd else []
     passed = all(r.ratio <= 1.0 + 1e-6 for r in records) and not messages
     return ValidationReport(records=records, passed=passed, messages=messages)
 
 
-def _check_partial_consistency(spec, ts, xs, ys, us, tol=1e-4):
+def _shifted(s: Slice, *shifts) -> Slice:
+    """``s`` with each (argument, displacement) of ``shifts`` added in
+    turn."""
+    args = dict(x=s.x, y=s.y, u=s.u)
+    for name, d in shifts:
+        args[name] = args[name] + d
+    return Slice(s.t, **args)
+
+
+def _coordinate(v, a, rel_step=1e-5):
+    """Step (P,) of coordinate a of the (P, N) ``v``, and the (P, N)
+    displacement that moves that coordinate alone by it."""
+    h = rel_step * (1.0 + np.abs(v[:, a]))
+    e = np.zeros(v.shape)
+    e[:, a] = h
+    return h, e
+
+
+def _check_partial_consistency(spec, sl, tol=1e-4):
     """Central finite differences of each value evaluator versus the
     supplied first partials; second partials versus differences of the
-    first partials."""
-    msgs = []
+    first partials.  Messages are ordered by player."""
+    found = []
+
+    def close(analytic, fd, what):
+        err = _per_player(np.abs(analytic - fd)
+                          - tol * (1.0 + np.abs(analytic)))
+        found.extend((i, f"{what} of player {i}: analytic/FD mismatch "
+                         f"(excess {err[i]:.3e})")
+                     for i in np.flatnonzero(err > 0))
+
+    def diff(fn, name, delta, h):
+        """Central difference of ``fn`` with slice argument ``name``
+        moved by +-``delta``, over the step ``h``."""
+        d = (fn(_shifted(sl, (name, delta)))
+             - fn(_shifted(sl, (name, -delta))))
+        return d / (2 * h).reshape(h.shape + (1,) * (d.ndim - h.ndim))
+
     N = spec.n_players
-
-    def close(analytic, fd, what, player):
-        err = np.max(np.abs(analytic - fd) - tol * (1.0 + np.abs(analytic)))
-        if err > 0:
-            msgs.append(f"{what} of player {player}: analytic/FD mismatch "
-                        f"(excess {err:.3e})")
-
-    for i in range(N):
-        u_own = us[:, i]
-        for tag, c in (("b", spec.drift[i]), ("sigma", spec.diffusion[i])):
-            hx = 1e-5 * (1.0 + np.abs(xs))
-            fd_dx = (c.value(ts, xs + hx, ys, u_own)
-                     - c.value(ts, xs - hx, ys, u_own)) / (2 * hx)
-            close(c.dx(ts, xs, ys, u_own), fd_dx, f"d_x {tag}", i)
-            hu = 1e-5 * (1.0 + np.abs(u_own))
-            fd_du = (c.value(ts, xs, ys, u_own + hu)
-                     - c.value(ts, xs, ys, u_own - hu)) / (2 * hu)
-            close(c.du(ts, xs, ys, u_own), fd_du, f"d_u {tag}", i)
-            fd_dxx = (c.dx(ts, xs + hx, ys, u_own)
-                      - c.dx(ts, xs - hx, ys, u_own)) / (2 * hx)
-            close(c.dxx(ts, xs, ys, u_own), fd_dxx, f"d_xx {tag}", i)
-            fd_dxu = (c.dx(ts, xs, ys, u_own + hu)
-                      - c.dx(ts, xs, ys, u_own - hu)) / (2 * hu)
-            close(c.dxu(ts, xs, ys, u_own), fd_dxu, f"d_xu {tag}", i)
-            fd_duu = (c.du(ts, xs, ys, u_own + hu)
-                      - c.du(ts, xs, ys, u_own - hu)) / (2 * hu)
-            close(c.duu(ts, xs, ys, u_own), fd_duu, f"d_uu {tag}", i)
-            for a in range(N):
-                ha = 1e-5 * (1.0 + np.abs(ys[:, a]))
-                e = np.zeros_like(ys); e[:, a] = ha
-                fd_dya = (c.value(ts, xs, ys + e, u_own)
-                          - c.value(ts, xs, ys - e, u_own)) / (2 * ha)
-                close(c.dy(ts, xs, ys, u_own)[:, a], fd_dya,
-                      f"d_y{a} {tag}", i)
-                fd_dxy = (c.dx(ts, xs, ys + e, u_own)
-                          - c.dx(ts, xs, ys - e, u_own)) / (2 * ha)
-                close(c.dxy(ts, xs, ys, u_own)[:, a], fd_dxy,
-                      f"d_xy{a} {tag}", i)
-                fd_duy = (c.du(ts, xs, ys + e, u_own)
-                          - c.du(ts, xs, ys - e, u_own)) / (2 * ha)
-                close(c.duy(ts, xs, ys, u_own)[:, a], fd_duy,
-                      f"d_uy{a} {tag}", i)
-                fd_dyy = (c.dy(ts, xs, ys + e, u_own)
-                          - c.dy(ts, xs, ys - e, u_own)) / (2 * ha[:, None])
-                close(c.dyy(ts, xs, ys, u_own)[:, a, :], fd_dyy,
-                      f"d_y{a}y. {tag}", i)
-
-        f, g = spec.running_cost[i], spec.terminal_cost[i]
+    hx = 1e-5 * (1.0 + np.abs(sl.x))
+    hu = 1e-5 * (1.0 + np.abs(sl.u))
+    for tag, c in (("b", spec.drift), ("sigma", spec.diffusion)):
+        close(c.dx(sl), diff(c.value, "x", hx, hx), f"d_x {tag}")
+        close(c.du(sl), diff(c.value, "u", hu, hu), f"d_u {tag}")
+        close(c.dxx(sl), diff(c.dx, "x", hx, hx), f"d_xx {tag}")
+        close(c.dxu(sl), diff(c.dx, "u", hu, hu), f"d_xu {tag}")
+        close(c.duu(sl), diff(c.du, "u", hu, hu), f"d_uu {tag}")
+        dy, dxy, duy = c.dy(sl), c.dxy(sl), c.duy(sl)
+        dyy = c.dyy(sl).dense_view()
         for a in range(N):
-            ha = 1e-5 * (1.0 + np.abs(ys[:, a]))
-            ey = np.zeros_like(ys); ey[:, a] = ha
-            fd = (f.value(ts, ys + ey, us) - f.value(ts, ys - ey, us)) / (2 * ha)
-            close(f.dy(ts, ys, us)[:, a], fd, f"d_y{a} f", i)
-            fdg = (g.value(ys + ey) - g.value(ys - ey)) / (2 * ha)
-            close(g.dy(ys)[:, a], fdg, f"d_y{a} g", i)
-            hu = 1e-5 * (1.0 + np.abs(us[:, a]))
-            eu = np.zeros_like(us); eu[:, a] = hu
-            fdu = (f.value(ts, ys, us + eu) - f.value(ts, ys, us - eu)) / (2 * hu)
-            close(f.du(ts, ys, us)[:, a], fdu, f"d_u{a} f", i)
-            fd2 = (f.dy(ts, ys + ey, us) - f.dy(ts, ys - ey, us)) / (2 * ha[:, None])
-            close(f.dyy(ts, ys, us)[:, :, a], fd2, f"d_y.y{a} f", i)
-            fd2u = (f.dy(ts, ys, us + eu) - f.dy(ts, ys, us - eu)) / (2 * hu[:, None])
-            close(f.dyu(ts, ys, us)[:, :, a], fd2u, f"d_y.u{a} f", i)
-            fd2uu = (f.du(ts, ys, us + eu) - f.du(ts, ys, us - eu)) / (2 * hu[:, None])
-            close(f.duu(ts, ys, us)[:, :, a], fd2uu, f"d_u.u{a} f", i)
-            fd2g = (g.dy(ys + ey) - g.dy(ys - ey)) / (2 * ha[:, None])
-            close(g.dyy(ys)[:, :, a], fd2g, f"d_y.y{a} g", i)
-    return msgs
+            h, e = _coordinate(sl.y, a)
+            close(dy[:, :, a], diff(c.value, "y", e, h), f"d_y{a} {tag}")
+            close(dxy[:, :, a], diff(c.dx, "y", e, h), f"d_xy{a} {tag}")
+            close(duy[:, :, a], diff(c.du, "y", e, h), f"d_uy{a} {tag}")
+            close(dyy[:, :, a, :], diff(c.dy, "y", e, h), f"d_y{a}y. {tag}")
+
+    f, g = spec.running_cost, spec.terminal_cost
+    fy, fu, gy = f.dy(sl), f.du(sl), g.dy(sl)
+    fyy, fyu, fuu, gyy = f.dyy(sl), f.dyu(sl), f.duu(sl), g.dyy(sl)
+    for a in range(N):
+        ha, ey = _coordinate(sl.y, a)
+        hb, eu = _coordinate(sl.u, a)
+        close(fy[:, :, a], diff(f.value, "y", ey, ha), f"d_y{a} f")
+        close(gy[:, :, a], diff(g.value, "y", ey, ha), f"d_y{a} g")
+        close(fu[:, :, a], diff(f.value, "u", eu, hb), f"d_u{a} f")
+        close(fyy[..., a], diff(f.dy, "y", ey, ha), f"d_y.y{a} f")
+        close(fyu[..., a], diff(f.dy, "u", eu, hb), f"d_y.u{a} f")
+        close(fuu[..., a], diff(f.du, "u", eu, hb), f"d_u.u{a} f")
+        close(gyy[..., a], diff(g.dy, "y", ey, ha), f"d_y.y{a} g")
+    return [msg for _, msg in sorted(found, key=lambda m: m[0])]
 
 
 def fd_coefficient(value: Callable, rel_step: float = 1e-5) -> Coefficient:
-    """Wrap a bare value evaluator with central-difference partials.
+    """Wrap a bare joint value evaluator with central-difference partials.
 
     Convenience for prototyping custom games; preset games supply
     analytic partials and should not use this in the core pipeline.
     """
-    def hstep(v):
-        return rel_step * (1.0 + np.abs(v))
+    def own(s, name):
+        """Shift (argument, displacement, step) of every own state or
+        control."""
+        h = rel_step * (1.0 + np.abs(getattr(s, name)))
+        return name, h, h
 
-    def dx(t, x, y, u):
-        h = hstep(x)
-        return (value(t, x + h, y, u) - value(t, x - h, y, u)) / (2 * h)
+    def coordinate(s, a):
+        """Shift of joint-state coordinate a, its step as a column."""
+        h, e = _coordinate(s.y, a, rel_step)
+        return "y", e, h[:, None]
 
-    def du(t, x, y, u):
-        h = hstep(u)
-        return (value(t, x, y, u + h) - value(t, x, y, u - h)) / (2 * h)
+    def moved(s, *shifts):
+        return value(_shifted(s, *shifts))
 
-    def dy(t, x, y, u):
-        y = np.asarray(y, dtype=float)
-        out = np.zeros_like(y)
-        for a in range(y.shape[-1]):
-            h = hstep(y[:, a])
-            e = np.zeros_like(y); e[:, a] = h
-            out[:, a] = (value(t, x, y + e, u) - value(t, x, y - e, u)) / (2 * h)
-        return out
+    def first(s, a):
+        name, d, h = a
+        return (moved(s, (name, d)) - moved(s, (name, -d))) / (2 * h)
 
-    def dxx(t, x, y, u):
-        h = hstep(x)
-        return (value(t, x + h, y, u) - 2 * value(t, x, y, u)
-                + value(t, x - h, y, u)) / (h * h)
+    def second(s, a, b):
+        (na, da, ha), (nb, db, hb) = a, b
+        if a is b:
+            return (moved(s, (na, da)) - 2 * value(s)
+                    + moved(s, (na, -da))) / (ha * ha)
+        return ((moved(s, (na, da), (nb, db)) - moved(s, (na, da), (nb, -db))
+                 - moved(s, (na, -da), (nb, db))
+                 + moved(s, (na, -da), (nb, -db))) / (4 * ha * hb))
 
-    def duu(t, x, y, u):
-        h = hstep(u)
-        return (value(t, x, y, u + h) - 2 * value(t, x, y, u)
-                + value(t, x, y, u - h)) / (h * h)
+    def joint(fn):
+        """(P, N, N) partial: column a from the shift of coordinate a."""
+        return lambda s: np.stack([fn(s, coordinate(s, a))
+                                   for a in range(s.y.shape[1])], axis=2)
 
-    def dxu(t, x, y, u):
-        hx, hu = hstep(x), hstep(u)
-        return ((value(t, x + hx, y, u + hu) - value(t, x + hx, y, u - hu)
-                 - value(t, x - hx, y, u + hu) + value(t, x - hx, y, u - hu))
-                / (4 * hx * hu))
+    def own_second(na, nb):
+        def partial(s):
+            a = own(s, na)
+            return second(s, a, a if na == nb else own(s, nb))
+        return partial
 
-    def dxy(t, x, y, u):
-        y = np.asarray(y, dtype=float)
-        out = np.zeros_like(y)
-        hx = hstep(x)
-        for a in range(y.shape[-1]):
-            h = hstep(y[:, a])
-            e = np.zeros_like(y); e[:, a] = h
-            out[:, a] = ((value(t, x + hx, y + e, u) - value(t, x + hx, y - e, u)
-                          - value(t, x - hx, y + e, u) + value(t, x - hx, y - e, u))
-                         / (4 * hx * h))
-        return out
+    def dyy(s):
+        shifts = [coordinate(s, a) for a in range(s.y.shape[1])]
+        return Hessian.dense(np.stack([np.stack([second(s, a, b)
+                                                 for b in shifts], axis=2)
+                                       for a in shifts], axis=2))
 
-    def duy(t, x, y, u):
-        y = np.asarray(y, dtype=float)
-        out = np.zeros_like(y)
-        hu = hstep(u)
-        for a in range(y.shape[-1]):
-            h = hstep(y[:, a])
-            e = np.zeros_like(y); e[:, a] = h
-            out[:, a] = ((value(t, x, y + e, u + hu) - value(t, x, y - e, u + hu)
-                          - value(t, x, y + e, u - hu) + value(t, x, y - e, u - hu))
-                         / (4 * hu * h))
-        return out
-
-    def dyy(t, x, y, u):
-        y = np.asarray(y, dtype=float)
-        N = y.shape[-1]
-        out = np.zeros(y.shape + (N,))
-        for a in range(N):
-            ha = hstep(y[:, a])
-            ea = np.zeros_like(y); ea[:, a] = ha
-            for b in range(a, N):
-                if a == b:
-                    out[:, a, a] = (value(t, x, y + ea, u) - 2 * value(t, x, y, u)
-                                    + value(t, x, y - ea, u)) / (ha * ha)
-                else:
-                    hb = hstep(y[:, b])
-                    eb = np.zeros_like(y); eb[:, b] = hb
-                    v = ((value(t, x, y + ea + eb, u) - value(t, x, y + ea - eb, u)
-                          - value(t, x, y - ea + eb, u) + value(t, x, y - ea - eb, u))
-                         / (4 * ha * hb))
-                    out[:, a, b] = v
-                    out[:, b, a] = v
-        return out
-
-    return Coefficient(value, dx=dx, du=du, dy=dy, dxx=dxx, dxu=dxu,
-                       duu=duu, dxy=dxy, duy=duy, dyy=dyy)
+    return Coefficient(
+        value, dx=lambda s: first(s, own(s, "x")),
+        du=lambda s: first(s, own(s, "u")),
+        dxx=own_second("x", "x"), dxu=own_second("x", "u"),
+        duu=own_second("u", "u"), dy=joint(first),
+        dxy=joint(lambda s, a: second(s, own(s, "x"), a)),
+        duy=joint(lambda s, a: second(s, own(s, "u"), a)), dyy=dyy)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import (Coefficient, ConstantLedger, CostGapNorms, GameSpec,
-                    InitialSampler, RunningCost, TerminalCost)
+                    Hessian, InitialSampler, RunningCost, TerminalCost)
 
 __all__ = [
     "build_lq_game",
@@ -42,42 +42,39 @@ PRESET_IDS = ("lq", "mean-field", "common-noise", "tanh-coupled")
 # max of |d^2/dm^2 tanh(m)|, attained at tanh(m)^2 = 1/3
 TANH_D2_MAX = 4.0 / (3.0 * np.sqrt(3.0))
 
-# small identity-keyed memo for tanh: within one time step the same
-# state/control slice objects are passed to every player's drift,
-# diffusion, and cost evaluators, so each transcendental is paid once
-_TANH_CACHE: dict = {}
-_TSUM_CACHE: dict = {}
-_MEAN_CACHE: dict = {}
-
-
-def _memoized(cache, a, fn):
-    hit = cache.get(id(a))
-    if hit is not None and hit[0] is a:
-        return hit[1]
-    v = fn(a)
-    if len(cache) >= 16:
-        cache.clear()
-    cache[id(a)] = (a, v)
-    return v
-
-
-def _tanh_of(a):
-    return _memoized(_TANH_CACHE, a, np.tanh)
-
-
-def _tanh_sum(a):
-    return _memoized(_TSUM_CACHE, a, lambda v: _tanh_of(v).sum(axis=1))
-
-
-def _mean_of(a):
-    return _memoized(_MEAN_CACHE, a, lambda v: v.mean(axis=1))
-
 
 def _as_array(v, n, name):
     arr = np.broadcast_to(np.asarray(v, dtype=float), (n,)).copy()
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite")
     return arr
+
+
+def _on_paths(s, a):
+    """Copy of the constant array ``a`` on every path of the slice."""
+    return np.broadcast_to(a, (s.y.shape[0],) + a.shape).copy()
+
+
+def _states_like(s, op, row, column):
+    """``op(row, column)`` of a per-player (N,) row and a per-path (P, 1)
+    column, laid out like the slice's states, so that the sweep's
+    elementwise operations keep running along one memory layout."""
+    out = np.empty_like(s.x, dtype=np.result_type(row, column))
+    return op(row, column, out=out)
+
+
+def _game(n, xi_mean, xi_std, **evaluators):
+    return GameSpec(n_players=n, horizon=1.0,
+                    initial_samplers=[InitialSampler.normal(xi_mean, xi_std)
+                                      for _ in range(n)], **evaluators)
+
+
+def _sech2(th):
+    return 1.0 - th * th
+
+
+def _d2tanh(th):
+    return -2.0 * th * (1.0 - th * th)
 
 
 def _avg_cost_pair(n, i, qi, qj, j):
@@ -88,43 +85,35 @@ def _avg_cost_pair(n, i, qi, qj, j):
     return np.abs(qi * wi - qj * wj)
 
 
+def _outer(a):
+    """Stack of the outer products of the rows of ``a`` with themselves."""
+    return np.einsum("ih,il->ihl", a, a)
+
+
+def _deviation(s):
+    """Every player's state minus the average, (P, N)."""
+    return s.y - s.mean[:, None]
+
+
 def _quadratic_costs(n, qhat, r, gterm):
     """Running/terminal costs 0.5*(qhat_i (y_i - mean)^2 + r_i u_i^2),
-    0.5*g_i (y_i - mean)^2, with exact partials."""
-    running, terminal = [], []
-    for i in range(n):
-        qi, ri, gi = qhat[i], r[i], gterm[i]
-
-        def make(i=i, qi=qi, ri=ri, gi=gi):
-            kd = np.eye(n)
-            w = kd[i] - 1.0 / n  # gradient weights of y_i - mean
-
-            def dev(y):
-                return y[:, i] - _mean_of(y)
-
-            f = RunningCost(
-                value=lambda t, y, u: 0.5 * (qi * dev(y)**2 + ri * u[:, i]**2),
-                dy=lambda t, y, u: qi * dev(y)[:, None] * w[None, :],
-                du=lambda t, y, u: ri * u[:, i][:, None] * kd[i][None, :],
-                dyy=lambda t, y, u: np.broadcast_to(
-                    qi * np.einsum("h,l->hl", w, w),
-                    (y.shape[0], n, n)).copy(),
-                duu=lambda t, y, u: np.broadcast_to(
-                    ri * np.einsum("h,l->hl", kd[i], kd[i]),
-                    (y.shape[0], n, n)).copy(),
-            )
-            g = TerminalCost(
-                value=lambda y: 0.5 * gi * dev(y)**2,
-                dy=lambda y: gi * dev(y)[:, None] * w[None, :],
-                dyy=lambda y: np.broadcast_to(
-                    gi * np.einsum("h,l->hl", w, w),
-                    (y.shape[0], n, n)).copy(),
-            )
-            return f, g
-
-        fi, gi_ = make()
-        running.append(fi)
-        terminal.append(gi_)
+    0.5*g_i (y_i - mean)^2, with exact partials; row i of ``w`` is the
+    gradient of y_i - mean."""
+    kd = np.eye(n)
+    w = kd - 1.0 / n
+    q_yy = qhat[:, None, None] * _outer(w)
+    r_uu = r[:, None, None] * _outer(kd)
+    g_yy = gterm[:, None, None] * _outer(w)
+    running = RunningCost(
+        value=lambda s: 0.5 * (qhat * _deviation(s)**2 + r * s.u**2),
+        dy=lambda s: (qhat * _deviation(s))[:, :, None] * w,
+        du=lambda s: (r * s.u)[:, :, None] * kd,
+        dyy=lambda s: _on_paths(s, q_yy),
+        duu=lambda s: _on_paths(s, r_uu))
+    terminal = TerminalCost(
+        value=lambda s: 0.5 * gterm * _deviation(s)**2,
+        dy=lambda s: (gterm * _deviation(s))[:, :, None] * w,
+        dyy=lambda s: _on_paths(s, g_yy))
     return running, terminal
 
 
@@ -162,37 +151,20 @@ def build_lq_game(n_players: int, A=-0.3, Abar=0.2, B=1.0, b0=0.0,
     if np.any(R <= 0) or np.any(Qhat < 0) or np.any(G < 0):
         raise ValueError("need R > 0, Qhat >= 0, G >= 0")
 
-    drift, diffusion = [], []
-    for i in range(n):
-        def mk(i=i):
-            ai, abar, bi, b0i = A[i], Abar[i], B[i], b0[i]
-            ci, cbar, di, s0i = C[i], Cbar[i], D[i], s0[i]
-            dr = Coefficient(
-                value=lambda t, x, y, u: ai * x + abar * y.mean(axis=1)
-                + bi * u + b0i,
-                dx=lambda t, x, y, u: np.full_like(x, ai),
-                du=lambda t, x, y, u: np.full_like(x, bi),
-                dy=lambda t, x, y, u: np.full_like(y, abar / y.shape[1]),
-            )
-            df = Coefficient(
-                value=lambda t, x, y, u: ci * x + cbar * y.mean(axis=1)
-                + di * u + s0i,
-                dx=lambda t, x, y, u: np.full_like(x, ci),
-                du=lambda t, x, y, u: np.full_like(x, di),
-                dy=lambda t, x, y, u: np.full_like(y, cbar / y.shape[1]),
-            )
-            return dr, df
-        dr, df = mk()
-        drift.append(dr)
-        diffusion.append(df)
+    def linear(own, average, control, const):
+        coupling = np.repeat((average / n)[:, None], n, axis=1)
+        return Coefficient(
+            value=lambda s: own * s.x
+            + _states_like(s, np.multiply, average, s.mean[:, None])
+            + control * s.u + const,
+            dx=lambda s: np.full_like(s.x, own),
+            du=lambda s: np.full_like(s.x, control),
+            dy=lambda s: _on_paths(s, coupling))
 
     running, terminal = _quadratic_costs(n, Qhat, R, G)
-    spec = GameSpec(
-        n_players=n, horizon=1.0,
-        initial_samplers=[InitialSampler.normal(xi_mean, xi_std)
-                          for _ in range(n)],
-        drift=drift, diffusion=diffusion,
-        running_cost=running, terminal_cost=terminal)
+    spec = _game(n, xi_mean, xi_std, drift=linear(A, Abar, B, b0),
+                 diffusion=linear(C, Cbar, D, s0), running_cost=running,
+                 terminal_cost=terminal)
 
     ledger = ConstantLedger(
         L_b=float(np.max(np.maximum(np.abs(A) + np.abs(B), np.abs(b0)))),
@@ -242,6 +214,7 @@ def build_mean_field_game(n_players: int, a=-0.4, kappa_b=0.5, beta=1.0,
     if gamma is None:
         gamma = 0.4 + 0.4 * np.arange(n) / max(n - 1, 1)
     c = _as_array(c, n, "c"); gamma = _as_array(gamma, n, "gamma")
+    kd = np.eye(n)
 
     def sech2(v):
         return 1.0 / np.cosh(v) ** 2
@@ -249,70 +222,43 @@ def build_mean_field_game(n_players: int, a=-0.4, kappa_b=0.5, beta=1.0,
     def d2tanh(v):
         return -2.0 * np.tanh(v) * sech2(v)
 
-    drift, diffusion, running, terminal = [], [], [], []
-    kd = np.eye(n)
-    for i in range(n):
-        def mk(i=i):
-            ai, bi, si, di = a[i], beta[i], s0[i], d[i]
+    def gradient(s, scale):
+        """(P, N, N): player i's gradient of scale_i * tanh(mean)."""
+        return scale * sech2(s.mean)[:, None, None] * np.ones(
+            s.y.shape + (n,))
 
-            def mean(y):
-                return y.mean(axis=1)
+    def hessian(s, scale):
+        """(P, N, N, N): player i's Hessian of scale_i * tanh(mean)."""
+        return scale * d2tanh(s.mean)[:, None, None, None] * np.ones(
+            s.y.shape + (n, n))
 
-            dr = Coefficient(
-                value=lambda t, x, y, u: ai * x + kappa_b * np.tanh(mean(y))
-                + bi * u,
-                dx=lambda t, x, y, u: np.full_like(x, ai),
-                du=lambda t, x, y, u: np.full_like(x, bi),
-                dy=lambda t, x, y, u: (kappa_b / y.shape[1])
-                * sech2(mean(y))[:, None] * np.ones_like(y),
-                dyy=lambda t, x, y, u: (kappa_b / y.shape[1] ** 2)
-                * d2tanh(mean(y))[:, None, None]
-                * np.ones(y.shape + (y.shape[1],)),
-            )
-            df = Coefficient(
-                value=lambda t, x, y, u: si + kappa_s * np.tanh(mean(y))
-                + di * u,
-                du=lambda t, x, y, u: np.full_like(x, di),
-                dy=lambda t, x, y, u: (kappa_s / y.shape[1])
-                * sech2(mean(y))[:, None] * np.ones_like(y),
-                dyy=lambda t, x, y, u: (kappa_s / y.shape[1] ** 2)
-                * d2tanh(mean(y))[:, None, None]
-                * np.ones(y.shape + (y.shape[1],)),
-            )
-            ci, gi = c[i], gamma[i]
-            f = RunningCost(
-                value=lambda t, y, u: 0.5 * r * u[:, i]**2
-                + ci * np.tanh(mean(y)),
-                dy=lambda t, y, u: (ci / y.shape[1])
-                * sech2(mean(y))[:, None] * np.ones_like(y),
-                du=lambda t, y, u: r * u[:, i][:, None] * kd[i][None, :],
-                dyy=lambda t, y, u: (ci / y.shape[1] ** 2)
-                * d2tanh(mean(y))[:, None, None]
-                * np.ones(y.shape + (y.shape[1],)),
-                duu=lambda t, y, u: np.broadcast_to(
-                    r * np.einsum("h,l->hl", kd[i], kd[i]),
-                    (y.shape[0], n, n)).copy(),
-            )
-            g = TerminalCost(
-                value=lambda y: gi * np.tanh(mean(y)),
-                dy=lambda y: (gi / y.shape[1]) * sech2(mean(y))[:, None]
-                * np.ones_like(y),
-                dyy=lambda y: (gi / y.shape[1] ** 2)
-                * d2tanh(mean(y))[:, None, None]
-                * np.ones(y.shape + (y.shape[1],)),
-            )
-            return dr, df, f, g
-        dr, df, f, g = mk()
-        drift.append(dr); diffusion.append(df)
-        running.append(f); terminal.append(g)
-
-    spec = GameSpec(
-        n_players=n, horizon=1.0,
-        initial_samplers=[InitialSampler.normal(xi_mean, xi_std)
-                          for _ in range(n)],
-        drift=drift, diffusion=diffusion,
-        running_cost=running, terminal_cost=terminal)
-
+    drift = Coefficient(
+        value=lambda s: a * s.x + (kappa_b * np.tanh(s.mean))[:, None]
+        + beta * s.u,
+        dx=lambda s: np.full_like(s.x, a),
+        du=lambda s: np.full_like(s.x, beta),
+        dy=lambda s: gradient(s, kappa_b / n),
+        dyy=lambda s: Hessian.dense(hessian(s, kappa_b / n ** 2)))
+    diffusion = Coefficient(
+        value=lambda s: _states_like(s, np.add, s0, (kappa_s * np.tanh(
+            s.mean))[:, None]) + d * s.u,
+        du=lambda s: np.full_like(s.x, d),
+        dy=lambda s: gradient(s, kappa_s / n),
+        dyy=lambda s: Hessian.dense(hessian(s, kappa_s / n ** 2)))
+    r_uu = r * _outer(kd)
+    running = RunningCost(
+        value=lambda s: 0.5 * r * s.u**2
+        + _states_like(s, np.multiply, c, np.tanh(s.mean)[:, None]),
+        dy=lambda s: gradient(s, (c / n)[:, None]),
+        du=lambda s: (r * s.u)[:, :, None] * kd,
+        dyy=lambda s: hessian(s, (c / n ** 2)[:, None, None]),
+        duu=lambda s: _on_paths(s, r_uu))
+    terminal = TerminalCost(
+        value=lambda s: gamma * np.tanh(s.mean)[:, None],
+        dy=lambda s: gradient(s, (gamma / n)[:, None]),
+        dyy=lambda s: hessian(s, (gamma / n ** 2)[:, None, None]))
+    spec = _game(n, xi_mean, xi_std, drift=drift, diffusion=diffusion,
+                 running_cost=running, terminal_cost=terminal)
     gaps = {}
     ones = np.ones((n, n))
     for i in range(n):
@@ -358,27 +304,13 @@ def build_common_noise_game(n_players: int, b=1.0, s=0.3,
     if np.any(R <= 0) or np.any(Qhat < 0) or np.any(G < 0):
         raise ValueError("need R > 0, Qhat >= 0, G >= 0")
 
-    drift, diffusion = [], []
-    for i in range(n):
-        def mk(i=i):
-            bi, si = b[i], s[i]
-            dr = Coefficient(
-                value=lambda t, x, y, u: bi * u,
-                du=lambda t, x, y, u: np.full_like(x, bi),
-            )
-            df = Coefficient(value=lambda t, x, y, u: np.full_like(x, si))
-            return dr, df
-        dr, df = mk()
-        drift.append(dr); diffusion.append(df)
-
     running, terminal = _quadratic_costs(n, Qhat, R, G)
-    spec = GameSpec(
-        n_players=n, horizon=1.0,
-        initial_samplers=[InitialSampler.normal(xi_mean, xi_std)
-                          for _ in range(n)],
-        drift=drift, diffusion=diffusion,
-        running_cost=running, terminal_cost=terminal,
-        common_noise=True)
+    spec = _game(n, xi_mean, xi_std,
+                 drift=Coefficient(value=lambda sl: b * sl.u,
+                                   du=lambda sl: np.full_like(sl.x, b)),
+                 diffusion=Coefficient(lambda sl: np.full_like(sl.x, s)),
+                 running_cost=running, terminal_cost=terminal,
+                 common_noise=True)
     ledger = ConstantLedger(
         L_b=float(np.max(np.abs(b))),
         L_y_b=0.0,
@@ -415,99 +347,72 @@ def build_tanh_game(n_players: int = 3, a=None, kappa_b=0.5, beta=None,
     kappa_b = float(kappa_b); gamma_b = float(gamma_b)
     kappa_s = float(kappa_s); eta = float(eta); r = float(r)
 
-    def sech2(v):
-        th = _tanh_of(v)
-        return 1.0 - th * th
-
-    def d2tanh(v):
-        th = _tanh_of(v)
-        return -2.0 * th * (1.0 - th * th)
-
     kd = np.eye(n)
-    drift, diffusion, running, terminal = [], [], [], []
-    for i in range(n):
-        def mk(i=i):
-            ai, bi, si, di = a[i], beta[i], s0[i], d[i]
-            qi, ci, gi = q[i], chi[i], gterm[i]
+    w = kd - 1.0 / n  # row i: gradient of y_i - mean
 
-            tsum = _tanh_sum
+    def drift_dy(s):
+        sech2_y = _sech2(s.tanh_y)[:, None, :]
+        return ((kappa_b / n) * sech2_y
+                + (gamma_b / n) * sech2_y * s.tanh_u[:, :, None])
 
-            def drift_value(t, x, y, u, ai=ai, bi=bi):
-                ts = tsum(y)
-                return (ai * _tanh_of(x) + (kappa_b / n) * ts + bi * u
-                        + (gamma_b / n) * ts * _tanh_of(u))
+    drift = Coefficient(
+        value=lambda s: a * s.tanh_x + (kappa_b / n) * s.tanh_sum[:, None]
+        + beta * s.u + (gamma_b / n) * s.tanh_sum[:, None] * s.tanh_u,
+        dx=lambda s: a * _sech2(s.tanh_x),
+        du=lambda s: beta
+        + (gamma_b / n) * s.tanh_sum[:, None] * _sech2(s.tanh_u),
+        dy=drift_dy,
+        dxx=lambda s: a * _d2tanh(s.tanh_x),
+        duu=lambda s: (gamma_b / n) * s.tanh_sum[:, None] * _d2tanh(s.tanh_u),
+        duy=lambda s: (gamma_b / n) * _sech2(s.tanh_y)[:, None, :]
+        * _sech2(s.tanh_u)[:, :, None],
+        dyy=lambda s: Hessian.diagonal(
+            ((kappa_b / n) + (gamma_b / n) * s.tanh_u)[:, :, None]
+            * _d2tanh(s.tanh_y)[:, None, :]),
+    )
+    diffusion = Coefficient(
+        value=lambda s: _states_like(
+            s, np.add, s0, (kappa_s / n) * s.tanh_sum[:, None])
+        + d * s.u + eta * s.tanh_x * s.tanh_u,
+        dx=lambda s: eta * _sech2(s.tanh_x) * s.tanh_u,
+        du=lambda s: d + eta * s.tanh_x * _sech2(s.tanh_u),
+        dy=lambda s: np.broadcast_to(
+            ((kappa_s / n) * _sech2(s.tanh_y))[:, None, :],
+            s.y.shape + (n,)).copy(),
+        dxx=lambda s: eta * _d2tanh(s.tanh_x) * s.tanh_u,
+        dxu=lambda s: eta * _sech2(s.tanh_x) * _sech2(s.tanh_u),
+        duu=lambda s: eta * s.tanh_x * _d2tanh(s.tanh_u),
+        dyy=lambda s: Hessian.diagonal(np.broadcast_to(
+            ((kappa_s / n) * _d2tanh(s.tanh_y))[:, None, :],
+            s.y.shape + (n,))),
+    )
 
-            dr = Coefficient(
-                value=drift_value,
-                dx=lambda t, x, y, u: ai * sech2(x),
-                du=lambda t, x, y, u: bi
-                + (gamma_b / n) * tsum(y) * sech2(u),
-                dy=lambda t, x, y, u: (kappa_b / n) * sech2(y)
-                + (gamma_b / n) * sech2(y) * _tanh_of(u)[:, None],
-                dxx=lambda t, x, y, u: ai * d2tanh(x),
-                duu=lambda t, x, y, u: (gamma_b / n) * tsum(y) * d2tanh(u),
-                duy=lambda t, x, y, u: (gamma_b / n) * sech2(y)
-                * sech2(u)[:, None],
-                dyy=lambda t, x, y, u: ((kappa_b / n)
-                                        + (gamma_b / n) * _tanh_of(u))[
-                    :, None, None] * d2tanh(y)[:, :, None] * kd[None, :, :],
-            )
-            df = Coefficient(
-                value=lambda t, x, y, u: si + (kappa_s / n) * tsum(y)
-                + di * u + eta * _tanh_of(x) * _tanh_of(u),
-                dx=lambda t, x, y, u: eta * sech2(x) * _tanh_of(u),
-                du=lambda t, x, y, u: di + eta * _tanh_of(x) * sech2(u),
-                dy=lambda t, x, y, u: (kappa_s / n) * sech2(y),
-                dxx=lambda t, x, y, u: eta * d2tanh(x) * _tanh_of(u),
-                dxu=lambda t, x, y, u: eta * sech2(x) * sech2(u),
-                duu=lambda t, x, y, u: eta * _tanh_of(x) * d2tanh(u),
-                dyy=lambda t, x, y, u: (kappa_s / n)
-                * d2tanh(y)[:, :, None] * kd[None, :, :],
-            )
-
-            w = kd[i] - 1.0 / n
-
-            def dev(y):
-                return y[:, i] - _mean_of(y)
-
-            f = RunningCost(
-                value=lambda t, y, u: 0.5 * (r * u[:, i]**2 + qi * dev(y)**2)
-                + (ci / n) * np.tanh(u[:, i]) * tsum(y),
-                dy=lambda t, y, u: qi * dev(y)[:, None] * w[None, :]
-                + (ci / n) * np.tanh(u[:, i])[:, None] * sech2(y),
-                du=lambda t, y, u: (r * u[:, i]
-                                    + (ci / n) * sech2(u[:, i]) * tsum(y))[
-                    :, None] * kd[i][None, :],
-                dyy=lambda t, y, u: np.broadcast_to(
-                    qi * np.einsum("h,l->hl", w, w),
-                    (y.shape[0], n, n))
-                + (ci / n) * np.tanh(u[:, i])[:, None, None]
-                * d2tanh(y)[:, :, None] * kd[None, :, :],
-                dyu=lambda t, y, u: (ci / n) * (sech2(u[:, i])[:, None]
-                                                * sech2(y))[:, :, None]
-                * kd[i][None, None, :],
-                duu=lambda t, y, u: (r + (ci / n) * d2tanh(u[:, i])
-                                     * tsum(y))[:, None, None]
-                * np.einsum("h,l->hl", kd[i], kd[i])[None],
-            )
-            g = TerminalCost(
-                value=lambda y: 0.5 * gi * dev(y)**2,
-                dy=lambda y: gi * dev(y)[:, None] * w[None, :],
-                dyy=lambda y: np.broadcast_to(
-                    gi * np.einsum("h,l->hl", w, w),
-                    (y.shape[0], n, n)).copy(),
-            )
-            return dr, df, f, g
-        dr, df, f, g = mk()
-        drift.append(dr); diffusion.append(df)
-        running.append(f); terminal.append(g)
-
-    spec = GameSpec(
-        n_players=n, horizon=1.0,
-        initial_samplers=[InitialSampler.normal(xi_mean, xi_std)
-                          for _ in range(n)],
-        drift=drift, diffusion=diffusion,
-        running_cost=running, terminal_cost=terminal)
+    q_hess = q[:, None, None] * _outer(w)
+    g_hess = gterm[:, None, None] * _outer(w)
+    e_hess = _outer(kd)
+    running = RunningCost(
+        value=lambda s: 0.5 * (r * s.u**2 + q * _deviation(s)**2)
+        + (chi / n) * s.tanh_u * s.tanh_sum[:, None],
+        dy=lambda s: (q * _deviation(s))[:, :, None] * w
+        + ((chi / n) * s.tanh_u)[:, :, None] * _sech2(s.tanh_y)[:, None, :],
+        du=lambda s: (r * s.u + (chi / n) * _sech2(s.tanh_u)
+                      * s.tanh_sum[:, None])[:, :, None] * kd,
+        dyy=lambda s: np.broadcast_to(q_hess, s.y.shape + (n, n))
+        + ((chi / n) * s.tanh_u)[:, :, None, None]
+        * _d2tanh(s.tanh_y)[:, None, :, None] * kd,
+        dyu=lambda s: (chi / n)[:, None, None]
+        * (_sech2(s.tanh_u)[:, :, None]
+           * _sech2(s.tanh_y)[:, None, :])[:, :, :, None]
+        * kd[:, None, :],
+        duu=lambda s: (r + (chi / n) * _d2tanh(s.tanh_u)
+                       * s.tanh_sum[:, None])[:, :, None, None] * e_hess,
+    )
+    terminal = TerminalCost(
+        value=lambda s: 0.5 * gterm * _deviation(s)**2,
+        dy=lambda s: (gterm * _deviation(s))[:, :, None] * w,
+        dyy=lambda s: _on_paths(s, g_hess))
+    spec = _game(n, xi_mean, xi_std, drift=drift, diffusion=diffusion,
+                 running_cost=running, terminal_cost=terminal)
 
     gaps = {}
     for i in range(n):

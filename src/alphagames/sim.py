@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Control, ControlProfile, GameSpec, NoiseBundle, TimeGrid
+from .model import (Control, ControlProfile, GameSpec, NoiseBundle, Slice,
+                    TimeGrid)
 
 __all__ = [
     "PathEnsemble",
@@ -74,7 +75,9 @@ class VariationalCoefficients:
     linear system are built on demand.  ``drift_state`` is the N x N
     matrix acting on the sensitivity vector in the drift (own-state
     diagonal plus joint-state block); ``diffusion_state(j)`` is the
-    matrix in front of driver j, nonzero only in row j.
+    matrix in front of driver j, nonzero only in row j.  ``slice`` is
+    the slice the partials were evaluated on; the step's second
+    partials and cost evaluators read it too.
     """
 
     dxb: np.ndarray   # (P, N)
@@ -83,6 +86,7 @@ class VariationalCoefficients:
     dxs: np.ndarray   # (P, N)
     dys: np.ndarray   # (P, N, N)
     dus: np.ndarray   # (P, N)
+    slice: Slice
 
     @property
     def n_players(self) -> int:
@@ -129,21 +133,24 @@ def _check_pair(ensemble: PathEnsemble, noise: NoiseBundle):
         raise ValueError("ensemble and noise bundle must share seed and grid")
 
 
-def simulate_paths(spec: GameSpec, controls: ControlProfile, grid: TimeGrid,
-                   noise: NoiseBundle) -> PathEnsemble:
-    """Explicit Euler simulation of the joint state system."""
+def _check_noise(spec: GameSpec, grid: TimeGrid, noise: NoiseBundle):
     if noise.grid != grid:
         raise ValueError("noise bundle was generated for a different grid")
     if noise.n_drivers != spec.n_drivers:
         raise ValueError("noise bundle driver count does not match the game")
+
+
+def simulate_paths(spec: GameSpec, controls: ControlProfile, grid: TimeGrid,
+                   noise: NoiseBundle) -> PathEnsemble:
+    """Explicit Euler simulation of the joint state system."""
+    _check_noise(spec, grid, noise)
     N, M, P = spec.n_players, grid.n_steps, noise.n_paths
     dt = grid.dt
     nodes = grid.nodes
 
     states = np.empty((P, M + 1, N))
     realized = np.empty((P, M + 1, N))
-    for i in range(N):
-        states[:, 0, i] = spec.initial_samplers[i].draw(noise.seed, P, i)
+    states[:, 0, :] = spec.initial_states(noise.seed, P)
 
     for k in range(M):
         t = nodes[k]
@@ -151,11 +158,9 @@ def simulate_paths(spec: GameSpec, controls: ControlProfile, grid: TimeGrid,
         u = controls.evaluate(t, k, noise)
         realized[:, k, :] = u
         nxt = states[:, k + 1, :]
-        for i in range(N):
-            xi, ui = x[:, i], u[:, i]
-            b = spec.drift[i].value(t, xi, x, ui)
-            s = spec.diffusion[i].value(t, xi, x, ui)
-            nxt[:, i] = xi + b * dt + s * noise.increments[:, k, i]
+        sl = Slice(t, x, x, u)
+        nxt[:] = (x + spec.drift.value(sl) * dt
+                  + spec.diffusion.value(sl) * noise.increments[:, k, :N])
         if spec.common_noise:
             nxt += noise.increments[:, k, N][:, None]
         if not np.all(np.isfinite(nxt)):
@@ -178,48 +183,44 @@ def simulate_cost_batch(spec: GameSpec, profiles, grid: TimeGrid,
     is amortized across legs, and only the running cost accumulator is
     kept, never the trajectories.  Legs default to single precision:
     the rounding noise is orders of magnitude below Monte Carlo error
-    for difference estimators and halves the memory traffic.  Returns
-    (L, P, N) in double precision.
+    for difference estimators and halves the memory traffic.  The
+    sweep's (L*P, N) arrays are stored player-major, so every
+    elementwise evaluator operation runs along the long path axis.
+    Returns (L, P, N) in double precision.
     """
-    if noise.grid != grid:
-        raise ValueError("noise bundle was generated for a different grid")
+    _check_noise(spec, grid, noise)
     N, M, P = spec.n_players, grid.n_steps, noise.n_paths
     L = len(profiles)
     dt = grid.dt
     nodes = grid.nodes
 
-    x = np.empty((L * P, N), dtype=dtype)
-    for i in range(N):
-        xi0 = spec.initial_samplers[i].draw(noise.seed, P, i)
-        x[:, i] = np.tile(xi0, L).astype(dtype)
-    cost = np.zeros((L * P, N))
-    increments = noise.increments.astype(dtype)
+    x = np.tile(spec.initial_states(noise.seed, P), (L, 1)).astype(
+        dtype, order="F")
+    cost = np.zeros((L * P, N), order="F")
+    # (M, D, P): step k's increments of every driver, player-major
+    increments = noise.increments.transpose(1, 2, 0).astype(dtype,
+                                                             order="C")
+    dt_c = np.asarray(dt, dtype=dtype)
     for k in range(M):
         t = nodes[k]
         u = np.concatenate(
             [prof.evaluate(t, k, noise) for prof in profiles],
-            axis=0).astype(dtype)
-        inc = increments[:, k, :]
-        for i in range(N):
-            cost[:, i] += spec.running_cost[i].value(t, x, u) * dt
-        nxt = np.empty_like(x)
-        dt_c = np.asarray(dt, dtype=dtype)
-        for i in range(N):
-            xi, ui = x[:, i], u[:, i]
-            b = spec.drift[i].value(t, xi, x, ui)
-            s = spec.diffusion[i].value(t, xi, x, ui)
-            # increments broadcast over the leg axis, no tiling copies
-            nxt[:, i] = (xi + b * dt_c
-                         + (np.asarray(s, dtype=dtype).reshape(L, P)
-                            * inc[None, :, i]).reshape(-1))
+            axis=0).astype(dtype, order="F")
+        inc = increments[k]
+        sl = Slice(t, x, x, u)
+        cost += spec.running_cost.value(sl) * dt
+        s = np.asarray(spec.diffusion.value(sl), dtype=dtype)
+        # increments broadcast over the leg axis, no tiling copies
+        nxt = (x + spec.drift.value(sl) * dt_c
+               + (s.reshape(L, P, N) * inc[:N].T[None]).reshape(L * P, N)
+               ).astype(dtype)
         if spec.common_noise:
-            nxt += np.tile(inc[:, N], L)[:, None]
+            nxt += np.tile(inc[N], L)[:, None]
         if not np.all(np.isfinite(nxt)):
             raise FloatingPointError(
                 f"non-finite state at step {k + 1} in batched simulation")
         x = nxt
-    for i in range(N):
-        cost[:, i] += spec.terminal_cost[i].value(x)
+    cost += spec.terminal_cost.value(Slice(nodes[M], x, x))
     return cost.reshape(L, P, N)
 
 
@@ -233,22 +234,11 @@ def assemble_variational(spec: GameSpec, t: float, x: np.ndarray,
     single entry.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    P, N = x.shape
-    dxb = np.empty((P, N)); dub = np.empty((P, N))
-    dxs = np.empty((P, N)); dus = np.empty((P, N))
-    dyb = np.empty((P, N, N)); dys = np.empty((P, N, N))
-    for i in range(N):
-        bi, si = spec.drift[i], spec.diffusion[i]
-        xi, ui = x[:, i], u[:, i]
-        dxb[:, i] = bi.dx(t, xi, x, ui)
-        dub[:, i] = bi.du(t, xi, x, ui)
-        dyb[:, i, :] = bi.dy(t, xi, x, ui)
-        dxs[:, i] = si.dx(t, xi, x, ui)
-        dus[:, i] = si.du(t, xi, x, ui)
-        dys[:, i, :] = si.dy(t, xi, x, ui)
-    return VariationalCoefficients(dxb=dxb, dyb=dyb, dub=dub,
-                                   dxs=dxs, dys=dys, dus=dus)
+    sl = Slice(t, x, x, np.atleast_2d(np.asarray(u, dtype=float)))
+    b, s = spec.drift, spec.diffusion
+    return VariationalCoefficients(dxb=b.dx(sl), dyb=b.dy(sl), dub=b.du(sl),
+                                   dxs=s.dx(sl), dys=s.dy(sl), dus=s.du(sl),
+                                   slice=sl)
 
 
 def propagate_sensitivities(spec: GameSpec, controls: ControlProfile,
@@ -300,24 +290,11 @@ def propagate_sensitivity(spec: GameSpec, controls: ControlProfile,
                                    [(h, direction)], noise)[0]
 
 
-def _second_order_slices(spec: GameSpec, t, x, u):
-    """Second partial arrays of every player's drift and diffusion."""
-    P, N = x.shape
-    out = {}
-    for tag, coefs in (("b", spec.drift), ("s", spec.diffusion)):
-        dxx = np.empty((P, N)); dxu = np.empty((P, N))
-        dxy = np.empty((P, N, N)); duy = np.empty((P, N, N))
-        dyy = np.empty((P, N, N, N))
-        for i in range(N):
-            c = coefs[i]
-            xi, ui = x[:, i], u[:, i]
-            dxx[:, i] = c.dxx(t, xi, x, ui)
-            dxu[:, i] = c.dxu(t, xi, x, ui)
-            dxy[:, i, :] = c.dxy(t, xi, x, ui)
-            duy[:, i, :] = c.duy(t, xi, x, ui)
-            dyy[:, i, :, :] = c.dyy(t, xi, x, ui)
-        out[tag] = (dxx, dxu, dxy, duy, dyy)
-    return out
+def _second_order_slices(spec: GameSpec, sl: Slice):
+    """Second partials ``(dxx, dxu, dxy, duy, dyy)`` of the drift and
+    the diffusion at one slice, keyed "b" and "s"."""
+    return {tag: (c.dxx(sl), c.dxu(sl), c.dxy(sl), c.duy(sl), c.dyy(sl))
+            for tag, c in (("b", spec.drift), ("s", spec.diffusion))}
 
 
 def _dot(a, b):
@@ -340,8 +317,7 @@ def _bilinear_sources(so, yh, yl, du_h, du_l, h: int, l: int,
                 + yh * np.einsum("pin,pn->pi", dxy, yl, optimize=False)
                 + np.einsum("pin,pn->pi", dxy, yh, optimize=False) * yl)
         if with_joint_hessian:
-            quad = quad + np.einsum("pn,pinm,pm->pi", yh, dyy, yl,
-                                    optimize=False)
+            quad = quad + dyy.bilinear(yh, yl)
         cross = np.zeros((P, N))
         cross[:, h] += du_h * (dxu[:, h] * yl[:, h] + _dot(duy[:, h, :], yl))
         cross[:, l] += du_l * (dxu[:, l] * yh[:, l] + _dot(duy[:, l, :], yh))
@@ -376,7 +352,7 @@ def propagate_second_sensitivities(spec: GameSpec, ensemble: PathEnsemble,
         x = ensemble.states[:, k, :]
         u = ensemble.realized_controls[:, k, :]
         vc = assemble_variational(spec, t, x, u)
-        so = _second_order_slices(spec, t, x, u)
+        so = _second_order_slices(spec, vc.slice)
         for (sens_h, sens_l), zq in zip(pairs, Z):
             zk = zq[:, k, :]
             drift_src, diff_src = _bilinear_sources(

@@ -205,16 +205,14 @@ def test_criterion_05_apriori_bound_random_instances():
         gen = np.random.default_rng(100 + trial)
         m = int(gen.integers(1, 4))
         d = int(gen.integers(1, 4))
-        zero = Coefficient(lambda t, x, y, u: np.zeros_like(x))
-        unit = Coefficient(lambda t, x, y, u: np.ones_like(x))
+        zero = Coefficient(lambda s: np.zeros_like(s.x))
+        unit = Coefficient(lambda s: np.ones_like(s.x))
         gspec = ag.GameSpec(
             n_players=d, horizon=1.0,
             initial_samplers=[ag.InitialSampler.constant(0.0)] * d,
-            drift=[zero] * d, diffusion=[unit] * d,
-            running_cost=[RunningCost(
-                lambda t, y, u: np.zeros(y.shape[0]))] * d,
-            terminal_cost=[TerminalCost(
-                lambda y: np.zeros(y.shape[0]))] * d)
+            drift=zero, diffusion=unit,
+            running_cost=RunningCost(lambda s: np.zeros(s.y.shape)),
+            terminal_cost=TerminalCost(lambda s: np.zeros(s.y.shape)))
         grid = ag.TimeGrid(int(gen.integers(10, 40)), 1.0)
         noise = ag.NoiseBundle.generate(trial, grid, 8000, d)
         ens = ag.simulate_paths(gspec, ag.ControlProfile.zeros(d), grid,

@@ -332,25 +332,25 @@ class TestExploitability:
         A, B, Qhat, R, G = -0.3, 1.0, 0.8, 1.0, 0.6
         xi_mean = 0.8
         quad_run = ag.RunningCost(
-            value=lambda t, y, u: 0.5 * (Qhat * y[:, 0] ** 2
-                                         + R * u[:, 0] ** 2),
-            dy=lambda t, y, u: Qhat * y, du=lambda t, y, u: R * u,
-            dyy=lambda t, y, u: np.full(y.shape + (1,), Qhat),
-            duu=lambda t, y, u: np.full(y.shape + (1,), R))
+            value=lambda s: 0.5 * (Qhat * s.y ** 2 + R * s.u ** 2),
+            dy=lambda s: Qhat * s.y[:, :, None],
+            du=lambda s: R * s.u[:, :, None],
+            dyy=lambda s: np.full(s.y.shape + (1, 1), Qhat),
+            duu=lambda s: np.full(s.y.shape + (1, 1), R))
         quad_term = ag.TerminalCost(
-            value=lambda y: 0.5 * G * y[:, 0] ** 2,
-            dy=lambda y: G * y,
-            dyy=lambda y: np.full(y.shape + (1,), G))
+            value=lambda s: 0.5 * G * s.y ** 2,
+            dy=lambda s: G * s.y[:, :, None],
+            dyy=lambda s: np.full(s.y.shape + (1, 1), G))
         from alphagames.model import Coefficient
         spec = ag.GameSpec(
             n_players=1, horizon=1.0,
             initial_samplers=[ag.InitialSampler.normal(xi_mean, 0.2)],
-            drift=[Coefficient(
-                value=lambda t, x, y, u: A * x + B * u,
-                dx=lambda t, x, y, u: np.full_like(x, A),
-                du=lambda t, x, y, u: np.full_like(x, B))],
-            diffusion=[Coefficient(lambda t, x, y, u: np.full_like(x, 0.3))],
-            running_cost=[quad_run], terminal_cost=[quad_term])
+            drift=Coefficient(
+                value=lambda s: A * s.x + B * s.u,
+                dx=lambda s: np.full_like(s.x, A),
+                du=lambda s: np.full_like(s.x, B)),
+            diffusion=Coefficient(lambda s: np.full_like(s.x, 0.3)),
+            running_cost=quad_run, terminal_cost=quad_term)
         u_star, ts, P, m = scalar_lq_optimal_control(A, B, Qhat, R, G,
                                                      xi_mean, 1.0)
         grid = ag.TimeGrid(40, 1.0)

@@ -196,6 +196,23 @@ class TestCli:
         out = self.run_cli(["simulate", "--config", str(bad)])
         assert out.returncode == 2
 
+    @pytest.mark.parametrize("subcommand,bad", [
+        ("cross-check", {"directions": []}),
+        ("potential", {"quad_order": 0}),
+        ("scaling", {"scaling_players": []}),
+        ("scaling", {"scaling_players": [2, 0]}),
+        ("simulate", {"preset_params": {"foo": 1}}),
+        ("simulate", {"preset_params": {"R": -1}}),
+        ("alpha", {"anchors": ["constant:abc"]}),
+    ])
+    def test_invalid_config_exits_two(self, tmp_path, capsys, subcommand,
+                                      bad):
+        path, _ = write_config(tmp_path, paths=200, **bad)
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_file(str(path))
+        assert main([subcommand, "--config", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_potential_failed_gap_exits_one(self, tmp_path):
         path, _ = write_config(tmp_path, preset="tanh-coupled", paths=400,
                                quad_order=2, anchors=["constant:0.5"],

@@ -140,14 +140,14 @@ class TestAprioriBound:
         noise = ag.NoiseBundle.generate(trial, grid, 4000, d)
         # state carries d drivers: widen the game driver count via a
         # custom d-player zero game so the bundle matches
-        zero = Coefficient(lambda t, x, y, u: np.zeros_like(x))
-        unit = Coefficient(lambda t, x, y, u: np.ones_like(x))
+        zero = Coefficient(lambda s: np.zeros_like(s.x))
+        unit = Coefficient(lambda s: np.ones_like(s.x))
         gspec = ag.GameSpec(
             n_players=d, horizon=1.0,
             initial_samplers=[ag.InitialSampler.constant(0.0)] * d,
-            drift=[zero] * d, diffusion=[unit] * d,
-            running_cost=[RunningCost(lambda t, y, u: np.zeros(y.shape[0]))] * d,
-            terminal_cost=[TerminalCost(lambda y: np.zeros(y.shape[0]))] * d)
+            drift=zero, diffusion=unit,
+            running_cost=RunningCost(lambda s: np.zeros(s.y.shape)),
+            terminal_cost=TerminalCost(lambda s: np.zeros(s.y.shape)))
         ens = ag.simulate_paths(gspec, ag.ControlProfile.zeros(d), grid,
                                 noise)
         A = gen.normal(size=(m, m)) * 0.5
@@ -183,16 +183,16 @@ class TestFirstAdjoint:
     def test_scalar_linear_terminal_unit(self):
         # single player, control drift, constant diffusion, terminal
         # cost equal to the state: costate is identically one
-        zero_run = RunningCost(lambda t, y, u: np.zeros(y.shape[0]))
-        linear_term = TerminalCost(value=lambda y: y[:, 0],
-                                   dy=lambda y: np.ones_like(y))
+        zero_run = RunningCost(lambda s: np.zeros(s.y.shape))
+        linear_term = TerminalCost(value=lambda s: s.y.copy(),
+                                   dy=lambda s: np.ones(s.y.shape + (1,)))
         spec = ag.GameSpec(
             n_players=1, horizon=1.0,
             initial_samplers=[ag.InitialSampler.constant(0.0)],
-            drift=[Coefficient(value=lambda t, x, y, u: u,
-                               du=lambda t, x, y, u: np.ones_like(x))],
-            diffusion=[Coefficient(lambda t, x, y, u: np.full_like(x, 0.3))],
-            running_cost=[zero_run], terminal_cost=[linear_term])
+            drift=Coefficient(value=lambda s: s.u,
+                              du=lambda s: np.ones_like(s.x)),
+            diffusion=Coefficient(lambda s: np.full_like(s.x, 0.3)),
+            running_cost=zero_run, terminal_cost=linear_term)
         grid = ag.TimeGrid(20, 1.0)
         noise = ag.NoiseBundle.generate(4, grid, 5000, 1)
         prof = ag.ControlProfile.constants([0.5])
@@ -289,18 +289,18 @@ class TestSecondAdjoint:
         assert np.allclose(sec.Q2, 0.0, atol=1e-8)
 
     def test_scalar_quadratic_terminal_unit(self):
-        zero_run = RunningCost(lambda t, y, u: np.zeros(y.shape[0]))
+        zero_run = RunningCost(lambda s: np.zeros(s.y.shape))
         quad_term = TerminalCost(
-            value=lambda y: 0.5 * y[:, 0] ** 2,
-            dy=lambda y: y.copy(),
-            dyy=lambda y: np.ones(y.shape + (1,)))
+            value=lambda s: 0.5 * s.y ** 2,
+            dy=lambda s: s.y[:, :, None].copy(),
+            dyy=lambda s: np.ones(s.y.shape + (1, 1)))
         spec = ag.GameSpec(
             n_players=1, horizon=1.0,
             initial_samplers=[ag.InitialSampler.constant(0.0)],
-            drift=[Coefficient(value=lambda t, x, y, u: u,
-                               du=lambda t, x, y, u: np.ones_like(x))],
-            diffusion=[Coefficient(lambda t, x, y, u: np.full_like(x, 0.3))],
-            running_cost=[zero_run], terminal_cost=[quad_term])
+            drift=Coefficient(value=lambda s: s.u,
+                              du=lambda s: np.ones_like(s.x)),
+            diffusion=Coefficient(lambda s: np.full_like(s.x, 0.3)),
+            running_cost=zero_run, terminal_cost=quad_term)
         grid = ag.TimeGrid(12, 1.0)
         noise = ag.NoiseBundle.generate(9, grid, 4000, 1)
         prof = ag.ControlProfile.constants([0.5])

@@ -11,41 +11,36 @@ from oracles import scalar_lq_cost
 
 def control_drift_game(n=1, g_slope=1.0, sigma=0.3):
     """dX_i = u_i dt + sigma dW_i with terminal cost slope * x_i."""
-    zero_run = RunningCost(lambda t, y, u: np.zeros(y.shape[0]))
-    terms = []
-    for i in range(n):
-        def mk(i=i):
-            return TerminalCost(
-                value=lambda y: g_slope * y[:, i],
-                dy=lambda y: np.broadcast_to(g_slope * np.eye(n)[i],
-                                             y.shape).copy())
-        terms.append(mk())
     return ag.GameSpec(
         n_players=n, horizon=1.0,
         initial_samplers=[ag.InitialSampler.constant(0.0)] * n,
-        drift=[Coefficient(value=lambda t, x, y, u: u,
-                           du=lambda t, x, y, u: np.ones_like(x))] * n,
-        diffusion=[Coefficient(lambda t, x, y, u: np.full_like(x, sigma))] * n,
-        running_cost=[zero_run] * n,
-        terminal_cost=terms)
+        drift=Coefficient(value=lambda s: s.u,
+                          du=lambda s: np.ones_like(s.x)),
+        diffusion=Coefficient(lambda s: np.full_like(s.x, sigma)),
+        running_cost=RunningCost(lambda s: np.zeros(s.y.shape)),
+        terminal_cost=TerminalCost(
+            value=lambda s: g_slope * s.y,
+            dy=lambda s: np.broadcast_to(g_slope * np.eye(n),
+                                         s.y.shape + (n,)).copy()))
 
 
 def product_cost_game():
     """Trivial dynamics; running cost of player 0 is u_1 * u_2."""
-    f0 = RunningCost(
-        value=lambda t, y, u: u[:, 0] * u[:, 1],
-        du=lambda t, y, u: np.stack([u[:, 1], u[:, 0]], axis=1),
-        duu=lambda t, y, u: np.broadcast_to(
-            np.array([[0.0, 1.0], [1.0, 0.0]]), (y.shape[0], 2, 2)).copy())
-    zero_run = RunningCost(lambda t, y, u: np.zeros(y.shape[0]))
-    zero_term = TerminalCost(lambda y: np.zeros(y.shape[0]))
-    zero = Coefficient(lambda t, x, y, u: np.zeros_like(x))
-    unit = Coefficient(lambda t, x, y, u: np.ones_like(x))
+    def only_player_0(a):
+        return np.stack([a, np.zeros_like(a)], axis=1)
+
+    costs = RunningCost(
+        value=lambda s: only_player_0(s.u[:, 0] * s.u[:, 1]),
+        du=lambda s: only_player_0(np.stack([s.u[:, 1], s.u[:, 0]], axis=1)),
+        duu=lambda s: only_player_0(np.broadcast_to(
+            np.array([[0.0, 1.0], [1.0, 0.0]]), (s.y.shape[0], 2, 2))))
     return ag.GameSpec(
         n_players=2, horizon=1.0,
         initial_samplers=[ag.InitialSampler.constant(0.0)] * 2,
-        drift=[zero] * 2, diffusion=[unit] * 2,
-        running_cost=[f0, zero_run], terminal_cost=[zero_term] * 2)
+        drift=Coefficient(lambda s: np.zeros_like(s.x)),
+        diffusion=Coefficient(lambda s: np.ones_like(s.x)),
+        running_cost=costs,
+        terminal_cost=TerminalCost(lambda s: np.zeros(s.y.shape)))
 
 
 @pytest.fixture(scope="module")
@@ -68,14 +63,14 @@ class TestCostValue:
         assert vals[1] == 0.0
 
     def test_unit_running_cost_integrates_horizon(self):
-        one_run = RunningCost(lambda t, y, u: np.ones(y.shape[0]))
-        zero = Coefficient(lambda t, x, y, u: np.zeros_like(x))
+        one_run = RunningCost(lambda s: np.ones(s.y.shape))
+        zero = Coefficient(lambda s: np.zeros_like(s.x))
         spec = ag.GameSpec(
             n_players=1, horizon=1.0,
             initial_samplers=[ag.InitialSampler.constant(0.0)],
-            drift=[zero], diffusion=[zero],
-            running_cost=[one_run],
-            terminal_cost=[TerminalCost(lambda y: np.zeros(y.shape[0]))])
+            drift=zero, diffusion=zero,
+            running_cost=one_run,
+            terminal_cost=TerminalCost(lambda s: np.zeros(s.y.shape)))
         grid = ag.TimeGrid(16, 1.0)
         noise = ag.NoiseBundle.generate(0, grid, 100, 1)
         ens = ag.simulate_paths(spec, ag.ControlProfile.zeros(1), grid, noise)
@@ -88,28 +83,27 @@ class TestCostValue:
         xi_mean, xi_std = 0.5, 0.3
         # single-player variant with own-state quadratic costs
         quad_run = RunningCost(
-            value=lambda t, y, u: 0.5 * (Qhat * y[:, 0] ** 2
-                                         + R * u[:, 0] ** 2),
-            dy=lambda t, y, u: Qhat * y,
-            du=lambda t, y, u: R * u,
-            dyy=lambda t, y, u: np.full(y.shape + (1,), Qhat),
-            duu=lambda t, y, u: np.full(y.shape + (1,), R))
+            value=lambda s: 0.5 * (Qhat * s.y ** 2 + R * s.u ** 2),
+            dy=lambda s: Qhat * s.y[:, :, None],
+            du=lambda s: R * s.u[:, :, None],
+            dyy=lambda s: np.full(s.y.shape + (1, 1), Qhat),
+            duu=lambda s: np.full(s.y.shape + (1, 1), R))
         quad_term = TerminalCost(
-            value=lambda y: 0.5 * G * y[:, 0] ** 2,
-            dy=lambda y: G * y,
-            dyy=lambda y: np.full(y.shape + (1,), G))
+            value=lambda s: 0.5 * G * s.y ** 2,
+            dy=lambda s: G * s.y[:, :, None],
+            dyy=lambda s: np.full(s.y.shape + (1, 1), G))
         spec = ag.GameSpec(
             n_players=1, horizon=1.0,
             initial_samplers=[ag.InitialSampler.normal(xi_mean, xi_std)],
-            drift=[Coefficient(
-                value=lambda t, x, y, u: A * x + B * u,
-                dx=lambda t, x, y, u: np.full_like(x, A),
-                du=lambda t, x, y, u: np.full_like(x, B))],
-            diffusion=[Coefficient(
-                value=lambda t, x, y, u: C * x + D * u + s0,
-                dx=lambda t, x, y, u: np.full_like(x, C),
-                du=lambda t, x, y, u: np.full_like(x, D))],
-            running_cost=[quad_run], terminal_cost=[quad_term])
+            drift=Coefficient(
+                value=lambda s: A * s.x + B * s.u,
+                dx=lambda s: np.full_like(s.x, A),
+                du=lambda s: np.full_like(s.x, B)),
+            diffusion=Coefficient(
+                value=lambda s: C * s.x + D * s.u + s0,
+                dx=lambda s: np.full_like(s.x, C),
+                du=lambda s: np.full_like(s.x, D)),
+            running_cost=quad_run, terminal_cost=quad_term)
         grid = ag.TimeGrid(100, 1.0)
         noise = ag.NoiseBundle.generate(21, grid, 100_000, 1)
         u_fn = lambda t: 0.4 - 0.3 * t
@@ -318,12 +312,12 @@ def _stored_first_order(spec, ens, noise, adj, h, direction):
     grid = ens.grid
     acc = np.zeros(ens.n_paths)
     for k, t in enumerate(grid.nodes[:-1]):
-        x, u = ens.states[:, k, :], ens.realized_controls[:, k, :]
-        xh, uh = x[:, h], u[:, h]
-        integrand = (adj.P_vals[:, k, h] * spec.drift[h].du(t, xh, x, uh)
-                     + spec.diffusion[h].du(t, xh, x, uh)
+        x = ens.states[:, k, :]
+        sl = ag.Slice(t, x, x, ens.realized_controls[:, k, :])
+        integrand = (adj.P_vals[:, k, h] * spec.drift.du(sl)[:, h]
+                     + spec.diffusion.du(sl)[:, h]
                      * adj.Q_vals[:, k, h, h]
-                     + spec.running_cost[adj.player].du(t, x, u)[:, h])
+                     + spec.running_cost.du(sl)[:, adj.player, h])
         acc += integrand * direction(t, k, noise.increments) * grid.dt
     return acc
 

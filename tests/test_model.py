@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,10 +15,10 @@ def zero_game(n):
     return ag.GameSpec(
         n_players=n, horizon=1.0,
         initial_samplers=[ag.InitialSampler.constant(0.0)] * n,
-        drift=[Coefficient(lambda t, x, y, u: np.zeros_like(x))] * n,
-        diffusion=[Coefficient(lambda t, x, y, u: np.zeros_like(x))] * n,
-        running_cost=[RunningCost(lambda t, y, u: np.zeros(y.shape[0]))] * n,
-        terminal_cost=[TerminalCost(lambda y: np.zeros(y.shape[0]))] * n)
+        drift=Coefficient(lambda s: np.zeros_like(s.x)),
+        diffusion=Coefficient(lambda s: np.zeros_like(s.x)),
+        running_cost=RunningCost(lambda s: np.zeros(s.y.shape)),
+        terminal_cost=TerminalCost(lambda s: np.zeros(s.y.shape)))
 
 
 class TestPhilox:
@@ -139,15 +142,16 @@ class TestValidateGame:
     def test_mean_field_average_saturates(self):
         n = 4
         drift = Coefficient(
-            value=lambda t, x, y, u: y.mean(axis=1),
-            dy=lambda t, x, y, u: np.full_like(y, 1.0 / y.shape[1]))
+            value=lambda s: np.broadcast_to(s.y.mean(axis=1)[:, None],
+                                            s.y.shape),
+            dy=lambda s: np.full(s.y.shape + (n,), 1.0 / n))
         spec = ag.GameSpec(
             n_players=n, horizon=1.0,
             initial_samplers=[ag.InitialSampler.constant(0.0)] * n,
-            drift=[drift] * n,
-            diffusion=[Coefficient(lambda t, x, y, u: np.zeros_like(x))] * n,
-            running_cost=[RunningCost(lambda t, y, u: np.zeros(y.shape[0]))] * n,
-            terminal_cost=[TerminalCost(lambda y: np.zeros(y.shape[0]))] * n)
+            drift=drift,
+            diffusion=Coefficient(lambda s: np.zeros_like(s.x)),
+            running_cost=RunningCost(lambda s: np.zeros(s.y.shape)),
+            terminal_cost=TerminalCost(lambda s: np.zeros(s.y.shape)))
         ledger = ConstantLedger(L_b=0.0, L_y_b=1.0, L_sigma=0.0,
                                 L_y_sigma=0.0)
         rep = ag.validate_game(spec, ledger, ag.SampleBox(), 64)
@@ -160,16 +164,16 @@ class TestValidateGame:
         n = 4
         j = 1
         drift = Coefficient(
-            value=lambda t, x, y, u: y[:, j],
-            dy=lambda t, x, y, u: np.broadcast_to(
-                np.eye(n)[j], y.shape).copy())
+            value=lambda s: np.broadcast_to(s.y[:, j:j + 1], s.y.shape),
+            dy=lambda s: np.broadcast_to(
+                np.eye(n)[j], s.y.shape + (n,)).copy())
         spec = ag.GameSpec(
             n_players=n, horizon=1.0,
             initial_samplers=[ag.InitialSampler.constant(0.0)] * n,
-            drift=[drift] * n,
-            diffusion=[Coefficient(lambda t, x, y, u: np.zeros_like(x))] * n,
-            running_cost=[RunningCost(lambda t, y, u: np.zeros(y.shape[0]))] * n,
-            terminal_cost=[TerminalCost(lambda y: np.zeros(y.shape[0]))] * n)
+            drift=drift,
+            diffusion=Coefficient(lambda s: np.zeros_like(s.x)),
+            running_cost=RunningCost(lambda s: np.zeros(s.y.shape)),
+            terminal_cost=TerminalCost(lambda s: np.zeros(s.y.shape)))
         ledger = ConstantLedger(L_b=1.0, L_y_b=1.0, L_sigma=0.0,
                                 L_y_sigma=0.0)
         rep = ag.validate_game(spec, ledger, ag.SampleBox(), 64)
@@ -180,11 +184,11 @@ class TestValidateGame:
 
     def test_nonfinite_evaluator_diagnostic(self):
         spec = zero_game(1)
-        bad = Coefficient(value=lambda t, x, y, u: np.full_like(x, np.inf))
+        bad = Coefficient(value=lambda s: np.full_like(s.x, np.inf))
         spec = ag.GameSpec(
             n_players=1, horizon=1.0,
             initial_samplers=spec.initial_samplers,
-            drift=[bad], diffusion=spec.diffusion,
+            drift=bad, diffusion=spec.diffusion,
             running_cost=spec.running_cost,
             terminal_cost=spec.terminal_cost)
         ledger = ConstantLedger(L_b=1.0, L_y_b=0.0, L_sigma=0.0,
@@ -202,15 +206,68 @@ class TestValidateGame:
 
     def test_fd_wrapper_consistency(self):
         wrapped = ag.fd_coefficient(
-            lambda t, x, y, u: np.sin(x) * np.cos(u) + y.mean(axis=1) ** 2)
-        t = np.zeros(32)
+            lambda s: np.sin(s.x) * np.cos(s.u)
+            + (s.y.mean(axis=1) ** 2)[:, None])
+        t = np.zeros((32, 1))
         gen = np.random.default_rng(0)
         x, u = gen.normal(size=32), gen.normal(size=32)
         y = gen.normal(size=(32, 3))
-        assert np.allclose(wrapped.dx(t, x, y, u), np.cos(x) * np.cos(u),
-                           atol=1e-6)
-        assert np.allclose(wrapped.dyy(t, x, y, u),
-                           np.full((32, 3, 3), 2.0 / 9.0), atol=1e-4)
+        # every player's own state and control are the same draws
+        x = np.repeat(x[:, None], 3, axis=1)
+        u = np.repeat(u[:, None], 3, axis=1)
+        sl = ag.Slice(t, x, y, u)
+        assert np.allclose(wrapped.dx(sl), np.cos(x) * np.cos(u), atol=1e-6)
+        assert np.allclose(wrapped.dyy(sl).dense_view(),
+                           np.full((32, 3, 3, 3), 2.0 / 9.0), atol=1e-4)
+
+
+class TestSlice:
+    @pytest.mark.parametrize("preset", ag.PRESET_IDS)
+    def test_evaluators_keep_no_slice_data_alive(self, preset):
+        # evaluators share work through the slice only: once the slice
+        # is gone, neither its inputs nor the quantities it computed
+        # for the evaluators stay alive
+        spec, _ = ag.build_preset(preset, 3)
+        gen = np.random.default_rng(0)
+        x, u = gen.normal(size=(64, 3)), gen.normal(size=(64, 3))
+        sl = ag.Slice(0.5, x, x, u)
+        for ev in (spec.drift, spec.diffusion, spec.running_cost,
+                   spec.terminal_cost):
+            ev.value(sl)
+            for name in ev.PARTIALS:
+                getattr(ev, name)(sl)
+        arrays = [x, u] + [v for v in vars(sl).values()
+                           if isinstance(v, np.ndarray)]
+        assert len(arrays) > 2 or preset in ("lq", "common-noise")
+        refs = [weakref.ref(a) for a in arrays]
+        del sl, x, u, arrays
+        gc.collect()
+        assert all(r() is None for r in refs)
+
+    def test_shared_quantities_computed_once(self):
+        x = np.arange(6.0).reshape(2, 3)
+        sl = ag.Slice(0.0, x, x, -x)
+        assert sl.tanh_x is sl.tanh_y
+        assert sl.tanh_sum is sl.tanh_sum
+        assert np.array_equal(sl.mean, [1.0, 4.0])
+        apart = ag.Slice(0.0, x, x.copy(), x)
+        assert apart.tanh_x is not apart.tanh_y
+
+
+class TestHessian:
+    def test_structures_contract_like_their_dense_view(self):
+        gen = np.random.default_rng(3)
+        P, N = 7, 3
+        a, b, w = (gen.normal(size=(P, N)) for _ in range(3))
+        for h in (ag.Hessian.zero((P, N)),
+                  ag.Hessian.diagonal(gen.normal(size=(P, N, N))),
+                  ag.Hessian.dense(gen.normal(size=(P, N, N, N)))):
+            dense = h.dense_view()
+            assert dense.shape == (P, N, N, N)
+            assert np.allclose(h.bilinear(a, b),
+                               np.einsum("pn,pinm,pm->pi", a, dense, b))
+            assert np.allclose(h.weighted(w),
+                               np.einsum("pi,piab->pab", w, dense))
 
 
 class TestSamplers:

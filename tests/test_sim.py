@@ -9,21 +9,21 @@ from oracles import ou_terminal_moments
 
 
 def make_game(n, drift=None, diffusion=None, xi=0.0, horizon=1.0):
-    zero = Coefficient(lambda t, x, y, u: np.zeros_like(x))
+    zero = Coefficient(lambda s: np.zeros_like(s.x))
     return ag.GameSpec(
         n_players=n, horizon=horizon,
         initial_samplers=[ag.InitialSampler.constant(xi)] * n,
-        drift=[drift or zero] * n,
-        diffusion=[diffusion or zero] * n,
-        running_cost=[RunningCost(lambda t, y, u: np.zeros(y.shape[0]))] * n,
-        terminal_cost=[TerminalCost(lambda y: np.zeros(y.shape[0]))] * n)
+        drift=drift or zero,
+        diffusion=diffusion or zero,
+        running_cost=RunningCost(lambda s: np.zeros(s.y.shape)),
+        terminal_cost=TerminalCost(lambda s: np.zeros(s.y.shape)))
 
 
-CONTROL_DRIFT = Coefficient(value=lambda t, x, y, u: u,
-                            du=lambda t, x, y, u: np.ones_like(x))
-UNIT_DIFFUSION = Coefficient(lambda t, x, y, u: np.ones_like(x))
-OU_DRIFT = Coefficient(value=lambda t, x, y, u: -x,
-                       dx=lambda t, x, y, u: np.full_like(x, -1.0))
+CONTROL_DRIFT = Coefficient(value=lambda s: s.u,
+                            du=lambda s: np.ones_like(s.x))
+UNIT_DIFFUSION = Coefficient(lambda s: np.ones_like(s.x))
+OU_DRIFT = Coefficient(value=lambda s: -s.x,
+                       dx=lambda s: np.full_like(s.x, -1.0))
 
 
 class TestSimulate:
@@ -99,6 +99,20 @@ class TestSimulate:
             pc = cost_pathwise(spec, ens)
             assert np.allclose(batch[li], pc, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("build,drivers", [
+        (ag.build_tanh_game, 3),           # one driver too many
+        (ag.build_common_noise_game, 2),   # the shared driver missing
+    ])
+    def test_batched_costs_reject_driver_mismatch(self, build, drivers):
+        spec, _ = build(2)
+        grid = ag.TimeGrid(4, 1.0)
+        noise = ag.NoiseBundle.generate(8, grid, 50, drivers)
+        prof = ag.ControlProfile.zeros(2)
+        with pytest.raises(ValueError, match="driver count"):
+            ag.simulate_paths(spec, prof, grid, noise)
+        with pytest.raises(ValueError, match="driver count"):
+            simulate_cost_batch(spec, [prof], grid, noise)
+
 
 class TestVariational:
     def test_sparsity_and_lq_blocks(self):
@@ -134,8 +148,9 @@ class TestVariational:
     def test_mean_drift_coupling_block(self):
         n = 4
         drift = Coefficient(
-            value=lambda t, x, y, u: y.mean(axis=1),
-            dy=lambda t, x, y, u: np.full_like(y, 1.0 / y.shape[1]))
+            value=lambda s: np.broadcast_to(s.y.mean(axis=1)[:, None],
+                                            s.y.shape),
+            dy=lambda s: np.full(s.y.shape + (n,), 1.0 / n))
         spec = make_game(n, drift=drift)
         vc = ag.assemble_variational(spec, 0.0, np.zeros((3, n)),
                                      np.zeros((3, n)))
