@@ -26,9 +26,9 @@ from .derivatives import (EPS_SCHEDULE, bsde_derivatives, cost_pathwise,
                           second_derivative_z_oracle)
 from .model import (ConstantLedger, Control, ControlProfile, GameSpec,
                     NoiseBundle, TimeGrid)
-from .sim import (SecondSensitivityEnsemble, assemble_variational,
-                  propagate_second_sensitivities, propagate_sensitivities,
-                  simulate_paths)
+from .sim import (SecondSensitivityEnsemble, _euler, _response_step,
+                  assemble_variational, propagate_second_sensitivities,
+                  propagate_sensitivities, simulate_paths)
 
 __all__ = [
     "AlphaReport",
@@ -126,8 +126,7 @@ class _SharedEstimators:
         players = list(range(spec.n_players) if players is None
                        else players)
         targets = [(h, d) for h in players for d in dirs]
-        sens = propagate_sensitivities(spec, controls, self.ens, targets,
-                                       noise)
+        sens = propagate_sensitivities(spec, self.ens, targets, noise)
         self.sens = {(h, id(d)): s for (h, d), s in zip(targets, sens)}
         self.dirs = dirs
         self.zero_mixed = spec.has_affine_coefficients()
@@ -281,8 +280,9 @@ def pairwise_quadratic_asymmetry(spec: GameSpec, qhat, gterm,
     cost Hessian is rank one in the deviation-from-average direction,
     so every ordered pair's second derivative reduces to a projected
     product of two first-order responses.  Exact algebra, not an
-    approximation; memory stays at one time slice regardless of N.
-    Returns (asymmetry, se) matrices.
+    approximation.  The state and the N responses are stepped and
+    contracted as they go, so memory stays at one time slice regardless
+    of N.  Returns (asymmetry, se) matrices.
     """
     if not spec.has_affine_coefficients():
         raise ValueError("streaming pairwise evaluator needs affine "
@@ -292,7 +292,6 @@ def pairwise_quadratic_asymmetry(spec: GameSpec, qhat, gterm,
     dt = grid.dt
     qhat = np.broadcast_to(np.asarray(qhat, dtype=float), (N,))
     gterm = np.broadcast_to(np.asarray(gterm, dtype=float), (N,))
-    ens = simulate_paths(spec, controls, grid, noise)
 
     def pair_accumulate(acc, y_slice, weights):
         # proj[p, d, i] = (own minus average) of response d at player i
@@ -303,21 +302,14 @@ def pairwise_quadratic_asymmetry(spec: GameSpec, qhat, gterm,
 
     acc = np.zeros((P, N, N))
     y = np.zeros((P, N, N))  # slice of responses, axis 1 = perturbed player
-    for k in range(grid.n_steps):
-        t = grid.nodes[k]
-        x = ens.states[:, k, :]
-        u = ens.realized_controls[:, k, :]
-        vc = assemble_variational(spec, t, x, u)
-        du = direction(t, k, noise.increments)
+    for k, sl in enumerate(_euler(spec, [controls], grid, noise)):
+        if sl.u is None:
+            break
+        vc = assemble_variational(spec, sl.t, sl.x, sl.u)
+        du = direction(sl.t, k, noise.increments)
         pair_accumulate(acc, y, qhat * dt)
-        drift = (vc.dxb[:, None, :] * y
-                 + np.einsum("pij,pdj->pdi", vc.dyb, y, optimize=False))
-        diff = (vc.dxs[:, None, :] * y
-                + np.einsum("pij,pdj->pdi", vc.dys, y, optimize=False))
-        idx = np.arange(N)
-        drift[:, idx, idx] += vc.dub * du[:, None]
-        diff[:, idx, idx] += vc.dus * du[:, None]
-        y = y + drift * dt + diff * noise.increments[:, k, None, :N]
+        y = _response_step(vc, y, dt, noise.increments[:, k, :N],
+                           controls=[(h, du) for h in range(N)])
     pair_accumulate(acc, y, gterm)
 
     diff_pw = acc - np.transpose(acc, (0, 2, 1))

@@ -280,7 +280,7 @@ def _first_order(cfg: ExperimentConfig, spec, controls, dirs,
     targets = [(h, d) for h in range(N) for d in dirs]
     names = [name for _ in range(N) for name in cfg.directions[:len(dirs)]]
     ens = simulate_paths(spec, controls, grid, noise)
-    sens = propagate_sensitivities(spec, controls, ens, targets, noise)
+    sens = propagate_sensitivities(spec, ens, targets, noise)
     sv = deriv_mod.first_derivative_sens(spec, ens, noise, sens)
     bs, bs2 = deriv_mod.bsde_derivatives(
         spec, ens, noise, RegressionBasis(),
@@ -411,6 +411,8 @@ def _cmd_scaling(cfg: ExperimentConfig, tables: Path):
     the heterogeneous weakly coupled family."""
     if cfg.preset != "lq":
         raise ConfigError("scaling runs use the lq preset")
+    if cfg.preset_params:
+        raise ConfigError("scaling runs take no preset_params")
     rows = []
     alphas, bounds_v = [], []
     for n in cfg.scaling_players:

@@ -1,10 +1,14 @@
 """Forward simulation: state paths and pathwise control sensitivities.
 
-Explicit Euler on a uniform grid throughout.  All perturbed ensembles
-reuse one NoiseBundle (common random numbers), and the first/second
-order sensitivity recursions consume the exact same increments as the
-state they linearize; they run over lists of targets or response pairs
-with one linearization per step for all of them.
+Explicit Euler on a uniform grid with one step of each kind, on one
+NoiseBundle (common random numbers) for every perturbed ensemble.
+``_euler`` advances stacked legs, one per control profile, stored
+player-major, and yields each node's ``Slice``: ``simulate_paths``
+records one double-precision leg, ``simulate_cost_batch`` and the
+scaling pass consume it without storing a trajectory.
+``_response_step`` advances a (P, R, N) stack of linearized responses
+on the same increments, with one linearization per step for the stack:
+first-order sensitivities, mixed responses and the scaling pass.
 """
 
 from __future__ import annotations
@@ -140,35 +144,58 @@ def _check_noise(spec: GameSpec, grid: TimeGrid, noise: NoiseBundle):
         raise ValueError("noise bundle driver count does not match the game")
 
 
-def simulate_paths(spec: GameSpec, controls: ControlProfile, grid: TimeGrid,
-                   noise: NoiseBundle) -> PathEnsemble:
-    """Explicit Euler simulation of the joint state system."""
+def _euler(spec: GameSpec, profiles, grid: TimeGrid, noise: NoiseBundle,
+           dtype=np.float64):
+    """The explicit Euler state step over stacked legs, one per control
+    profile.  Yields every node's ``Slice``, the terminal one without
+    controls; states are (L*P, N), leg-major rows stored player-major.
+    The step runs when the next slice is asked for, so the consumer must
+    not write to the one it holds."""
     _check_noise(spec, grid, noise)
     N, M, P = spec.n_players, grid.n_steps, noise.n_paths
-    dt = grid.dt
+    for prof in profiles:
+        if len(prof) != N:
+            raise ValueError(f"control profile has {len(prof)} players, "
+                             f"the game {N}")
+    L = len(profiles)
     nodes = grid.nodes
+    dt = np.asarray(grid.dt, dtype=dtype)
+    x = np.tile(spec.initial_states(noise.seed, P), (L, 1)).astype(
+        dtype, order="F")
+    for k in range(M):
+        sl = Slice(nodes[k], x, x, np.concatenate(
+            [prof.evaluate(nodes[k], k, noise) for prof in profiles],
+            axis=0).astype(dtype, order="F"))
+        yield sl
+        # this step's increments, (D, P) player-major like the states
+        inc = np.ascontiguousarray(noise.increments[:, k, :].T, dtype=dtype)
+        s = np.asarray(spec.diffusion.value(sl), dtype=dtype)
+        # increments broadcast over the leg axis, no tiling copies
+        x = (x + spec.drift.value(sl) * dt
+             + (s.reshape(L, P, N) * inc[:N].T).reshape(L * P, N)
+             ).astype(dtype, copy=False)
+        if spec.common_noise:
+            x += np.tile(inc[N], L)[:, None]
+        if not np.all(np.isfinite(x)):
+            row, i = np.argwhere(~np.isfinite(x))[0]
+            raise FloatingPointError(
+                f"non-finite state in leg {row // P}, path {row % P}, "
+                f"step {k + 1}, player {i}")
+    yield Slice(nodes[M], x, x)
 
+
+def simulate_paths(spec: GameSpec, controls: ControlProfile, grid: TimeGrid,
+                   noise: NoiseBundle) -> PathEnsemble:
+    """Explicit Euler simulation of the joint state system: one
+    double-precision leg of the Euler step, recorded path-major."""
+    P, M, N = noise.n_paths, grid.n_steps, spec.n_players
     states = np.empty((P, M + 1, N))
     realized = np.empty((P, M + 1, N))
-    states[:, 0, :] = spec.initial_states(noise.seed, P)
-
-    for k in range(M):
-        t = nodes[k]
-        x = states[:, k, :]
-        u = controls.evaluate(t, k, noise)
-        realized[:, k, :] = u
-        nxt = states[:, k + 1, :]
-        sl = Slice(t, x, x, u)
-        nxt[:] = (x + spec.drift.value(sl) * dt
-                  + spec.diffusion.value(sl) * noise.increments[:, k, :N])
-        if spec.common_noise:
-            nxt += noise.increments[:, k, N][:, None]
-        if not np.all(np.isfinite(nxt)):
-            bad = np.argwhere(~np.isfinite(nxt))[0]
-            raise FloatingPointError(
-                f"non-finite state at path {bad[0]}, step {k + 1}, "
-                f"player {bad[1]}")
-    realized[:, M, :] = controls.evaluate(nodes[M], M, noise)
+    for k, sl in enumerate(_euler(spec, [controls], grid, noise)):
+        states[:, k, :] = sl.x
+        if sl.u is not None:
+            realized[:, k, :] = sl.u
+    realized[:, M, :] = controls.evaluate(grid.nodes[M], M, noise)
     return PathEnsemble(states=states, realized_controls=realized,
                         grid=grid, seed=noise.seed)
 
@@ -176,52 +203,21 @@ def simulate_paths(spec: GameSpec, controls: ControlProfile, grid: TimeGrid,
 def simulate_cost_batch(spec: GameSpec, profiles, grid: TimeGrid,
                         noise: NoiseBundle,
                         dtype=np.float32) -> np.ndarray:
-    """Pathwise costs of several control profiles in one stacked sweep.
-
-    All profiles share the same increments (common random numbers);
-    states are stacked along the path axis so evaluator call overhead
-    is amortized across legs, and only the running cost accumulator is
-    kept, never the trajectories.  Legs default to single precision:
-    the rounding noise is orders of magnitude below Monte Carlo error
-    for difference estimators and halves the memory traffic.  The
-    sweep's (L*P, N) arrays are stored player-major, so every
-    elementwise evaluator operation runs along the long path axis.
-    Returns (L, P, N) in double precision.
+    """Pathwise costs of several control profiles, run as the legs of
+    one Euler sweep on the same increments; only the cost accumulator is
+    kept.  Legs default to single precision: the rounding noise is
+    orders of magnitude below Monte Carlo error for difference
+    estimators and halves the memory traffic.  Returns (L, P, N) in
+    double precision.
     """
-    _check_noise(spec, grid, noise)
-    N, M, P = spec.n_players, grid.n_steps, noise.n_paths
-    L = len(profiles)
-    dt = grid.dt
-    nodes = grid.nodes
-
-    x = np.tile(spec.initial_states(noise.seed, P), (L, 1)).astype(
-        dtype, order="F")
-    cost = np.zeros((L * P, N), order="F")
-    # (M, D, P): step k's increments of every driver, player-major
-    increments = noise.increments.transpose(1, 2, 0).astype(dtype,
-                                                             order="C")
-    dt_c = np.asarray(dt, dtype=dtype)
-    for k in range(M):
-        t = nodes[k]
-        u = np.concatenate(
-            [prof.evaluate(t, k, noise) for prof in profiles],
-            axis=0).astype(dtype, order="F")
-        inc = increments[k]
-        sl = Slice(t, x, x, u)
-        cost += spec.running_cost.value(sl) * dt
-        s = np.asarray(spec.diffusion.value(sl), dtype=dtype)
-        # increments broadcast over the leg axis, no tiling copies
-        nxt = (x + spec.drift.value(sl) * dt_c
-               + (s.reshape(L, P, N) * inc[:N].T[None]).reshape(L * P, N)
-               ).astype(dtype)
-        if spec.common_noise:
-            nxt += np.tile(inc[N], L)[:, None]
-        if not np.all(np.isfinite(nxt)):
-            raise FloatingPointError(
-                f"non-finite state at step {k + 1} in batched simulation")
-        x = nxt
-    cost += spec.terminal_cost.value(Slice(nodes[M], x, x))
-    return cost.reshape(L, P, N)
+    P, N = noise.n_paths, spec.n_players
+    cost = np.zeros((len(profiles) * P, N), order="F")
+    for sl in _euler(spec, profiles, grid, noise, dtype):
+        if sl.u is None:
+            cost += spec.terminal_cost.value(sl)
+        else:
+            cost += spec.running_cost.value(sl) * grid.dt
+    return cost.reshape(len(profiles), P, N)
 
 
 def assemble_variational(spec: GameSpec, t: float, x: np.ndarray,
@@ -241,8 +237,36 @@ def assemble_variational(spec: GameSpec, t: float, x: np.ndarray,
                                    slice=sl)
 
 
-def propagate_sensitivities(spec: GameSpec, controls: ControlProfile,
-                            ensemble: PathEnsemble, targets,
+def _linearizations(spec: GameSpec, ensemble: PathEnsemble):
+    """(k, t, linearization) at every step's left endpoint."""
+    for k, t in enumerate(ensemble.grid.nodes[:-1]):
+        yield k, t, assemble_variational(
+            spec, t, ensemble.states[:, k, :],
+            ensemble.realized_controls[:, k, :])
+
+
+def _response_step(vc: VariationalCoefficients, y: np.ndarray, dt: float,
+                   dw: np.ndarray, controls=(), forcing=None) -> np.ndarray:
+    """The explicit Euler step of the linearized state system for a
+    (P, R, N) stack of responses ``y``, with ``dw`` the step's (P, N)
+    private-driver increments.  ``controls`` lists per response r the
+    perturbed player h and its direction's values du, added in place at
+    entry (r, h); ``forcing`` is a dense (drift, diffusion) pair.
+    """
+    drift = (vc.dxb[:, None, :] * y
+             + np.einsum("pij,prj->pri", vc.dyb, y, optimize=False))
+    diff = (vc.dxs[:, None, :] * y
+            + np.einsum("pij,prj->pri", vc.dys, y, optimize=False))
+    for r, (h, du) in enumerate(controls):
+        drift[:, r, h] += vc.dub[:, h] * du
+        diff[:, r, h] += vc.dus[:, h] * du
+    if forcing is not None:
+        drift += forcing[0]
+        diff += forcing[1]
+    return y + drift * dt + diff * dw[:, None, :]
+
+
+def propagate_sensitivities(spec: GameSpec, ensemble: PathEnsemble, targets,
                             noise: NoiseBundle, dtype=np.float64) -> list:
     """Euler recursion for the linearized response to control
     perturbations, on the same increments as the state.
@@ -255,39 +279,23 @@ def propagate_sensitivities(spec: GameSpec, controls: ControlProfile,
     """
     _check_pair(ensemble, noise)
     N, M, P = spec.n_players, ensemble.grid.n_steps, ensemble.n_paths
-    D = len(targets)
-    dt = ensemble.grid.dt
-    nodes = ensemble.grid.nodes
-
-    Y = np.zeros((P, M + 1, D, N), dtype=dtype)
-    for k in range(M):
-        t = nodes[k]
-        x = ensemble.states[:, k, :]
-        u = ensemble.realized_controls[:, k, :]
-        yk = Y[:, k, :, :]
-        vc = assemble_variational(spec, t, x, u)
-        drift = (vc.dxb[:, None, :] * yk
-                 + np.einsum("pij,pdj->pdi", vc.dyb, yk, optimize=False))
-        diff = (vc.dxs[:, None, :] * yk
-                + np.einsum("pij,pdj->pdi", vc.dys, yk, optimize=False))
-        for d, (h, direction) in enumerate(targets):
-            du_h = direction(t, k, noise.increments)
-            drift[:, d, h] += vc.dub[:, h] * du_h
-            diff[:, d, h] += vc.dus[:, h] * du_h
-        Y[:, k + 1, :, :] = (yk + drift * dt
-                             + diff * noise.increments[:, k, None, :N])
+    Y = np.zeros((P, M + 1, len(targets), N), dtype=dtype)
+    for k, t, vc in _linearizations(spec, ensemble):
+        Y[:, k + 1] = _response_step(
+            vc, Y[:, k], ensemble.grid.dt, noise.increments[:, k, :N],
+            controls=[(h, d(t, k, noise.increments)) for h, d in targets])
     return [SensitivityEnsemble(values=Y[:, :, d, :],
                                 perturbed_player=h, direction=direction,
                                 grid=ensemble.grid, seed=ensemble.seed)
             for d, (h, direction) in enumerate(targets)]
 
 
-def propagate_sensitivity(spec: GameSpec, controls: ControlProfile,
-                          ensemble: PathEnsemble, h: int, direction: Control,
+def propagate_sensitivity(spec: GameSpec, ensemble: PathEnsemble, h: int,
+                          direction: Control,
                           noise: NoiseBundle) -> SensitivityEnsemble:
     """Single-target convenience wrapper around the shared sweep."""
-    return propagate_sensitivities(spec, controls, ensemble,
-                                   [(h, direction)], noise)[0]
+    return propagate_sensitivities(spec, ensemble, [(h, direction)],
+                                   noise)[0]
 
 
 def _second_order_slices(spec: GameSpec, sl: Slice):
@@ -328,12 +336,9 @@ def _bilinear_sources(so, yh, yl, du_h, du_l, h: int, l: int,
 def propagate_second_sensitivities(spec: GameSpec, ensemble: PathEnsemble,
                                    pairs, noise: NoiseBundle) -> list:
     """Mixed second-order sensitivity for each ``(sens_h, sens_l)`` pair
-    of two distinct players' responses, all in one sweep.
-
-    Linear part identical to the first-order recursion (no control
-    source); forcing is bilinear in the two first-order sensitivities
-    plus the direction/state cross terms.  The linearization and the
-    second partials are evaluated once per step for every pair.
+    of two distinct players' responses, all in one sweep: the pairs run
+    as one stack of the response step, forced bilinearly in the two
+    first-order sensitivities plus the direction/state cross terms.
     """
     _check_pair(ensemble, noise)
     for sens_h, sens_l in pairs:
@@ -343,32 +348,22 @@ def propagate_second_sensitivities(spec: GameSpec, ensemble: PathEnsemble,
             raise ValueError(
                 "sensitivities must be built on the same ensemble")
     N, M, P = spec.n_players, ensemble.grid.n_steps, ensemble.n_paths
-    dt = ensemble.grid.dt
-    nodes = ensemble.grid.nodes
-
-    Z = [np.zeros((P, M + 1, N)) for _ in pairs]
-    for k in range(M):
-        t = nodes[k]
-        x = ensemble.states[:, k, :]
-        u = ensemble.realized_controls[:, k, :]
-        vc = assemble_variational(spec, t, x, u)
+    R = len(pairs)
+    Z = np.zeros((R, P, M + 1, N))  # Z[q] is pair q's contiguous history
+    z = np.zeros((P, R, N))
+    forcing = (np.empty((P, R, N)), np.empty((P, R, N)))
+    for k, t, vc in _linearizations(spec, ensemble):
         so = _second_order_slices(spec, vc.slice)
-        for (sens_h, sens_l), zq in zip(pairs, Z):
-            zk = zq[:, k, :]
-            drift_src, diff_src = _bilinear_sources(
+        for q, (sens_h, sens_l) in enumerate(pairs):
+            forcing[0][:, q], forcing[1][:, q] = _bilinear_sources(
                 so, sens_h.values[:, k, :], sens_l.values[:, k, :],
                 sens_h.direction(t, k, noise.increments),
                 sens_l.direction(t, k, noise.increments),
                 sens_h.perturbed_player, sens_l.perturbed_player,
                 with_joint_hessian=True)
-            drift = (vc.dxb * zk
-                     + np.einsum("pij,pj->pi", vc.dyb, zk, optimize=False)
-                     + drift_src)
-            diff = (vc.dxs * zk
-                    + np.einsum("pij,pj->pi", vc.dys, zk, optimize=False)
-                    + diff_src)
-            zq[:, k + 1, :] = (zk + drift * dt
-                               + diff * noise.increments[:, k, :N])
+        z = _response_step(vc, z, ensemble.grid.dt,
+                           noise.increments[:, k, :N], forcing=forcing)
+        Z[:, :, k + 1, :] = z.transpose(1, 0, 2)
     return [SecondSensitivityEnsemble(
                 values=zq,
                 players=(sens_h.perturbed_player, sens_l.perturbed_player),

@@ -83,6 +83,27 @@ class TestAsymmetry:
         assert np.allclose(rep.asymmetry, rep.asymmetry.T)
         assert np.all(np.diag(rep.asymmetry) == 0.0)
 
+    def test_pairwise_streams_without_a_stored_ensemble(self):
+        # states and responses are contracted step by step; storing the
+        # ensemble's states and controls, (P, M+1, N) float64 each, took
+        # twice the cap
+        import tracemalloc
+        n, P, M = 2, 2000, 200
+        params = lq_scaling_params(n)
+        spec, _ = ag.build_preset("lq", n, **params)
+        grid = ag.TimeGrid(M, 1.0)
+        noise = ag.NoiseBundle.generate(14, grid, P, spec.n_drivers)
+        states = P * (M + 1) * n * 8
+        tracemalloc.start()
+        try:
+            pairwise_quadratic_asymmetry(
+                spec, params["Qhat"], params["G"], ag.ControlProfile.zeros(n),
+                ag.Control.constant(1.0), grid, noise)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < states
+
 
 class TestBounds:
     def test_zero_gaps_zero_bound(self):
@@ -238,7 +259,7 @@ class TestMomentBounds:
                 assert emp <= caps["C_X"][i]
         # sensitivity moments against their closed-form cap
         d = ag.Control.constant(1.0)
-        sens = ag.propagate_sensitivity(spec, prof, ens, 0, d, noise)
+        sens = ag.propagate_sensitivity(spec, ens, 0, d, noise)
         for p in (2, 4):
             for i in range(2):
                 cap = ag.sensitivity_moment_bound(ledger, p, 1.0, 1.0, 0, i,

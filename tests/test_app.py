@@ -213,6 +213,15 @@ class TestCli:
         assert main([subcommand, "--config", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_scaling_rejects_preset_params(self, tmp_path, capsys):
+        # the sweep builds every game from the spread alone, so these
+        # parameters would be dropped silently
+        path, _ = write_config(tmp_path, paths=200, steps=4,
+                               scaling_players=[2, 4],
+                               preset_params={"R": 5.0, "A": -2.0})
+        assert main(["scaling", "--config", str(path)]) == 2
+        assert "preset_params" in capsys.readouterr().err
+
     def test_potential_failed_gap_exits_one(self, tmp_path):
         path, _ = write_config(tmp_path, preset="tanh-coupled", paths=400,
                                quad_order=2, anchors=["constant:0.5"],

@@ -248,8 +248,8 @@ class TestFirstAdjoint:
         ens = ag.simulate_paths(spec, first, grid, noise)
         other = ag.simulate_paths(spec, second, grid, noise)
         d = ag.Control.constant(1.0)
-        sh = ag.propagate_sensitivity(spec, first, ens, 0, d, noise)
-        sl = ag.propagate_sensitivity(spec, first, ens, 1, d, noise)
+        sh = ag.propagate_sensitivity(spec, ens, 0, d, noise)
+        sl = ag.propagate_sensitivity(spec, ens, 1, d, noise)
         # the forward pass ends on the last slice, where the backward
         # solve below starts
         ag.sensitivity_outer_process(spec, ens, noise, sh, sl)
@@ -451,8 +451,8 @@ class TestTraceDuality:
         adj = ag.solve_first_adjoint(spec, prof, ens, noise, basis, 0)
         sec = ag.solve_second_adjoint(spec, ens, noise, basis, 0)
         d1, d2 = ag.direction_dictionary(1.0)[:2]
-        sh = ag.propagate_sensitivity(spec, prof, ens, 0, d1, noise)
-        sl = ag.propagate_sensitivity(spec, prof, ens, 1, d2, noise)
+        sh = ag.propagate_sensitivity(spec, ens, 0, d1, noise)
+        sl = ag.propagate_sensitivity(spec, ens, 1, d2, noise)
         y_proc = ag.sensitivity_outer_process(spec, ens, noise, sh, sl)
         p_proc = ag.second_adjoint_process(spec, ens, adj, sec)
         res, se = ag.trace_duality_residual(p_proc, y_proc, grid.dt)

@@ -136,7 +136,7 @@ class TestFirstDerivatives:
         fd = first_derivative_fd_sweep(spec, prof, 0, d, grid, noise)[0]
         assert abs(fd.value - 1.0) < 1e-4 and fd.std_error < 1e-4
         ens = ag.simulate_paths(spec, prof, grid, noise)
-        sens = ag.propagate_sensitivity(spec, prof, ens, 0, d, noise)
+        sens = ag.propagate_sensitivity(spec, ens, 0, d, noise)
         sv = ag.first_derivative_sens(spec, ens, noise, [sens])[(0, 0)]
         assert np.isclose(sv.value, 1.0) and sv.std_error < 1e-12
         bs = ag.bsde_derivatives(spec, ens, noise, ag.RegressionBasis(),
@@ -145,8 +145,7 @@ class TestFirstDerivatives:
 
     def test_zero_direction_exact_zero(self, tanh_setup):
         spec, grid, noise, controls, ens = tanh_setup
-        sens = ag.propagate_sensitivity(spec, controls, ens, 1,
-                                        ag.Control.zero(), noise)
+        sens = ag.propagate_sensitivity(spec, ens, 1, ag.Control.zero(), noise)
         est = ag.first_derivative_sens(spec, ens, noise, [sens])[(0, 0)]
         assert est.value == 0.0 and est.std_error == 0.0
 
@@ -157,7 +156,7 @@ class TestFirstDerivatives:
         for (i, h) in [(0, 1), (2, 0)]:
             fd = first_derivative_fd_sweep(spec, controls, h, d, grid,
                                            noise)[i]
-            sens = ag.propagate_sensitivity(spec, controls, ens, h, d, noise)
+            sens = ag.propagate_sensitivity(spec, ens, h, d, noise)
             sv = ag.first_derivative_sens(spec, ens, noise, [sens])[(i, 0)]
             bs = ag.bsde_derivatives(spec, ens, noise, basis,
                                      first_jobs=[(i, h, d)])[0][0]
@@ -185,9 +184,8 @@ class TestFirstDerivatives:
         spec, grid, noise, controls, ens = tanh_setup
         d = ag.Control.constant(1.0)
         scaled = 2.5 * d
-        sens1 = ag.propagate_sensitivity(spec, controls, ens, 0, d, noise)
-        sens2 = ag.propagate_sensitivity(spec, controls, ens, 0, scaled,
-                                         noise)
+        sens1 = ag.propagate_sensitivity(spec, ens, 0, d, noise)
+        sens2 = ag.propagate_sensitivity(spec, ens, 0, scaled, noise)
         a = ag.first_derivative_sens(spec, ens, noise, [sens1])[(1, 0)]
         b = ag.first_derivative_sens(spec, ens, noise, [sens2])[(1, 0)]
         assert np.isclose(b.value, 2.5 * a.value, rtol=1e-12)
@@ -201,7 +199,7 @@ class TestFirstDerivatives:
     def test_forward_difference_order_at_least_one(self, tanh_setup):
         spec, grid, noise, controls, ens = tanh_setup
         d = ag.Control.constant(1.0)
-        sens = ag.propagate_sensitivity(spec, controls, ens, 0, d, noise)
+        sens = ag.propagate_sensitivity(spec, ens, 0, d, noise)
         ref = ag.first_derivative_sens(spec, ens, noise, [sens])[(0, 0)]
         from alphagames.derivatives import cost_pathwise
         errs = []
@@ -236,8 +234,8 @@ class TestSecondDerivatives:
                                         noise)[0]
         assert abs(fd.value - 1.0) < 1e-4
         ens = ag.simulate_paths(spec, prof, grid, noise)
-        sh = ag.propagate_sensitivity(spec, prof, ens, 0, d, noise)
-        sl = ag.propagate_sensitivity(spec, prof, ens, 1, d, noise)
+        sh = ag.propagate_sensitivity(spec, ens, 0, d, noise)
+        sl = ag.propagate_sensitivity(spec, ens, 1, d, noise)
         mixed = ag.propagate_second_sensitivities(spec, ens, [(sh, sl)],
                                                   noise)
         zo = ag.second_derivative_z_oracle(spec, ens, noise, [(sh, sl)],
@@ -262,8 +260,8 @@ class TestSecondDerivatives:
         du = ag.Control.constant(1.0)
         dv = ag.direction_dictionary(1.0)[1]
         h, l = 0, 2
-        sh = ag.propagate_sensitivity(spec, controls, ens, h, du, noise)
-        sl = ag.propagate_sensitivity(spec, controls, ens, l, dv, noise)
+        sh = ag.propagate_sensitivity(spec, ens, h, du, noise)
+        sl = ag.propagate_sensitivity(spec, ens, l, dv, noise)
         mixed = ag.propagate_second_sensitivities(spec, ens, [(sh, sl)],
                                                   noise)
         eps_min = min(EPS_SCHEDULE)
@@ -289,8 +287,8 @@ class TestSecondDerivatives:
         spec, grid, noise, controls, ens = tanh_setup
         du = ag.Control.constant(1.0)
         dv = ag.direction_dictionary(1.0)[1]
-        sh = ag.propagate_sensitivity(spec, controls, ens, 0, du, noise)
-        sl = ag.propagate_sensitivity(spec, controls, ens, 1, dv, noise)
+        sh = ag.propagate_sensitivity(spec, ens, 0, du, noise)
+        sl = ag.propagate_sensitivity(spec, ens, 1, dv, noise)
         pairs = [(sh, sl), (sl, sh)]
         mixed = ag.propagate_second_sensitivities(spec, ens, pairs, noise)
         zos = ag.second_derivative_z_oracle(spec, ens, noise, pairs, mixed,
@@ -328,15 +326,13 @@ class TestSweepHelpers:
         basis = ag.RegressionBasis()
         dirs = ag.direction_dictionary(1.0)[:2]
         targets = [(h, d) for h in range(3) for d in dirs]
-        sens_all = ag.propagate_sensitivities(spec, controls, ens, targets,
-                                              noise)
+        sens_all = ag.propagate_sensitivities(spec, ens, targets, noise)
         sens_table = ag.first_derivative_sens(spec, ens, noise, sens_all)
         bsde_table, _ = ag.bsde_derivatives(
             spec, ens, noise, basis,
             first_jobs=[(i, h, d) for h, d in targets for i in range(3)])
         for tidx, (h, d) in enumerate(targets[:3]):
-            single = ag.propagate_sensitivity(spec, controls, ens, h, d,
-                                              noise)
+            single = ag.propagate_sensitivity(spec, ens, h, d, noise)
             for i in (0, 2):
                 sv = ag.first_derivative_sens(spec, ens, noise,
                                               [single])[(i, 0)]
@@ -382,7 +378,7 @@ def _second_order_case(preset, n, **params):
     ens = ag.simulate_paths(spec, prof, grid, noise)
     dirs = ag.direction_dictionary(1.0)[:2]
     sens = ag.propagate_sensitivities(
-        spec, prof, ens, [(h, d) for h in range(n) for d in dirs], noise)
+        spec, ens, [(h, d) for h in range(n) for d in dirs], noise)
     pairs = [(sh, sl) for sh in sens for sl in sens
              if sh.perturbed_player != sl.perturbed_player]
     return spec, prof, ens, noise, pairs

@@ -85,19 +85,62 @@ class TestSimulate:
         d1 = ens.states[:, -1, 1] - ens.states[:, 0, 1]
         assert np.allclose(d0, d1)
 
-    def test_batched_costs_match_plain_simulation(self):
-        spec, _ = ag.build_tanh_game(2)
+    @pytest.mark.parametrize("preset,n", [
+        ("tanh-coupled", 3), ("tanh-coupled", 16), ("lq", 4),
+        ("mean-field", 8), ("common-noise", 10)])
+    @pytest.mark.parametrize("feedback", [False, True],
+                             ids=["constant", "noise-feedback"])
+    def test_batched_costs_match_plain_simulation(self, preset, n, feedback):
+        # a double-precision leg of the stacked sweep (player-major) and
+        # the recorded ensemble (path-major) are the same Euler step, so
+        # every evaluator gives the same bits in either layout
+        spec, _ = ag.build_preset(preset, n)
         grid = ag.TimeGrid(12, 1.0)
-        noise = ag.NoiseBundle.generate(8, grid, 4000, 2)
-        profs = [ag.ControlProfile.constants([0.2, -0.1]),
-                 ag.ControlProfile.zeros(2)]
+        noise = ag.NoiseBundle.generate(8, grid, 500, spec.n_drivers)
+        if feedback:
+            prof = ag.ControlProfile([ag.Control.own_noise_feedback(i, 0.7)
+                                      for i in range(n)])
+        else:
+            prof = ag.ControlProfile.constants(
+                [0.2 - 0.05 * i for i in range(n)])
+        profs = [prof, ag.ControlProfile.zeros(n)]
         batch = simulate_cost_batch(spec, profs, grid, noise,
                                     dtype=np.float64)
         from alphagames.derivatives import cost_pathwise
         for li, prof in enumerate(profs):
             ens = ag.simulate_paths(spec, prof, grid, noise)
             pc = cost_pathwise(spec, ens)
-            assert np.allclose(batch[li], pc, rtol=1e-12, atol=1e-12)
+            assert np.allclose(batch[li], pc, rtol=0, atol=0)
+
+    def test_profile_length_must_match_players(self):
+        # a one-entry profile was once broadcast to every player
+        spec, _ = ag.build_tanh_game(3)
+        grid = ag.TimeGrid(4, 1.0)
+        noise = ag.NoiseBundle.generate(8, grid, 50, 3)
+        short = ag.ControlProfile.constants([0.5])
+        with pytest.raises(ValueError, match="1 players, the game 3"):
+            ag.simulate_paths(spec, short, grid, noise)
+        with pytest.raises(ValueError, match="1 players, the game 3"):
+            simulate_cost_batch(spec, [ag.ControlProfile.zeros(3), short],
+                                grid, noise)
+
+    def test_blow_up_names_leg_path_step_and_player(self):
+        # the drift is infinite where a control exceeds one: player 1
+        # on path 3 only
+        spec = make_game(2, drift=Coefficient(
+            lambda s: np.where(s.u > 1.0, np.inf, 0.0)))
+        grid = ag.TimeGrid(4, 1.0)
+        noise = ag.NoiseBundle.generate(0, grid, 10, 2)
+        spike = ag.Control(lambda t, k, w: np.where(
+            np.arange(w.shape[0]) == 3, 2.0, 0.0))
+        bad = ag.ControlProfile([ag.Control.zero(), spike])
+        with pytest.raises(FloatingPointError,
+                           match="leg 0, path 3, step 1, player 1"):
+            ag.simulate_paths(spec, bad, grid, noise)
+        with pytest.raises(FloatingPointError,
+                           match="leg 1, path 3, step 1, player 1"):
+            simulate_cost_batch(spec, [ag.ControlProfile.zeros(2), bad],
+                                grid, noise)
 
     @pytest.mark.parametrize("build,drivers", [
         (ag.build_tanh_game, 3),           # one driver too many
@@ -163,8 +206,7 @@ class TestSensitivity:
         grid = ag.TimeGrid(10, 1.0)
         noise = ag.NoiseBundle.generate(3, grid, 100, 2)
         ens = ag.simulate_paths(spec, ag.ControlProfile.zeros(2), grid, noise)
-        sens = ag.propagate_sensitivity(spec, ag.ControlProfile.zeros(2),
-                                        ens, 0, ag.Control.zero(), noise)
+        sens = ag.propagate_sensitivity(spec, ens, 0, ag.Control.zero(), noise)
         assert np.all(sens.values == 0.0)
 
     def test_forced_ramp(self):
@@ -173,7 +215,7 @@ class TestSensitivity:
         noise = ag.NoiseBundle.generate(3, grid, 64, 2)
         prof = ag.ControlProfile.zeros(2)
         ens = ag.simulate_paths(spec, prof, grid, noise)
-        sens = ag.propagate_sensitivity(spec, prof, ens, 0,
+        sens = ag.propagate_sensitivity(spec, ens, 0,
                                         ag.Control.constant(1.0), noise)
         for k, t in enumerate(grid.nodes):
             assert np.allclose(sens.values[:, k, 0], t)
@@ -188,7 +230,7 @@ class TestSensitivity:
         ens = ag.simulate_paths(spec, prof, grid, noise)
         h, eps = 1, 1e-3
         direction = ag.Control.constant(1.0)
-        sens = ag.propagate_sensitivity(spec, prof, ens, h, direction, noise)
+        sens = ag.propagate_sensitivity(spec, ens, h, direction, noise)
         up = ag.simulate_paths(spec, prof.perturbed(h, direction, eps),
                                grid, noise)
         fd = (up.states - ens.states) / eps
@@ -205,9 +247,9 @@ class TestSensitivity:
         d1 = ag.Control.constant(1.0)
         d2 = ag.Control.from_time_function(lambda t: np.sin(t))
         combo = 2.0 * d1 + (-0.5) * d2
-        y1 = ag.propagate_sensitivity(spec, prof, ens, 0, d1, noise)
-        y2 = ag.propagate_sensitivity(spec, prof, ens, 0, d2, noise)
-        yc = ag.propagate_sensitivity(spec, prof, ens, 0, combo, noise)
+        y1 = ag.propagate_sensitivity(spec, ens, 0, d1, noise)
+        y2 = ag.propagate_sensitivity(spec, ens, 0, d2, noise)
+        yc = ag.propagate_sensitivity(spec, ens, 0, combo, noise)
         assert np.allclose(yc.values, 2.0 * y1.values - 0.5 * y2.values,
                            rtol=1e-12, atol=1e-12)
 
@@ -219,9 +261,9 @@ class TestSensitivity:
         ens = ag.simulate_paths(spec, prof, grid, noise)
         dirs = ag.direction_dictionary(1.0)[:2]
         targets = [(h, d) for h in range(2) for d in dirs]
-        batch = ag.propagate_sensitivities(spec, prof, ens, targets, noise)
+        batch = ag.propagate_sensitivities(spec, ens, targets, noise)
         for (h, d), got in zip(targets, batch):
-            single = ag.propagate_sensitivity(spec, prof, ens, h, d, noise)
+            single = ag.propagate_sensitivity(spec, ens, h, d, noise)
             assert np.allclose(got.values, single.values, rtol=0, atol=0)
 
 
@@ -233,8 +275,8 @@ class TestSecondSensitivity:
         prof = ag.ControlProfile.zeros(2)
         ens = ag.simulate_paths(spec, prof, grid, noise)
         d = ag.Control.constant(1.0)
-        sh = ag.propagate_sensitivity(spec, prof, ens, 0, d, noise)
-        sl = ag.propagate_sensitivity(spec, prof, ens, 1, d, noise)
+        sh = ag.propagate_sensitivity(spec, ens, 0, d, noise)
+        sl = ag.propagate_sensitivity(spec, ens, 1, d, noise)
         mixed, = ag.propagate_second_sensitivities(spec, ens, [(sh, sl)],
                                                    noise)
         assert np.all(mixed.values == 0.0)
@@ -246,9 +288,8 @@ class TestSecondSensitivity:
         noise = ag.NoiseBundle.generate(3, grid, 100, 2)
         prof = ag.ControlProfile.zeros(2)
         ens = ag.simulate_paths(spec, prof, grid, noise)
-        sh = ag.propagate_sensitivity(spec, prof, ens, 0, ag.Control.zero(),
-                                      noise)
-        sl = ag.propagate_sensitivity(spec, prof, ens, 1,
+        sh = ag.propagate_sensitivity(spec, ens, 0, ag.Control.zero(), noise)
+        sl = ag.propagate_sensitivity(spec, ens, 1,
                                       ag.Control.constant(1.0), noise)
         mixed, = ag.propagate_second_sensitivities(spec, ens, [(sh, sl)],
                                                    noise)
@@ -261,8 +302,8 @@ class TestSecondSensitivity:
         prof = ag.ControlProfile.zeros(2)
         ens = ag.simulate_paths(spec, prof, grid, noise)
         d = ag.Control.constant(1.0)
-        sh = ag.propagate_sensitivity(spec, prof, ens, 0, d, noise)
-        s2 = ag.propagate_sensitivity(spec, prof, ens, 0, d, noise)
+        sh = ag.propagate_sensitivity(spec, ens, 0, d, noise)
+        s2 = ag.propagate_sensitivity(spec, ens, 0, d, noise)
         with pytest.raises(ValueError):
             ag.propagate_second_sensitivities(spec, ens, [(sh, s2)], noise)
 
@@ -275,10 +316,10 @@ class TestSecondSensitivity:
         ens = ag.simulate_paths(spec, prof, grid, noise)
         ens_other = ag.simulate_paths(spec, prof, grid, other)
         d = ag.Control.constant(1.0)
-        sh = ag.propagate_sensitivity(spec, prof, ens, 0, d, noise)
-        sl = ag.propagate_sensitivity(spec, prof, ens, 1, d, noise)
-        s2 = ag.propagate_sensitivity(spec, prof, ens, 0, d, noise)
-        foreign = ag.propagate_sensitivity(spec, prof, ens_other, 1, d, other)
+        sh = ag.propagate_sensitivity(spec, ens, 0, d, noise)
+        sl = ag.propagate_sensitivity(spec, ens, 1, d, noise)
+        s2 = ag.propagate_sensitivity(spec, ens, 0, d, noise)
+        foreign = ag.propagate_sensitivity(spec, ens_other, 1, d, other)
         for bad in ((sh, s2), (sh, foreign)):
             with pytest.raises(ValueError):
                 ag.propagate_second_sensitivities(spec, ens, [(sh, sl), bad],
@@ -292,8 +333,8 @@ class TestSecondSensitivity:
         ens = ag.simulate_paths(spec, prof, grid, noise)
         du = ag.Control.constant(1.0)
         dv = ag.Control.from_time_function(lambda t: t)
-        sh = ag.propagate_sensitivity(spec, prof, ens, 0, du, noise)
-        sl = ag.propagate_sensitivity(spec, prof, ens, 2, dv, noise)
+        sh = ag.propagate_sensitivity(spec, ens, 0, du, noise)
+        sl = ag.propagate_sensitivity(spec, ens, 2, dv, noise)
         m1, m2 = ag.propagate_second_sensitivities(spec, ens,
                                                    [(sh, sl), (sl, sh)], noise)
         assert np.allclose(m1.values, m2.values, rtol=1e-12, atol=1e-14)
@@ -308,8 +349,8 @@ class TestSecondSensitivity:
         eps = 1e-3
         du = ag.Control.constant(1.0)
         dv = ag.Control.from_time_function(lambda t: t)
-        sh = ag.propagate_sensitivity(spec, prof, ens, 0, du, noise)
-        sl = ag.propagate_sensitivity(spec, prof, ens, 1, dv, noise)
+        sh = ag.propagate_sensitivity(spec, ens, 0, du, noise)
+        sl = ag.propagate_sensitivity(spec, ens, 1, dv, noise)
         mixed, = ag.propagate_second_sensitivities(spec, ens, [(sh, sl)],
                                                    noise)
         pp = ag.simulate_paths(
