@@ -21,14 +21,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bsde import RegressionBasis, apriori_constant
-from .derivatives import (EPS_SCHEDULE, bsde_derivatives, cost_pathwise,
+from .derivatives import (EPS_SCHEDULE, bsde_derivatives,
                           second_derivative_fd_sweep,
                           second_derivative_z_oracle)
 from .model import (ConstantLedger, Control, ControlProfile, GameSpec,
                     NoiseBundle, TimeGrid)
 from .sim import (SecondSensitivityEnsemble, _euler, _response_step,
                   assemble_variational, propagate_second_sensitivities,
-                  propagate_sensitivities, simulate_paths)
+                  propagate_sensitivities, simulate_cost_batch,
+                  simulate_paths)
 
 __all__ = [
     "AlphaReport",
@@ -524,22 +525,22 @@ def potential_deviation_gaps(spec: GameSpec, profile: ControlProfile,
     """|cost change - potential change| for each unilateral deviation
     ``(i, control)`` in ``deviations``, with a pathwise (common random
     numbers) standard error.  The profile's costs and line integral are
-    computed once and shared by every deviation.
+    computed once and shared by every deviation; the costs of the
+    profile and of every deviation are the legs of one Euler sweep.
 
     Returns ``(gaps, (value, se))``: one dict per deviation, and the
     profile's candidate potential as ``potential_value`` computes it.
     """
     if anchor is None:
         anchor = ControlProfile.zeros(spec.n_players)
-    base_cost = cost_pathwise(spec, simulate_paths(spec, profile, grid, noise))
+    moved = [profile.with_player(i, deviation) for i, deviation in deviations]
+    base_cost, *costs = simulate_cost_batch(spec, [profile] + moved, grid,
+                                            noise, dtype=np.float64)
     base_phi = _potential_pathwise(spec, anchor, profile, grid, noise, basis,
                                    order)
     out = []
-    for i, deviation in deviations:
-        deviated = profile.with_player(i, deviation)
-        dv = (cost_pathwise(spec, simulate_paths(spec, deviated, grid,
-                                                 noise))[:, i]
-              - base_cost[:, i])
+    for (i, _), deviated, cost in zip(deviations, moved, costs):
+        dv = cost[:, i] - base_cost[:, i]
         dphi = (_potential_pathwise(spec, anchor, deviated, grid, noise,
                                     basis, order) - base_phi)
         mean, se = _mean_se(dv - dphi)
@@ -556,18 +557,17 @@ def exploitability(spec: GameSpec, profile: ControlProfile, deviations,
     ``deviations[i]`` is a nonempty list of candidate controls for
     player i.  Returns per-player (improvement, se) of the best
     candidate, unclamped (negative when no candidate improves), and
-    the overall maximum improvement.
+    the overall maximum improvement.  The costs of the profile and of
+    every candidate are the legs of one Euler sweep.
     """
-    ens = simulate_paths(spec, profile, grid, noise)
-    base = cost_pathwise(spec, ens)
-    per_player = []
-    for i in range(spec.n_players):
-        gains = []
-        for cand in deviations[i]:
-            ens_d = simulate_paths(spec, profile.with_player(i, cand),
-                                   grid, noise)
-            gains.append(_mean_se(base[:, i]
-                                  - cost_pathwise(spec, ens_d)[:, i]))
-        per_player.append(max(gains, key=lambda g: g[0]))
+    legs = [(i, cand) for i in range(spec.n_players)
+            for cand in deviations[i]]
+    base, *costs = simulate_cost_batch(
+        spec, [profile] + [profile.with_player(i, c) for i, c in legs], grid,
+        noise, dtype=np.float64)
+    gains = [[] for _ in range(spec.n_players)]
+    for (i, _), cost in zip(legs, costs):
+        gains[i].append(_mean_se(base[:, i] - cost[:, i]))
+    per_player = [max(g, key=lambda r: r[0]) for g in gains]
     overall = max(v for v, _ in per_player)
     return per_player, overall

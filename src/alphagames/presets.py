@@ -152,14 +152,18 @@ def build_lq_game(n_players: int, A=-0.3, Abar=0.2, B=1.0, b0=0.0,
         raise ValueError("need R > 0, Qhat >= 0, G >= 0")
 
     def linear(own, average, control, const):
+        # a partial whose parameter row is all zero is left out, which
+        # declares it zero, so the sweeps skip its terms
         coupling = np.repeat((average / n)[:, None], n, axis=1)
         return Coefficient(
             value=lambda s: own * s.x
             + _states_like(s, np.multiply, average, s.mean[:, None])
             + control * s.u + const,
-            dx=lambda s: np.full_like(s.x, own),
-            du=lambda s: np.full_like(s.x, control),
-            dy=lambda s: _on_paths(s, coupling))
+            dx=(lambda s: np.full_like(s.x, own)) if np.any(own) else None,
+            du=((lambda s: np.full_like(s.x, control))
+                if np.any(control) else None),
+            dy=(lambda s: _on_paths(s, coupling)) if np.any(average)
+            else None)
 
     running, terminal = _quadratic_costs(n, Qhat, R, G)
     spec = _game(n, xi_mean, xi_std, drift=linear(A, Abar, B, b0),

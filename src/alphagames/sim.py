@@ -14,6 +14,7 @@ first-order sensitivities, mixed responses and the scaling pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -79,18 +80,22 @@ class VariationalCoefficients:
     linear system are built on demand.  ``drift_state`` is the N x N
     matrix acting on the sensitivity vector in the drift (own-state
     diagonal plus joint-state block); ``diffusion_state(j)`` is the
-    matrix in front of driver j, nonzero only in row j.  ``slice`` is
-    the slice the partials were evaluated on; the step's second
-    partials and cost evaluators read it too.
+    matrix in front of driver j, nonzero only in row j.  A joint
+    gradient the coefficient does not supply is ``None``, read as zero.
+    ``additive_noise`` holds when the diffusion supplies no first
+    partial, so the responses have no diffusion term of their own.
+    ``slice`` is the slice the partials were evaluated on; the step's
+    second partials and cost evaluators read it too.
     """
 
     dxb: np.ndarray   # (P, N)
-    dyb: np.ndarray   # (P, N, N), row i = gradient of drift_i in the joint state
+    dyb: Optional[np.ndarray]  # (P, N, N), row i = gradient of drift_i in y
     dub: np.ndarray   # (P, N)
     dxs: np.ndarray   # (P, N)
-    dys: np.ndarray   # (P, N, N)
+    dys: Optional[np.ndarray]  # (P, N, N)
     dus: np.ndarray   # (P, N)
     slice: Slice
+    additive_noise: bool
 
     @property
     def n_players(self) -> int:
@@ -99,14 +104,15 @@ class VariationalCoefficients:
     def drift_state(self) -> np.ndarray:
         """(P, N, N): diagonal own-state partials plus the coupling block."""
         P, N = self.dxb.shape
-        out = self.dyb.copy()
+        out = np.zeros((P, N, N)) if self.dyb is None else self.dyb.copy()
         idx = np.arange(N)
         out[:, idx, idx] += self.dxb
         return out
 
     def diffusion_row(self, j: int) -> np.ndarray:
         """(P, N): the only nonzero row (row j) of driver j's matrix."""
-        row = self.dys[:, j, :].copy()
+        row = (np.zeros(self.dxs.shape) if self.dys is None
+               else self.dys[:, j, :].copy())
         row[:, j] += self.dxs[:, j]
         return row
 
@@ -227,14 +233,20 @@ def assemble_variational(spec: GameSpec, t: float, x: np.ndarray,
     ``x`` and ``u`` have shape (P, N).  Sparsity is structural: the
     drift matrix couples through the joint-state gradients, each driver
     matrix is supported on its own row, and the control loadings have a
-    single entry.
+    single entry.  A joint gradient that is not supplied is not
+    evaluated.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     sl = Slice(t, x, x, np.atleast_2d(np.asarray(u, dtype=float)))
     b, s = spec.drift, spec.diffusion
-    return VariationalCoefficients(dxb=b.dx(sl), dyb=b.dy(sl), dub=b.du(sl),
-                                   dxs=s.dx(sl), dys=s.dy(sl), dus=s.du(sl),
-                                   slice=sl)
+
+    def joint(c):
+        return c.dy(sl) if "dy" in c.supplied else None
+
+    return VariationalCoefficients(
+        dxb=b.dx(sl), dyb=joint(b), dub=b.du(sl),
+        dxs=s.dx(sl), dys=joint(s), dus=s.du(sl), slice=sl,
+        additive_noise=not s.supplied & {"dx", "du", "dy"})
 
 
 def _linearizations(spec: GameSpec, ensemble: PathEnsemble):
@@ -252,18 +264,26 @@ def _response_step(vc: VariationalCoefficients, y: np.ndarray, dt: float,
     private-driver increments.  ``controls`` lists per response r the
     perturbed player h and its direction's values du, added in place at
     entry (r, h); ``forcing`` is a dense (drift, diffusion) pair.
+    Terms of partials declared zero are skipped: the joint contraction
+    of a gradient that is not supplied, and the diffusion response of
+    additive noise without forcing.  What is skipped would add only
+    exact zeros, so the result has the same bits.
     """
-    drift = (vc.dxb[:, None, :] * y
-             + np.einsum("pij,prj->pri", vc.dyb, y, optimize=False))
-    diff = (vc.dxs[:, None, :] * y
-            + np.einsum("pij,prj->pri", vc.dys, y, optimize=False))
-    for r, (h, du) in enumerate(controls):
-        drift[:, r, h] += vc.dub[:, h] * du
-        diff[:, r, h] += vc.dus[:, h] * du
-    if forcing is not None:
-        drift += forcing[0]
-        diff += forcing[1]
-    return y + drift * dt + diff * dw[:, None, :]
+    def term(dx, dy, dsource, force):
+        acc = dx[:, None, :] * y
+        if dy is not None:
+            acc += np.einsum("pij,prj->pri", dy, y, optimize=False)
+        for r, (h, du) in enumerate(controls):
+            acc[:, r, h] += dsource[:, h] * du
+        if force is not None:
+            acc += force
+        return acc
+
+    drift_force, diff_force = forcing or (None, None)
+    out = y + term(vc.dxb, vc.dyb, vc.dub, drift_force) * dt
+    if forcing is not None or not vc.additive_noise:
+        out += term(vc.dxs, vc.dys, vc.dus, diff_force) * dw[:, None, :]
+    return out
 
 
 def propagate_sensitivities(spec: GameSpec, ensemble: PathEnsemble, targets,

@@ -93,3 +93,21 @@ def bs_closed_form_bsde(a, T, w_paths, nodes):
     decay = np.exp(a * (T - nodes))
     return w_paths * decay[None, :], np.broadcast_to(decay[None, :],
                                                      w_paths.shape)
+
+
+def decay_family_asymmetry(A, B, qhat, gterm, dt, n_steps):
+    """Pairwise mixed-derivative asymmetry of the lq decay family
+    (decoupled dynamics, additive noise, quadratic distance-to-average
+    costs) under the unit constant direction.  Each response is
+    deterministic, y_{k+1} = y_k (1 + A dt) + B dt from y_0 = 0, so pair
+    (i, j) reads (|qhat_i - qhat_j| dt sum_{k<M} y_k^2
+    + |g_i - g_j| y_M^2) (N - 1) / N^2."""
+    y, running = 0.0, 0.0
+    for _ in range(n_steps):
+        running += y * y
+        y = y * (1.0 + A * dt) + B * dt
+    qhat, gterm = np.asarray(qhat, float), np.asarray(gterm, float)
+    n = len(qhat)
+    return ((np.abs(qhat[:, None] - qhat[None, :]) * dt * running
+             + np.abs(gterm[:, None] - gterm[None, :]) * y * y)
+            * (n - 1) / n**2)

@@ -8,7 +8,8 @@ from alphagames.alpha import build_bound_ledger, pairwise_quadratic_asymmetry
 from alphagames.model import ConstantLedger
 from alphagames.presets import lq_scaling_params
 
-from oracles import scalar_lq_cost, scalar_lq_optimal_control
+from oracles import (decay_family_asymmetry, scalar_lq_cost,
+                     scalar_lq_optimal_control)
 
 
 class TestAsymmetry:
@@ -103,6 +104,25 @@ class TestAsymmetry:
         finally:
             tracemalloc.stop()
         assert peak < states
+
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    def test_decay_family_matches_closed_form(self, n):
+        # the scaling pass's family: decoupled dynamics and additive
+        # noise make every response deterministic
+        params = lq_scaling_params(n)
+        spec, _ = ag.build_preset("lq", n, **params)
+        grid = ag.TimeGrid(20, 1.0)
+        noise = ag.NoiseBundle.generate(21, grid, 300, spec.n_drivers)
+        asym, se = pairwise_quadratic_asymmetry(
+            spec, params["Qhat"], params["G"],
+            ag.ControlProfile.constants([0.3] * n), ag.Control.constant(1.0),
+            grid, noise)
+        expect = decay_family_asymmetry(params["A"], params["B"],
+                                        params["Qhat"], params["G"],
+                                        grid.dt, grid.n_steps)
+        assert expect.max() > 0
+        assert np.allclose(asym, expect, rtol=1e-9, atol=0)
+        assert np.all(se <= 1e-9 * expect.max())
 
 
 class TestBounds:

@@ -221,6 +221,30 @@ class TestValidateGame:
                            np.full((32, 3, 3, 3), 2.0 / 9.0), atol=1e-4)
 
 
+class TestLqDeclarations:
+    """The lq preset supplies a partial only when its parameter row has
+    a nonzero entry; a partial left out is declared zero."""
+
+    @pytest.mark.parametrize("Abar,Cbar", [
+        (0.0, 0.0), (0.2, 0.0), (0.0, 0.3),
+        ([0.0, 0.2, 0.0], [0.0, 0.0, 0.1])])
+    def test_joint_gradient_supplied_only_when_coupled(self, Abar, Cbar):
+        spec, ledger = ag.build_lq_game(3, Abar=Abar, C=0.2, Cbar=Cbar)
+        assert ("dy" in spec.drift.supplied) == bool(np.any(Abar))
+        assert ("dy" in spec.diffusion.supplied) == bool(np.any(Cbar))
+        assert spec.has_affine_coefficients()
+        rep = ag.validate_game(spec, ledger, ag.SampleBox(), 128)
+        assert rep.passed, (rep.worst(), rep.messages[:3])
+
+    def test_additive_noise_supplies_no_diffusion_partial(self):
+        spec, ledger = ag.build_lq_game(3, Abar=0.0, C=0.0, Cbar=0.0, D=0.0)
+        assert spec.drift.supplied == {"dx", "du"}
+        assert spec.diffusion.supplied == set()
+        assert spec.has_affine_coefficients()
+        rep = ag.validate_game(spec, ledger, ag.SampleBox(), 128)
+        assert rep.passed, (rep.worst(), rep.messages[:3])
+
+
 class TestSlice:
     @pytest.mark.parametrize("preset", ag.PRESET_IDS)
     def test_evaluators_keep_no_slice_data_alive(self, preset):

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 import alphagames as ag
+from alphagames.alpha import pairwise_quadratic_asymmetry
 from alphagames.model import Coefficient, RunningCost, TerminalCost
-from alphagames.sim import simulate_cost_batch
+from alphagames.presets import lq_scaling_params
+from alphagames.sim import (VariationalCoefficients, _response_step,
+                            simulate_cost_batch)
 
 from oracles import ou_terminal_moments
 
@@ -103,7 +106,9 @@ class TestSimulate:
         else:
             prof = ag.ControlProfile.constants(
                 [0.2 - 0.05 * i for i in range(n)])
-        profs = [prof, ag.ControlProfile.zeros(n)]
+        profs = [prof, ag.ControlProfile.zeros(n),
+                 prof.with_player(0, ag.Control.constant(-0.4)),
+                 prof.with_player(n - 1, ag.Control.own_noise_feedback(0))]
         batch = simulate_cost_batch(spec, profs, grid, noise,
                                     dtype=np.float64)
         from alphagames.derivatives import cost_pathwise
@@ -265,6 +270,83 @@ class TestSensitivity:
         for (h, d), got in zip(targets, batch):
             single = ag.propagate_sensitivity(spec, ens, h, d, noise)
             assert np.allclose(got.values, single.values, rtol=0, atol=0)
+
+
+class TestResponseStep:
+    """Terms of partials declared zero are skipped, and skipping them
+    leaves every bit of the step unchanged."""
+
+    P, R, N = 40, 3, 4
+
+    def linearization(self, gen, declared, additive):
+        """The same coefficients twice over: with the joint gradients
+        not supplied (and, for additive noise, no diffusion partial),
+        and with them supplied as explicit zero arrays."""
+        P, N = self.P, self.N
+        dxb, dub = gen.normal(size=(P, N)), gen.normal(size=(P, N))
+        dxs, dus = ((np.zeros((P, N)), np.zeros((P, N))) if additive
+                    else (gen.normal(size=(P, N)), gen.normal(size=(P, N))))
+        if declared:
+            return VariationalCoefficients(dxb, None, dub, dxs, None, dus,
+                                           None, additive)
+        zero = np.zeros((P, N, N))
+        return VariationalCoefficients(dxb, zero, dub, dxs, zero.copy(),
+                                       dus, None, False)
+
+    @pytest.mark.parametrize("additive", [False, True],
+                             ids=["state-noise", "additive-noise"])
+    @pytest.mark.parametrize("with_controls", [False, True],
+                             ids=["no-controls", "controls"])
+    @pytest.mark.parametrize("with_forcing", [False, True],
+                             ids=["no-forcing", "forcing"])
+    def test_declared_zero_gives_same_bits(self, additive, with_controls,
+                                           with_forcing):
+        P, R, N = self.P, self.R, self.N
+        gen = np.random.default_rng(11)
+        seed = gen.integers(1 << 30)
+        y = gen.normal(size=(P, R, N))
+        dw = gen.normal(scale=0.1, size=(P, N))
+        controls = ([(r % N, gen.normal(size=P)) for r in range(R)]
+                    if with_controls else ())
+        forcing = ((gen.normal(size=(P, R, N)), gen.normal(size=(P, R, N)))
+                   if with_forcing else None)
+        steps = [_response_step(
+                     self.linearization(np.random.default_rng(seed),
+                                        declared, additive),
+                     y, 0.05, dw, controls=controls, forcing=forcing)
+                 for declared in (True, False)]
+        assert steps[0].tobytes() == steps[1].tobytes()
+
+    def test_scaling_pass_makes_no_joint_contraction(self, monkeypatch):
+        # the decay family's dynamics are decoupled, so its joint
+        # gradients are declared zero; contracting them took two
+        # per-path (N, N) x (N, N) einsums per step
+        joint = "pij,prj->pri"
+        subscripts = []
+        einsum = np.einsum
+
+        def counting(sub, *operands, **kwargs):
+            subscripts.append(sub)
+            return einsum(sub, *operands, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", counting)
+        grid = ag.TimeGrid(6, 1.0)
+
+        def contractions(n, **params):
+            spec, _ = ag.build_preset("lq", n, **params)
+            noise = ag.NoiseBundle.generate(4, grid, 200, spec.n_drivers)
+            subscripts.clear()
+            pairwise_quadratic_asymmetry(
+                spec, params["Qhat"], params["G"], ag.ControlProfile.zeros(n),
+                ag.Control.constant(1.0), grid, noise)
+            return subscripts.count(joint)
+
+        n = 4
+        params = lq_scaling_params(n)
+        assert contractions(n, **params) == 0
+        # a drift coupled through the average contracts once per step;
+        # its additive noise still contracts nothing
+        assert contractions(n, **dict(params, Abar=0.2)) == grid.n_steps
 
 
 class TestSecondSensitivity:
