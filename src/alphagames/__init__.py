@@ -18,12 +18,9 @@ from .sim import (PathEnsemble, SecondSensitivityEnsemble,
                   assemble_variational, empirical_moment,
                   propagate_second_sensitivities, propagate_sensitivities,
                   propagate_sensitivity, simulate_cost_batch, simulate_paths)
-from .bsde import (AdjointSolution, BsdeSolution, LinearBsdeSpec,
-                   MatrixItoProcess, RegressionBasis, SecondAdjointSolution,
-                   apriori_bound_check, apriori_constant,
-                   second_adjoint_process, sensitivity_outer_process,
-                   solve_first_adjoint, solve_linear_bsde,
-                   solve_second_adjoint, trace_duality_residual)
+from .bsde import (BsdeSolution, LinearBsdeSpec, RegressionBasis,
+                   apriori_bound_check, apriori_constant, solve_linear_bsde,
+                   trace_duality)
 from .derivatives import (DerivativeEstimate, bsde_derivatives,
                           cost_pathwise, cost_value,
                           first_derivative_fd_sweep, first_derivative_sens,

@@ -22,9 +22,9 @@ first-adjoint-weighted coefficient Hessians.
 Every solver runs through one backward loop.  The adjoint sweep solves
 the first-order systems of any set of players and the matrix systems of
 any subset of them in one pass with one linearization per step, and
-yields each step's layers with that slice data, so the derivative
-contractions consume the layers as they are solved; the stored solves
-are thin consumers of the same sweep.
+yields each step's layers with that slice data.  No adjoint layer is
+stored: the derivative contractions and the product-trace duality check
+consume each step's layers as they are solved.
 
 All reductions go through ``np.einsum`` so results do not depend on
 BLAS threading.
@@ -38,7 +38,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import ControlProfile, GameSpec, NoiseBundle, Slice
+from .model import GameSpec, NoiseBundle, Slice
 from .sim import (PathEnsemble, SensitivityEnsemble, VariationalCoefficients,
                   _second_order_slices, assemble_variational)
 
@@ -46,18 +46,10 @@ __all__ = [
     "RegressionBasis",
     "LinearBsdeSpec",
     "BsdeSolution",
-    "AdjointSolution",
-    "SecondAdjointSolution",
     "solve_linear_bsde",
     "apriori_constant",
     "apriori_bound_check",
-    "solve_first_adjoint",
-    "solve_first_adjoints",
-    "solve_second_adjoint",
-    "MatrixItoProcess",
-    "trace_duality_residual",
-    "sensitivity_outer_process",
-    "second_adjoint_process",
+    "trace_duality",
 ]
 
 
@@ -93,6 +85,7 @@ class StepDiagnostics:
     ridge: float
     residual_norm: float
     martingale_residual_norm: float
+    matrix_residual_norm: Optional[float] = None  # matrix value fit's
 
 
 class _Regressor:
@@ -243,17 +236,21 @@ def apriori_constant(c1: float, d: int, T: float) -> float:
 
     Built from the coefficient norm bound ``c1``, the driver count, and
     the horizon, via the Burkholder-Davis-Gundy / Gronwall chain with
-    every intermediate constant kept explicit.  Always >= 1.
+    every intermediate constant kept explicit.  Always >= 1; infinite
+    when the chain overflows double precision.
     """
     kappa = 2.0 * c1 + 2.0 * c1 * c1 * d
-    expk = math.exp(kappa)
-    c3 = T * kappa * expk + 1.0
-    s = c3 + expk
-    kcap = c1 * c1 * (d + 1) + 1.0
-    a_y = 8.0 * (kcap * s + 1.0)
-    b_y = 8.0 * (2.0 * kcap**2 * s**2 + 1.0)
-    a_z = s + a_y / (2.0 * kcap)
-    b_z = 2.0 * kcap * s**2 + b_y / (2.0 * kcap)
+    try:
+        expk = math.exp(kappa)
+        c3 = T * kappa * expk + 1.0
+        s = c3 + expk
+        kcap = c1 * c1 * (d + 1) + 1.0
+        a_y = 8.0 * (kcap * s + 1.0)
+        b_y = 8.0 * (2.0 * kcap**2 * s**2 + 1.0)
+        a_z = s + a_y / (2.0 * kcap)
+        b_z = 2.0 * kcap * s**2 + b_y / (2.0 * kcap)
+    except OverflowError:
+        return math.inf
     return max(a_y + a_z, b_y + b_z)
 
 
@@ -264,7 +261,8 @@ def apriori_bound_check(spec: LinearBsdeSpec, solution: BsdeSolution,
     lhs is the sample mean of sup_t |y|^2 plus the time-integrated
     squared martingale components; rhs is the constant (assembled from
     the worst sampled Frobenius norms of the coefficients) times the
-    sample mean of |terminal|^2 + (int |forcing| dt)^2.
+    sample mean of |terminal|^2 + (int |forcing| dt)^2.  An infinite
+    constant bounds nothing, so its ratio is infinite.
     """
     M = ensemble.grid.n_steps
     dt = ensemble.grid.dt
@@ -296,35 +294,8 @@ def apriori_bound_check(spec: LinearBsdeSpec, solution: BsdeSolution,
     rhs = const * float(np.mean(
         np.einsum("pa,pa->p", xi, xi, optimize=False) + fint**2))
     return {"lhs": lhs, "rhs": rhs, "constant": const, "coef_norm": c1,
-            "ratio": lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else np.inf)}
-
-
-@dataclass
-class AdjointSolution:
-    """First-order adjoint pair for one player.
-
-    ``P_vals[p, k, :]`` is the costate vector; ``Q_vals[p, k, j, :]``
-    the martingale loading of driver j.
-    """
-
-    player: int
-    P_vals: np.ndarray  # (P, M+1, N)
-    Q_vals: np.ndarray  # (P, M, D, N)
-    diagnostics: list
-
-
-@dataclass
-class SecondAdjointSolution:
-    """Matrix-valued adjoint for one player; slices are symmetric.
-
-    The backward system does not depend on which pair of players is
-    being differentiated, so one solve serves every pair.
-    """
-
-    player: int
-    P2: np.ndarray  # (P, M+1, N, N)
-    Q2: np.ndarray  # (P, M, D, N, N)
-    diagnostics: list
+            "ratio": (lhs / rhs if 0 < rhs < np.inf
+                      else (0.0 if lhs == 0 else np.inf))}
 
 
 @dataclass(frozen=True)
@@ -428,9 +399,10 @@ def _adjoint_sweep(spec, ensemble, noise, basis, players, second=()):
         driver += spec.running_cost.dy(vc.slice)[:, players]
         costates = reg.fit((ycost + dt * driver).reshape(P, cols)).reshape(
             P, Q, N)
+        diagnostics = reg.diagnostics()
         if not S:
             return costates.reshape(P, cols), AdjointStep(
-                k, vc, None, costates, zcost, None, None, reg.diagnostics())
+                k, vc, None, costates, zcost, None, None, diagnostics)
         so = _second_order_slices(spec, vc.slice)
         rows = np.stack([vc.diffusion_row(j) for j in range(N)], axis=1)
         fyy = spec.running_cost.dyy(vc.slice)
@@ -441,177 +413,75 @@ def _adjoint_sweep(spec, ensemble, noise, basis, players, second=()):
                                     fyy[:, p], costates[:, q], qdiag)
             targets[:, s] = ymat[:, s] + dt * driver
         fitted = reg.fit(targets.reshape(P, S * N * N)).reshape(P, S, N, N)
+        diagnostics.matrix_residual_norm = reg.residual_norm
         matrices = 0.5 * (fitted + np.swapaxes(fitted, 2, 3))
         layer = np.concatenate([costates.reshape(P, cols),
                                 matrices.reshape(P, S * N * N)], axis=1)
         return layer, AdjointStep(k, vc, so, costates, zcost, matrices,
-                                  zmat, reg.diagnostics())
+                                  zmat, diagnostics)
 
     yield from _backward(ensemble, noise, basis, D, terminal, step)
 
 
-def solve_first_adjoints(spec: GameSpec, controls: ControlProfile,
-                         ensemble: PathEnsemble, noise: NoiseBundle,
-                         basis: RegressionBasis, players) -> list:
-    """Costate systems for several players, every step's layers stored."""
-    players = list(players)
-    P, M = ensemble.n_paths, ensemble.grid.n_steps
-    y = np.empty((P, M + 1, len(players), spec.n_players))
-    z = np.empty((P, M, spec.n_drivers, len(players), spec.n_players))
-    sweep = _adjoint_sweep(spec, ensemble, noise, basis, players)
-    y[:, M] = next(sweep)[0]
-    diags = []
-    for step in sweep:
-        y[:, step.k], z[:, step.k] = step.costates, step.loadings
-        diags.append(step.diagnostics)
-    # basic slices: views into the shared solve buffers, no copies
-    return [AdjointSolution(player=p, P_vals=y[:, :, q, :],
-                            Q_vals=z[:, :, :, q, :],
-                            diagnostics=diags[::-1])
-            for q, p in enumerate(players)]
+def trace_duality(spec: GameSpec, ensemble: PathEnsemble, noise: NoiseBundle,
+                  basis: RegressionBasis, player: int,
+                  sens_h: SensitivityEnsemble, sens_l: SensitivityEnsemble):
+    """Defect of the product-trace identity between ``player``'s matrix
+    adjoint P (dP = Theta dt + sum_j Q^j dW^j, Theta minus its driver)
+    and the outer product Y = y_l y_h' of two first-order responses
+    (dY = Phi dt + sum_j Psi^j dW^j, by the product rule):
+    E tr[P_T Y_T] - E tr[P_0 Y_0] equals the expected time integral of
+    tr[Theta Y + P Phi + sum_j Q^j Psi^j].
 
-
-def solve_first_adjoint(spec: GameSpec, controls: ControlProfile,
-                        ensemble: PathEnsemble, noise: NoiseBundle,
-                        basis: RegressionBasis, player: int) -> AdjointSolution:
-    """Costate system whose terminal value is the terminal-cost gradient
-    and whose driver transposes the state linearization."""
-    return solve_first_adjoints(spec, controls, ensemble, noise, basis,
-                                [player])[0]
-
-
-def solve_second_adjoint(spec: GameSpec, ensemble: PathEnsemble,
-                         noise: NoiseBundle, basis: RegressionBasis,
-                         player: int) -> SecondAdjointSolution:
-    """Matrix-valued backward system of one player (see
-    ``_adjoint_sweep``), every step's layers stored; its costate pair is
-    solved alongside and dropped."""
-    N, D = spec.n_players, spec.n_drivers
-    P, M = ensemble.n_paths, ensemble.grid.n_steps
-    P2 = np.empty((P, M + 1, N, N))
-    Q2 = np.empty((P, M, D, N, N))
-    sweep = _adjoint_sweep(spec, ensemble, noise, basis, [player], [player])
-    P2[:, M] = next(sweep)[1][:, 0]
-    diags = []
-    for step in sweep:
-        P2[:, step.k] = step.matrices[:, 0]
-        Q2[:, step.k] = step.matrix_loadings[:, :, 0]
-        diags.append(step.diagnostics)
-    return SecondAdjointSolution(player=player, P2=P2, Q2=Q2,
-                                 diagnostics=diags[::-1])
-
-
-@dataclass
-class MatrixItoProcess:
-    """Matrix process with recorded drift/diffusion decomposition."""
-
-    values: np.ndarray     # (P, M+1, n, n)
-    drift: np.ndarray      # (P, M, n, n)
-    diffusion: np.ndarray  # (P, M, D, n, n)
-
-
-def trace_duality_residual(p_like: MatrixItoProcess,
-                           y_like: MatrixItoProcess, dt: float):
-    """Pathwise defect of the product-trace identity.
-
-    For matrix processes dY = Phi dt + sum_j Psi^j dW^j and
-    dP = Theta dt + sum_j Q^j dW^j, the expected trace of P_T Y_T minus
-    that of P_0 Y_0 equals the expected time integral of
-    tr[Theta Y + P Phi + sum_j Q^j Psi^j].  Returns (residual, se).
-    """
-    if p_like.values.shape != y_like.values.shape:
-        raise ValueError("shape mismatch between the two processes")
-    term = np.einsum("pab,pba->p", p_like.values[:, -1], y_like.values[:, -1],
-                     optimize=False)
-    start = np.einsum("pab,pba->p", p_like.values[:, 0], y_like.values[:, 0],
-                      optimize=False)
-    integ = (np.einsum("pkab,pkba->p", p_like.drift, y_like.values[:, :-1],
-                       optimize=False)
-             + np.einsum("pkab,pkba->p", p_like.values[:, :-1], y_like.drift,
-                         optimize=False)
-             + np.einsum("pkjab,pkjba->p", p_like.diffusion, y_like.diffusion,
-                         optimize=False)) * dt
-    per_path = term - start - integ
-    n = per_path.shape[0]
-    return float(abs(np.mean(per_path))), float(per_path.std(ddof=1) / np.sqrt(n))
-
-
-def sensitivity_outer_process(spec: GameSpec, ensemble: PathEnsemble,
-                              noise: NoiseBundle, sens_h: SensitivityEnsemble,
-                              sens_l: SensitivityEnsemble) -> MatrixItoProcess:
-    """Outer product of two first-order sensitivities with its exact
-    drift/diffusion decomposition (product rule plus covariation)."""
+    Streamed over one backward sweep: each step's integrand is
+    contracted as its layers are solved, so only a per-path accumulator
+    is kept.  Driver j moves response component j only, so Y's
+    diffusion is Psi^j = e_j a_j y_h' + y_l b_j e_j' with a_j, b_j the
+    two responses' loadings on driver j.  Returns (residual, se)."""
     h, l = sens_h.perturbed_player, sens_l.perturbed_player
-    N = spec.n_players
-    M = ensemble.grid.n_steps
-    P = ensemble.n_paths
-    vals = np.einsum("pka,pkb->pkab", sens_l.values, sens_h.values,
-                     optimize=False)
-    drift = np.empty((P, M, N, N))
-    diffusion = np.zeros((P, M, N, N, N))
-    for k in range(M):
+    N, dt = spec.n_players, ensemble.grid.dt
+
+    def pair(mat, k):
+        """tr[mat Y_k] = y_h' mat y_l, per path."""
+        return np.einsum("pa,pab,pb->p", sens_h.values[:, k], mat,
+                         sens_l.values[:, k], optimize=False)
+
+    sweep = _adjoint_sweep(spec, ensemble, noise, basis, [player], [player])
+    per_path = pair(next(sweep)[1][:, 0], -1)
+    for step in sweep:
+        k, vc = step.k, step.vc
         t = ensemble.grid.nodes[k]
-        vc = assemble_variational(spec, t, ensemble.states[:, k, :],
-                                  ensemble.realized_controls[:, k, :])
-        yh = sens_h.values[:, k, :]
-        yl = sens_l.values[:, k, :]
+        yh, yl = sens_h.values[:, k], sens_l.values[:, k]
         du_h = sens_h.direction(t, k, noise.increments)
         du_l = sens_l.direction(t, k, noise.increments)
         B0 = vc.drift_state()
-        Y = vals[:, k]
-        d = (np.einsum("pab,pcb->pac", Y, B0, optimize=False)
-             + np.einsum("pab,pbc->pac", B0, Y, optimize=False))
-        d += np.einsum("pa,pb,p->pab", yl, vc.drift_control(h), du_h,
-                       optimize=False)
-        d += np.einsum("pa,pb,p->pab", vc.drift_control(l), yh, du_l,
-                       optimize=False)
-        for j in range(N):
-            Pi = vc.diffusion_state(j)
-            sh = np.einsum("pab,pb->pa", Pi, yh, optimize=False)
-            sl = np.einsum("pab,pb->pa", Pi, yl, optimize=False)
-            if j == h:
-                sh = sh + vc.diffusion_control(h) * du_h[:, None]
-            if j == l:
-                sl = sl + vc.diffusion_control(l) * du_l[:, None]
-            d += np.einsum("pa,pb->pab", sl, sh, optimize=False)
-            diffusion[:, k, j] = (np.einsum("pab,pcb->pac", Y, Pi,
-                                            optimize=False)
-                                  + np.einsum("pab,pbc->pac", Pi, Y,
-                                              optimize=False))
-            if j == h:
-                diffusion[:, k, j] += np.einsum(
-                    "pa,pb,p->pab", yl, vc.diffusion_control(h), du_h,
-                    optimize=False)
-            if j == l:
-                diffusion[:, k, j] += np.einsum(
-                    "pa,pb,p->pab", vc.diffusion_control(l), yh, du_l,
-                    optimize=False)
-        drift[:, k] = d
-    return MatrixItoProcess(values=vals, drift=drift, diffusion=diffusion)
-
-
-def second_adjoint_process(spec: GameSpec, ensemble: PathEnsemble,
-                           first: AdjointSolution,
-                           second: SecondAdjointSolution) -> MatrixItoProcess:
-    """The solved matrix adjoint as an Ito process: drift is minus the
-    driver recomputed at each step's stored layers, diffusion the
-    stored martingale loadings."""
-    N = spec.n_players
-    M = ensemble.grid.n_steps
-    P = ensemble.n_paths
-    drift = np.empty((P, M, N, N))
-    for k in range(M):
-        t = ensemble.grid.nodes[k]
-        x = ensemble.states[:, k, :]
-        u = ensemble.realized_controls[:, k, :]
-        vc = assemble_variational(spec, t, x, u)
         rows = np.stack([vc.diffusion_row(j) for j in range(N)], axis=1)
-        qdiag = np.stack([first.Q_vals[:, k, j, j] for j in range(N)], axis=1)
-        drift[:, k] = -_matrix_driver(
-            vc.drift_state(), rows, _second_order_slices(spec, vc.slice),
-            second.P2[:, k], second.Q2[:, k],
-            spec.running_cost.dyy(vc.slice)[:, second.player],
-            first.P_vals[:, k, :], qdiag)
-    return MatrixItoProcess(values=second.P2,
-                            drift=drift,
-                            diffusion=second.Q2[:, :, :N, :, :])
+        # each response's drift and its loading on each private driver
+        mu_h = np.einsum("pab,pb->pa", B0, yh, optimize=False)
+        mu_l = np.einsum("pab,pb->pa", B0, yl, optimize=False)
+        mu_h[:, h] += vc.dub[:, h] * du_h
+        mu_l[:, l] += vc.dub[:, l] * du_l
+        b = np.einsum("pja,pa->pj", rows, yh, optimize=False)
+        a = np.einsum("pja,pa->pj", rows, yl, optimize=False)
+        b[:, h] += vc.dus[:, h] * du_h
+        a[:, l] += vc.dus[:, l] * du_l
+        mat, qmat = step.matrices[:, 0], step.matrix_loadings[:, :N, 0]
+        qdiag = np.einsum("pjj->pj", step.loadings[:, :N, 0])
+        theta = -_matrix_driver(
+            B0, rows, step.slices, mat, qmat,
+            spec.running_cost.dyy(vc.slice)[:, player],
+            step.costates[:, 0], qdiag)
+        integrand = pair(theta, k)
+        # tr[P Phi], P symmetric: Phi = mu_l y_h' + y_l mu_h'
+        # + sum_j a_j b_j e_j e_j'
+        integrand += np.einsum("pa,pab,pb->p", yh, mat, mu_l, optimize=False)
+        integrand += np.einsum("pa,pab,pb->p", mu_h, mat, yl, optimize=False)
+        integrand += np.einsum("pjj,pj,pj->p", mat, a, b, optimize=False)
+        # sum_j tr[Q^j Psi^j] = a_j (y_h' Q^j)_j + b_j (Q^j y_l)_j
+        integrand += np.einsum("pj,pa,pjaj->p", a, yh, qmat, optimize=False)
+        integrand += np.einsum("pj,pjja,pa->p", b, qmat, yl, optimize=False)
+        per_path -= integrand * dt
+    per_path -= pair(mat, 0)   # the k = 0 layer
+    n = per_path.shape[0]
+    return float(abs(np.mean(per_path))), float(per_path.std(ddof=1)
+                                                 / np.sqrt(n))

@@ -76,12 +76,13 @@ class SecondSensitivityEnsemble:
 class VariationalCoefficients:
     """First-order coefficient data of the linearized state system.
 
-    Stored as the primitive partial arrays; the dense matrices of the
-    linear system are built on demand.  ``drift_state`` is the N x N
-    matrix acting on the sensitivity vector in the drift (own-state
-    diagonal plus joint-state block); ``diffusion_state(j)`` is the
-    matrix in front of driver j, nonzero only in row j.  A joint
-    gradient the coefficient does not supply is ``None``, read as zero.
+    Stored as the primitive partial arrays.  ``drift_state`` is the
+    N x N matrix acting on the sensitivity vector in the drift (own-state
+    diagonal plus joint-state block); the matrix in front of driver j is
+    nonzero only in row j, which ``diffusion_row(j)`` returns.  Player
+    h's control loads the drift by ``dub[:, h]`` and driver h by
+    ``dus[:, h]``, each in entry h only.  A joint gradient the
+    coefficient does not supply is ``None``, read as zero.
     ``additive_noise`` holds when the diffusion supplies no first
     partial, so the responses have no diffusion term of their own.
     ``slice`` is the slice the partials were evaluated on; the step's
@@ -115,27 +116,6 @@ class VariationalCoefficients:
                else self.dys[:, j, :].copy())
         row[:, j] += self.dxs[:, j]
         return row
-
-    def diffusion_state(self, j: int) -> np.ndarray:
-        """(P, N, N): dense matrix of driver j; zero outside row j."""
-        P, N = self.dxs.shape
-        out = np.zeros((P, N, N))
-        out[:, j, :] = self.diffusion_row(j)
-        return out
-
-    def drift_control(self, h: int) -> np.ndarray:
-        """(P, N): control-direction drift loading, single entry h."""
-        P, N = self.dub.shape
-        out = np.zeros((P, N))
-        out[:, h] = self.dub[:, h]
-        return out
-
-    def diffusion_control(self, j: int) -> np.ndarray:
-        """(P, N): control-direction loading of driver j, single entry j."""
-        P, N = self.dus.shape
-        out = np.zeros((P, N))
-        out[:, j] = self.dus[:, j]
-        return out
 
 
 def _check_pair(ensemble: PathEnsemble, noise: NoiseBundle):

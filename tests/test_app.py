@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -231,6 +232,16 @@ class TestCli:
         with open(tmp_path / "out" / "tables" / "potential_gaps.csv") as fh:
             flags = [r["ok"] for r in csv.DictReader(fh)]
         assert "0" in flags and "1" in flags
+
+    @pytest.mark.parametrize("A,passed", [(10.0, True), (15.0, False)])
+    def test_bound_exits_one_on_overflow(self, tmp_path, capsys, A, passed):
+        # at A = 15 the energy constant's chain overflows: the report is
+        # still written, and the vacuous bound fails the run
+        path, _ = write_config(tmp_path, preset_params={"A": A})
+        assert main(["bound", "--config", str(path)]) == (0 if passed else 1)
+        rep = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert rep["passed"] is passed
+        assert math.isfinite(rep["results"]["alpha_bound"]) is passed
 
     def test_reproducible_across_thread_counts(self, tmp_path):
         """Identical config and seed give bit-identical numeric output,

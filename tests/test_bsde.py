@@ -1,11 +1,13 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import alphagames as ag
 from alphagames.bsde import (LinearBsdeSpec, _adjoint_sweep, _Regressor,
                              apriori_bound_check, apriori_constant,
-                             solve_first_adjoints, solve_linear_bsde,
-                             solve_second_adjoint)
+                             solve_linear_bsde)
 from alphagames.model import Coefficient, RunningCost, TerminalCost
 
 from oracles import bs_closed_form_bsde
@@ -127,6 +129,16 @@ class TestAprioriBound:
         rep = apriori_bound_check(bspec, sol, ens, noise)
         assert rep["ratio"] <= 1.0
 
+    def test_overflowing_constant_fails(self):
+        _, grid, noise, ens = brownian_ensemble(1, 10, 500)
+        bspec = LinearBsdeSpec(
+            m=1, d=1, terminal=lambda e: np.ones((e.n_paths, 1)),
+            value_coef=lambda k, e: np.full((e.n_paths, 1, 1), 15.0))
+        sol = solve_linear_bsde(bspec, ens, noise)
+        rep = apriori_bound_check(bspec, sol, ens, noise)
+        assert rep["constant"] == math.inf
+        assert not rep["ratio"] <= 1.0
+
     @pytest.mark.parametrize("trial", range(20))
     def test_random_bounded_instances(self, trial):
         gen = np.random.default_rng(100 + trial)
@@ -168,6 +180,15 @@ class TestAprioriBound:
         assert rep["ratio"] <= 1.0
 
 
+def solved_sweep(spec, ens, noise, players, second=()):
+    """Terminal layers and every step's ``AdjointStep`` of one backward
+    sweep, keyed by k."""
+    sweep = _adjoint_sweep(spec, ens, noise, ag.RegressionBasis(), players,
+                           second)
+    terminal = next(sweep)
+    return terminal, {step.k: step for step in sweep}
+
+
 class TestFirstAdjoint:
     def test_constant_costs_zero(self):
         spec, _ = ag.build_lq_game(2, Qhat=0.0, G=0.0)
@@ -175,10 +196,11 @@ class TestFirstAdjoint:
         noise = ag.NoiseBundle.generate(3, grid, 2000, 2)
         prof = ag.ControlProfile.constants([0.1, -0.1])
         ens = ag.simulate_paths(spec, prof, grid, noise)
-        adj = ag.solve_first_adjoint(spec, prof, ens, noise,
-                                     ag.RegressionBasis(), 0)
-        assert np.allclose(adj.P_vals, 0.0, atol=1e-10)
-        assert np.allclose(adj.Q_vals, 0.0, atol=1e-8)
+        (costates, _), steps = solved_sweep(spec, ens, noise, [0])
+        assert np.allclose(costates, 0.0, atol=1e-10)
+        for step in steps.values():
+            assert np.allclose(step.costates, 0.0, atol=1e-10)
+            assert np.allclose(step.loadings, 0.0, atol=1e-8)
 
     def test_scalar_linear_terminal_unit(self):
         # single player, control drift, constant diffusion, terminal
@@ -197,11 +219,13 @@ class TestFirstAdjoint:
         noise = ag.NoiseBundle.generate(4, grid, 5000, 1)
         prof = ag.ControlProfile.constants([0.5])
         ens = ag.simulate_paths(spec, prof, grid, noise)
-        adj = ag.solve_first_adjoint(spec, prof, ens, noise,
-                                     ag.RegressionBasis(), 0)
-        assert np.allclose(adj.P_vals, 1.0, atol=1e-5)
+        (costates, _), steps = solved_sweep(spec, ens, noise, [0])
+        assert np.allclose(costates, 1.0, atol=1e-5)
+        for step in steps.values():
+            assert np.allclose(step.costates, 1.0, atol=1e-5)
+        loadings = np.stack([s.loadings for s in steps.values()])
         floor = 5.0 * np.sqrt((1.0 / grid.dt) * 10 / ens.n_paths)
-        assert np.sqrt((adj.Q_vals**2).mean()) < floor
+        assert np.sqrt((loadings**2).mean()) < floor
 
     def test_lq_terminal_condition_pathwise(self):
         n = 3
@@ -212,14 +236,15 @@ class TestFirstAdjoint:
         prof = ag.ControlProfile.constants([0.1, -0.2, 0.0])
         ens = ag.simulate_paths(spec, prof, grid, noise)
         xT = ens.states[:, -1, :]
+        # the sweep's first yield is the terminal layer of every player
+        costates, _ = next(_adjoint_sweep(spec, ens, noise,
+                                          ag.RegressionBasis(), range(n)))
         for i in range(n):
-            adj = ag.solve_first_adjoint(spec, prof, ens, noise,
-                                         ag.RegressionBasis(), i)
             weights = np.full(n, -1.0 / n)
             weights[i] += 1.0
             expect = (G[i] * (xT[:, i] - xT.mean(axis=1)))[:, None] \
                 * weights[None, :]
-            assert np.allclose(adj.P_vals[:, -1, :], expect)
+            assert np.allclose(costates[:, i], expect)
 
     def test_stacked_matches_single(self):
         spec, _ = ag.build_tanh_game(2)
@@ -227,14 +252,15 @@ class TestFirstAdjoint:
         noise = ag.NoiseBundle.generate(6, grid, 2000, 2)
         prof = ag.ControlProfile.constants([0.2, -0.1])
         ens = ag.simulate_paths(spec, prof, grid, noise)
-        both = solve_first_adjoints(spec, prof, ens, noise,
-                                    ag.RegressionBasis(), [0, 1])
+        (costates, _), steps = solved_sweep(spec, ens, noise, [0, 1])
         for p in (0, 1):
-            solo = ag.solve_first_adjoint(spec, prof, ens, noise,
-                                          ag.RegressionBasis(), p)
-            assert both[p].player == p
-            assert np.allclose(both[p].P_vals, solo.P_vals, rtol=0, atol=0)
-            assert np.allclose(both[p].Q_vals, solo.Q_vals, rtol=0, atol=0)
+            (solo, _), solo_steps = solved_sweep(spec, ens, noise, [p])
+            assert np.array_equal(costates[:, p], solo[:, 0])
+            for k, step in steps.items():
+                assert np.array_equal(step.costates[:, p],
+                                      solo_steps[k].costates[:, 0])
+                assert np.array_equal(step.loadings[:, :, p],
+                                      solo_steps[k].loadings[:, :, 0])
 
     def test_overwritten_ensemble_not_served_stale_slices(self):
         # a slice cache keyed on object identity once served the
@@ -242,23 +268,23 @@ class TestFirstAdjoint:
         spec, _ = ag.build_tanh_game(3)
         grid = ag.TimeGrid(20, 1.0)
         noise = ag.NoiseBundle.generate(8, grid, 4000, 3)
-        basis = ag.RegressionBasis()
         first = ag.ControlProfile.constants([0.5] * 3)
         second = ag.ControlProfile.constants([-0.4] * 3)
         ens = ag.simulate_paths(spec, first, grid, noise)
         other = ag.simulate_paths(spec, second, grid, noise)
-        d = ag.Control.constant(1.0)
-        sh = ag.propagate_sensitivity(spec, ens, 0, d, noise)
-        sl = ag.propagate_sensitivity(spec, ens, 1, d, noise)
         # the forward pass ends on the last slice, where the backward
         # solve below starts
-        ag.sensitivity_outer_process(spec, ens, noise, sh, sl)
+        ag.propagate_sensitivities(
+            spec, ens, [(h, ag.Control.constant(1.0)) for h in (0, 1)],
+            noise)
         np.copyto(ens.states, other.states)
         np.copyto(ens.realized_controls, other.realized_controls)
-        got = ag.solve_first_adjoint(spec, second, ens, noise, basis, 0)
-        want = ag.solve_first_adjoint(spec, second, other, noise, basis, 0)
-        assert np.allclose(got.P_vals, want.P_vals, rtol=0, atol=0)
-        assert np.allclose(got.Q_vals, want.Q_vals, rtol=0, atol=0)
+        (got, _), got_steps = solved_sweep(spec, ens, noise, [0])
+        (want, _), want_steps = solved_sweep(spec, other, noise, [0])
+        assert np.array_equal(got, want)
+        for k, step in want_steps.items():
+            assert np.array_equal(got_steps[k].costates, step.costates)
+            assert np.array_equal(got_steps[k].loadings, step.loadings)
 
     def test_costate_is_state_measurable(self):
         # fitted layers are functions of the step's basis by
@@ -268,12 +294,11 @@ class TestFirstAdjoint:
         noise = ag.NoiseBundle.generate(7, grid, 4000, 2)
         prof = ag.ControlProfile.constants([0.2, -0.1])
         ens = ag.simulate_paths(spec, prof, grid, noise)
-        adj = ag.solve_first_adjoint(spec, prof, ens, noise,
-                                     ag.RegressionBasis(), 0)
+        _, steps = solved_sweep(spec, ens, noise, [0])
         k = 3
+        costate = steps[k].costates[:, 0]
         reg = _Regressor(ag.RegressionBasis(), ens.states[:, k, :], k)
-        refit = reg.fit(adj.P_vals[:, k, :])
-        assert np.allclose(refit, adj.P_vals[:, k, :], atol=1e-7)
+        assert np.allclose(reg.fit(costate), costate, atol=1e-7)
 
 
 class TestSecondAdjoint:
@@ -283,10 +308,11 @@ class TestSecondAdjoint:
         noise = ag.NoiseBundle.generate(8, grid, 2000, 2)
         prof = ag.ControlProfile.zeros(2)
         ens = ag.simulate_paths(spec, prof, grid, noise)
-        sec = ag.solve_second_adjoint(spec, ens, noise,
-                                      ag.RegressionBasis(), 0)
-        assert np.allclose(sec.P2, 0.0, atol=1e-10)
-        assert np.allclose(sec.Q2, 0.0, atol=1e-8)
+        (_, matrices), steps = solved_sweep(spec, ens, noise, [0], [0])
+        assert np.allclose(matrices, 0.0, atol=1e-10)
+        for step in steps.values():
+            assert np.allclose(step.matrices, 0.0, atol=1e-10)
+            assert np.allclose(step.matrix_loadings, 0.0, atol=1e-8)
 
     def test_scalar_quadratic_terminal_unit(self):
         zero_run = RunningCost(lambda s: np.zeros(s.y.shape))
@@ -305,9 +331,10 @@ class TestSecondAdjoint:
         noise = ag.NoiseBundle.generate(9, grid, 4000, 1)
         prof = ag.ControlProfile.constants([0.5])
         ens = ag.simulate_paths(spec, prof, grid, noise)
-        sec = ag.solve_second_adjoint(spec, ens, noise,
-                                      ag.RegressionBasis(), 0)
-        assert np.allclose(sec.P2, 1.0, atol=1e-5)
+        (_, matrices), steps = solved_sweep(spec, ens, noise, [0], [0])
+        assert np.allclose(matrices, 1.0, atol=1e-5)
+        for step in steps.values():
+            assert np.allclose(step.matrices, 1.0, atol=1e-5)
 
     def test_lq_terminal_hessian_pattern(self):
         n = 2
@@ -317,45 +344,59 @@ class TestSecondAdjoint:
         noise = ag.NoiseBundle.generate(10, grid, 1000, n)
         prof = ag.ControlProfile.zeros(n)
         ens = ag.simulate_paths(spec, prof, grid, noise)
-        sec = ag.solve_second_adjoint(spec, ens, noise,
-                                      ag.RegressionBasis(), 0)
+        (_, matrices), steps = solved_sweep(spec, ens, noise, [0], [0])
         w = np.array([1 - 0.5, -0.5])
         expect = G[0] * np.outer(w, w)
-        assert np.allclose(sec.P2[:, -1], expect[None])
-        sym_gap = np.abs(sec.P2 - np.transpose(sec.P2, (0, 1, 3, 2)))
-        assert sym_gap.max() <= 1e-10
-
+        assert np.allclose(matrices[:, 0], expect[None])
+        for step in steps.values():
+            layer = step.matrices[:, 0]
+            assert np.abs(layer - np.swapaxes(layer, 1, 2)).max() <= 1e-10
 
     @pytest.mark.parametrize("preset,n,params", [("tanh-coupled", 3, {}),
                                                  ("lq", 2, {"D": 0.4})])
     def test_stored_layers_are_the_stacked_sweeps_slices(self, preset, n,
                                                           params):
         # every player's costate and matrix layers solved in one stacked
-        # sweep; each stored solve is that sweep's slice for its player
+        # sweep; each player's own sweep gives that sweep's slice for it
         spec, _ = ag.build_preset(preset, n, **params)
         grid = ag.TimeGrid(6, 1.0)
         noise = ag.NoiseBundle.generate(12, grid, 800, spec.n_drivers)
         prof = ag.ControlProfile.constants([0.2 - 0.15 * i for i in range(n)])
         ens = ag.simulate_paths(spec, prof, grid, noise)
-        basis = ag.RegressionBasis()
-        sweep = _adjoint_sweep(spec, ens, noise, basis, range(n), range(n))
-        costates, matrices = next(sweep)
-        steps = {step.k: step for step in sweep}
+        (costates, matrices), steps = solved_sweep(spec, ens, noise,
+                                                   range(n), range(n))
         assert sorted(steps) == list(range(grid.n_steps))
-        firsts = solve_first_adjoints(spec, prof, ens, noise, basis, range(n))
         for i in range(n):
-            sec = solve_second_adjoint(spec, ens, noise, basis, i)
-            first = firsts[i]
-            assert np.array_equal(sec.P2[:, -1], matrices[:, i])
-            assert np.array_equal(first.P_vals[:, -1], costates[:, i])
+            (solo_c, solo_m), solo = solved_sweep(spec, ens, noise, [i], [i])
+            assert np.array_equal(solo_m[:, 0], matrices[:, i])
+            assert np.array_equal(solo_c[:, 0], costates[:, i])
             for k, step in steps.items():
-                assert np.array_equal(sec.P2[:, k], step.matrices[:, i])
-                assert np.array_equal(sec.Q2[:, k],
+                assert np.array_equal(solo[k].matrices[:, 0],
+                                      step.matrices[:, i])
+                assert np.array_equal(solo[k].matrix_loadings[:, :, 0],
                                       step.matrix_loadings[:, :, i])
-                assert np.array_equal(first.P_vals[:, k],
+                assert np.array_equal(solo[k].costates[:, 0],
                                       step.costates[:, i])
-                assert np.array_equal(first.Q_vals[:, k],
+                assert np.array_equal(solo[k].loadings[:, :, 0],
                                       step.loadings[:, :, i])
+
+    def test_matrix_layers_keep_the_costate_residual(self):
+        # each step's diagnostics carry the costate value fit's residual
+        # and the matrix value fit's, neither overwriting the other
+        spec, _ = ag.build_tanh_game(2)
+        grid = ag.TimeGrid(6, 1.0)
+        noise = ag.NoiseBundle.generate(4, grid, 1500, 2)
+        prof = ag.ControlProfile.constants([0.3, -0.2])
+        ens = ag.simulate_paths(spec, prof, grid, noise)
+        _, plain = solved_sweep(spec, ens, noise, [0, 1])
+        _, with_matrices = solved_sweep(spec, ens, noise, [0, 1], [0, 1])
+        for k, step in with_matrices.items():
+            want = plain[k].diagnostics
+            got = step.diagnostics
+            assert got.residual_norm == want.residual_norm
+            assert want.matrix_residual_norm is None
+            assert np.isfinite(got.matrix_residual_norm)
+            assert got.matrix_residual_norm > 0
 
 
 class TestStackedMartingaleFit:
@@ -393,53 +434,67 @@ class TestStackedMartingaleFit:
 
     def test_first_adjoints(self, solved):
         spec, prof, ens, noise, dt = solved
-        adjs = solve_first_adjoints(spec, prof, ens, noise,
-                                    ag.RegressionBasis(), [0, 1])
+        _, steps = solved_sweep(spec, ens, noise, [0, 1])
         P, k = ens.n_paths, 2
-        ynext = np.stack([a.P_vals[:, k + 1] for a in adjs], axis=1)
-        want = self.replay(ens, noise, dt, ynext.reshape(P, -1), k)
-        got = np.stack([a.Q_vals[:, k] for a in adjs], axis=2)
+        want = self.replay(ens, noise, dt,
+                           steps[k + 1].costates.reshape(P, -1), k)
+        got = steps[k].loadings
         assert np.allclose(got.reshape(want.shape), want, rtol=0, atol=0)
 
     def test_second_adjoint(self, solved):
+        # the matrix columns are fitted together with the costate
+        # columns; the columns of one fit are independent
         spec, prof, ens, noise, dt = solved
-        sec = solve_second_adjoint(spec, ens, noise,
-                                   ag.RegressionBasis(), 1)
+        _, steps = solved_sweep(spec, ens, noise, [1], [1])
         P, k = ens.n_paths, 2
-        want = self.replay(ens, noise, dt, sec.P2[:, k + 1].reshape(P, -1), k)
-        assert np.allclose(sec.Q2[:, k].reshape(want.shape), want,
-                           rtol=0, atol=0)
+        want = self.replay(ens, noise, dt,
+                           steps[k + 1].matrices[:, 0].reshape(P, -1), k)
+        got = steps[k].matrix_loadings[:, :, 0]
+        assert np.allclose(got.reshape(want.shape), want, rtol=0, atol=0)
+
+
+def trace_case(preset, paths=2000, steps=10, **params):
+    """Ensemble, noise and two players' responses for the product-trace
+    identity of player 0's matrix adjoint."""
+    spec, _ = ag.build_preset(preset, 2, **params)
+    grid = ag.TimeGrid(steps, 1.0)
+    noise = ag.NoiseBundle.generate(11, grid, paths, spec.n_drivers)
+    prof = ag.ControlProfile.constants([0.1, -0.1])
+    ens = ag.simulate_paths(spec, prof, grid, noise)
+    d1, d2 = ag.direction_dictionary(1.0)[:2]
+    sh = ag.propagate_sensitivity(spec, ens, 0, d1, noise)
+    sl = ag.propagate_sensitivity(spec, ens, 1, d2, noise)
+    return spec, ens, noise, sh, sl
+
+
+LQ_TRACE = {"D": 0.4, "Qhat": [0.8, 1.2], "G": [1.0, 0.6]}
 
 
 class TestTraceDuality:
-    def test_zero_process(self):
-        M, P, n = 5, 64, 2
-        zeros = ag.MatrixItoProcess(values=np.zeros((P, M + 1, n, n)),
-                                    drift=np.zeros((P, M, n, n)),
-                                    diffusion=np.zeros((P, M, 1, n, n)))
-        ones = ag.MatrixItoProcess(values=np.ones((P, M + 1, n, n)),
-                                   drift=np.zeros((P, M, n, n)),
-                                   diffusion=np.zeros((P, M, 1, n, n)))
-        res, se = ag.trace_duality_residual(zeros, ones, 0.2)
-        assert res == 0.0
+    @pytest.mark.parametrize("preset,params,want", [
+        ("lq", LQ_TRACE, (0.0077937578543047226, 0.0011291372296892105)),
+        ("tanh-coupled", {}, (0.004408355355573782, 0.0006542560587806176)),
+    ])
+    def test_pinned_residuals(self, preset, params, want):
+        # (residual, se) of the earlier whole-grid computation, which
+        # stored both adjoints and the outer product's Ito decomposition
+        spec, ens, noise, sh, sl = trace_case(preset, **params)
+        got = ag.trace_duality(spec, ens, noise, ag.RegressionBasis(), 0,
+                               sh, sl)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
-    def test_deterministic_ramp(self):
-        # P_t = t I with unit drift against constant Y = I: both sides
-        # equal T * n up to left-endpoint quadrature error <= dt * n
-        M, P, n = 20, 8, 3
-        dt = 1.0 / M
-        nodes = np.linspace(0, 1, M + 1)
-        vals = np.einsum("k,ab->kab", nodes, np.eye(n))
-        p_like = ag.MatrixItoProcess(
-            values=np.broadcast_to(vals, (P, M + 1, n, n)).copy(),
-            drift=np.broadcast_to(np.eye(n), (P, M, n, n)).copy(),
-            diffusion=np.zeros((P, M, 1, n, n)))
-        y_like = ag.MatrixItoProcess(
-            values=np.broadcast_to(np.eye(n), (P, M + 1, n, n)).copy(),
-            drift=np.zeros((P, M, n, n)),
-            diffusion=np.zeros((P, M, 1, n, n)))
-        res, _ = ag.trace_duality_residual(p_like, y_like, dt)
-        assert res <= dt * n + 1e-12
+    def test_memory_below_one_grid_buffer(self):
+        # streamed: nothing of size (P, M+1, N, N) is ever held
+        P, M, N = 1000, 100, 2
+        spec, ens, noise, sh, sl = trace_case("lq", P, M, **LQ_TRACE)
+        tracemalloc.start()
+        try:
+            ag.trace_duality(spec, ens, noise, ag.RegressionBasis(), 0,
+                             sh, sl)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < P * (M + 1) * N * N * 8
 
     def test_lq_adjoint_outer_product_pair(self):
         spec, _ = ag.build_lq_game(2, D=0.4, Qhat=[0.8, 1.2], G=[1.0, 0.6])
@@ -447,26 +502,12 @@ class TestTraceDuality:
         noise = ag.NoiseBundle.generate(11, grid, 20_000, 2)
         prof = ag.ControlProfile.constants([0.1, -0.1])
         ens = ag.simulate_paths(spec, prof, grid, noise)
-        basis = ag.RegressionBasis()
-        adj = ag.solve_first_adjoint(spec, prof, ens, noise, basis, 0)
-        sec = ag.solve_second_adjoint(spec, ens, noise, basis, 0)
         d1, d2 = ag.direction_dictionary(1.0)[:2]
         sh = ag.propagate_sensitivity(spec, ens, 0, d1, noise)
         sl = ag.propagate_sensitivity(spec, ens, 1, d2, noise)
-        y_proc = ag.sensitivity_outer_process(spec, ens, noise, sh, sl)
-        p_proc = ag.second_adjoint_process(spec, ens, adj, sec)
-        res, se = ag.trace_duality_residual(p_proc, y_proc, grid.dt)
+        res, se = ag.trace_duality(spec, ens, noise, ag.RegressionBasis(), 0,
+                                   sh, sl)
         assert res <= 3 * se + 5 * grid.dt
-
-    def test_shape_mismatch_rejected(self):
-        a = ag.MatrixItoProcess(values=np.zeros((4, 3, 2, 2)),
-                                drift=np.zeros((4, 2, 2, 2)),
-                                diffusion=np.zeros((4, 2, 1, 2, 2)))
-        b = ag.MatrixItoProcess(values=np.zeros((4, 3, 3, 3)),
-                                drift=np.zeros((4, 2, 3, 3)),
-                                diffusion=np.zeros((4, 2, 1, 3, 3)))
-        with pytest.raises(ValueError):
-            ag.trace_duality_residual(a, b, 0.5)
 
 
 class TestAprioriConstant:
@@ -476,3 +517,8 @@ class TestAprioriConstant:
         assert apriori_constant(0.5, 3, 1.0) > base
         assert apriori_constant(0.5, 2, 2.0) > base
         assert apriori_constant(0.0, 1, 1.0) >= 1.0
+
+    def test_overflow_is_infinite(self):
+        # the chain's squares leave double precision near c1 = 15
+        assert np.isfinite(apriori_constant(10.0, 1, 1.0))
+        assert apriori_constant(15.0, 1, 1.0) == math.inf

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import alphagames as ag
+from alphagames.bsde import _adjoint_sweep
 from alphagames.derivatives import (EPS_SCHEDULE, first_derivative_fd_sweep,
                                     second_derivative_fd_sweep)
 from alphagames.model import Coefficient, RunningCost, TerminalCost
@@ -303,19 +304,24 @@ class TestSecondDerivatives:
             5 * (fd1.std_error + fd2.std_error) + 1e-8
 
 
-def _stored_first_order(spec, ens, noise, adj, h, direction):
-    """Pathwise adjoint-route integral of ``adj.player``'s cost in player
-    h's direction, contracted from a stored costate pair after the
-    solve: the left-endpoint sum in forward time."""
+def _stored_first_order(spec, ens, noise, basis, h, direction):
+    """Pathwise adjoint-route integral of player h's cost in its own
+    direction, from player h's own sweep: every step's costate pair is
+    kept, then contracted after the solve as the left-endpoint sum in
+    forward time."""
+    sweep = _adjoint_sweep(spec, ens, noise, basis, [h])
+    next(sweep)
+    layers = {step.k: (step.costates[:, 0], step.loadings[:, h, 0])
+              for step in sweep}
     grid = ens.grid
     acc = np.zeros(ens.n_paths)
     for k, t in enumerate(grid.nodes[:-1]):
         x = ens.states[:, k, :]
         sl = ag.Slice(t, x, x, ens.realized_controls[:, k, :])
-        integrand = (adj.P_vals[:, k, h] * spec.drift.du(sl)[:, h]
-                     + spec.diffusion.du(sl)[:, h]
-                     * adj.Q_vals[:, k, h, h]
-                     + spec.running_cost.du(sl)[:, adj.player, h])
+        costate, loading = layers[k]
+        integrand = (costate[:, h] * spec.drift.du(sl)[:, h]
+                     + spec.diffusion.du(sl)[:, h] * loading[:, h]
+                     + spec.running_cost.du(sl)[:, h, h])
         acc += integrand * direction(t, k, noise.increments) * grid.dt
     return acc
 
@@ -347,7 +353,7 @@ class TestSweepHelpers:
                                           ("common-noise", 2), ("lq", 4)])
     def test_streamed_own_control_integrals_match_stored(self, preset, n):
         # one sweep for every player, contracted step by step as it is
-        # solved, against a stored single-player solve contracted after
+        # solved, against a single-player sweep stored and contracted after
         spec, _ = ag.build_preset(preset, n)
         grid = ag.TimeGrid(10, 1.0)
         noise = ag.NoiseBundle.generate(4, grid, 1500, spec.n_drivers)
@@ -362,8 +368,7 @@ class TestSweepHelpers:
             return_pathwise=True)
         assert sorted(got) == list(range(n))
         for h in range(n):
-            adj = ag.solve_first_adjoint(spec, prof, ens, noise, basis, h)
-            want = _stored_first_order(spec, ens, noise, adj, h,
+            want = _stored_first_order(spec, ens, noise, basis, h,
                                        directions[h])
             assert np.allclose(got[h], want, rtol=0, atol=0)
 

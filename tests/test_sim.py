@@ -173,14 +173,12 @@ class TestVariational:
         B0 = vc.drift_state()
         expect = np.full((n, n), Abar / n) + np.eye(n) * A
         assert np.allclose(B0[0], expect)
+        # C = Cbar = 0: driver j's matrix, supported on row j, vanishes
         for j in range(n):
-            Pi = vc.diffusion_state(j)
-            mask = np.ones((n, n), bool); mask[j, :] = False
-            assert np.all(Pi[0][mask] == 0.0)
-        b1 = vc.drift_control(1)
-        assert np.allclose(b1[0], [0.0, B, 0.0])
-        pi1 = vc.diffusion_control(2)
-        assert np.allclose(pi1[0], [0.0, 0.0, 0.5])
+            assert np.all(vc.diffusion_row(j) == 0.0)
+        # each control loads its own drift and its own driver only
+        assert np.allclose(vc.dub, B)
+        assert np.allclose(vc.dus, 0.5)
 
     def test_diffusion_state_independent_of_coupling(self):
         # diffusion without joint-state dependence: each driver matrix
@@ -189,9 +187,8 @@ class TestVariational:
         x = np.random.default_rng(0).normal(size=(5, 2))
         vc = ag.assemble_variational(spec, 0.0, x, np.zeros((5, 2)))
         for j in range(2):
-            Pi = vc.diffusion_state(j)
-            expect = np.zeros((2, 2)); expect[j, j] = 0.7
-            assert np.allclose(Pi[0], expect)
+            expect = np.zeros(2); expect[j] = 0.7
+            assert np.allclose(vc.diffusion_row(j), expect)
 
     def test_mean_drift_coupling_block(self):
         n = 4
