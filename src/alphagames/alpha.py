@@ -26,10 +26,9 @@ from .derivatives import (EPS_SCHEDULE, bsde_derivatives,
                           second_derivative_z_oracle)
 from .model import (ConstantLedger, Control, ControlProfile, GameSpec,
                     NoiseBundle, TimeGrid)
-from .sim import (SecondSensitivityEnsemble, _euler, _response_step,
-                  assemble_variational, propagate_second_sensitivities,
-                  propagate_sensitivities, simulate_cost_batch,
-                  simulate_paths)
+from .sim import (_euler, _response_step, assemble_variational,
+                  propagate_second_sensitivities, propagate_sensitivities,
+                  simulate_cost_batch, simulate_paths)
 
 __all__ = [
     "AlphaReport",
@@ -60,6 +59,17 @@ class AlphaReport:
     alpha_bound: float = None
     symbolic_constant: float = 1.0
     notes: list = field(default_factory=list)
+
+    @classmethod
+    def from_asymmetry(cls, asym: np.ndarray, se: np.ndarray, notes):
+        """Empirical alpha from an (N, N) asymmetry matrix: twice its
+        worst row sum, with that row's combined standard error."""
+        row = asym.sum(axis=1)
+        ib = int(np.argmax(row))
+        return cls(n_players=asym.shape[0], asymmetry=asym, asymmetry_se=se,
+                   alpha_empirical=float(2.0 * row[ib]),
+                   alpha_empirical_se=float(2.0 * np.sqrt(np.sum(se[ib]**2))),
+                   notes=list(notes))
 
     def to_jsonable(self) -> dict:
         out = {"n_players": self.n_players,
@@ -111,122 +121,82 @@ def _mean_se(pathwise: np.ndarray):
     return float(pathwise.mean()), float(pathwise.std(ddof=1) / np.sqrt(n))
 
 
-class _SharedEstimators:
-    """Per-anchor cache: one ensemble, one sensitivity per (player,
-    direction), and for the adjoint route the pathwise integrals of
-    every ordered pair of distinct players over every direction pair,
-    keyed ``(i, id(di), j, id(dj))`` and contracted in one backward
-    sweep when the cache is built.  Mixed responses vanish identically
-    for affine coefficient games and are propagated otherwise.
-    ``players`` restricts the cache to the players actually queried."""
+def _pair_asymmetry(spec, controls, pairs, dirs, grid, noise, method,
+                    eps_schedule, basis) -> dict:
+    """Worst asymmetry of each pair (i, j) in ``pairs`` over every
+    direction pair (di, dj): the largest |mean| of the pathwise
+    difference d_ij - d_ji of player i's mixed derivative in (di, dj)
+    and player j's in (dj, di), with its pathwise se.  Player i's
+    direction is outermost and the first maximum is kept.  Returns
+    {(i, j): (value, se)}.
 
-    def __init__(self, spec, controls, dirs, grid, noise, method, basis,
-                 players=None):
-        self.spec, self.noise, self.method = spec, noise, method
-        self.ens = simulate_paths(spec, controls, grid, noise)
-        players = list(range(spec.n_players) if players is None
-                       else players)
-        targets = [(h, d) for h in players for d in dirs]
-        sens = propagate_sensitivities(spec, self.ens, targets, noise)
-        self.sens = {(h, id(d)): s for (h, d), s in zip(targets, sens)}
-        self.dirs = dirs
-        self.zero_mixed = spec.has_affine_coefficients()
-        self.bsde = {}
+    ``FD`` differences the pathwise Richardson arrays of one mixed sweep
+    per direction pair, whose legs the two cost functionals share.  The
+    other routes share one ensemble and one sensitivity sweep: ``BSDE``
+    contracts every job in one backward sweep, ``SENS`` makes one
+    Z-oracle contraction per row (i, di), with only that row's mixed
+    responses alive.
+    """
+    if method not in ("FD", "BSDE", "SENS"):
+        raise ValueError("method must be 'FD', 'BSDE', or 'SENS'")
+    dirs = list(dirs)
+    rows = [(i, di, j) for i, j in pairs for di in dirs]
+
+    def pathwise():
+        """d_ij then d_ji for each row and each dj, in that order."""
+        if method == "FD":
+            for i, di, j in rows:
+                for dj in dirs:
+                    _, pw = second_derivative_fd_sweep(
+                        spec, controls, i, j, di, dj, grid, noise,
+                        eps_schedule)
+                    yield from (pw[i], pw[j])
+            return
+        ens = simulate_paths(spec, controls, grid, noise)
+        targets = [(h, d) for h in sorted({h for p in pairs for h in p})
+                   for d in dirs]
+        sens = {(h, id(d)): s for (h, d), s in zip(
+            targets, propagate_sensitivities(spec, ens, targets, noise))}
+        jobs = [[(a, sens[a, id(da)], sens[b, id(db)]) for dj in dirs
+                 for a, da, b, db in ((i, di, j, dj), (j, dj, i, di))]
+                for i, di, j in rows]
         if method == "BSDE":
-            keys = [(i, id(di), j, id(dj)) for i in players for j in players
-                    if i != j for di in dirs for dj in dirs]
-            _, (_, pathwise) = bsde_derivatives(
-                spec, self.ens, noise, basis, second_jobs=[
-                    (i, self.sens[(i, di)], self.sens[(j, dj)])
-                    for i, di, j, dj in keys], return_pathwise=True)
-            self.bsde = dict(zip(keys, pathwise.values()))
+            _, (_, pw) = bsde_derivatives(
+                spec, ens, noise, basis,
+                second_jobs=[job for row in jobs for job in row])
+            yield from pw.values()
+            return
+        for row in jobs:
+            mixed = propagate_second_sensitivities(
+                spec, ens, [(sh, sl) for _, sh, sl in row[::2]], noise)
+            _, pw = second_derivative_z_oracle(
+                spec, ens, noise,
+                [(*job, mixed[n // 2]) for n, job in enumerate(row)])
+            del mixed
+            yield from pw.values()
 
-    def _mixed(self, pairs):
-        if self.zero_mixed:
-            zeros = np.zeros_like(pairs[0][0].values)
-            return [SecondSensitivityEnsemble(
-                        values=zeros,
-                        players=(sh.perturbed_player, sl.perturbed_player),
-                        directions=(sh.direction, sl.direction),
-                        grid=sh.grid, seed=sh.seed)
-                    for sh, sl in pairs]
-        return propagate_second_sensitivities(self.spec, self.ens, pairs,
-                                              self.noise)
-
-    def pair_differences(self, i, j, dirs_i=None, dirs_j=None):
-        """(value, se, d_ij, d_ji) per direction pair for pair (i, j),
-        player i's direction outermost."""
-        dirs_j = dirs_j if dirs_j is not None else self.dirs
-        return [entry
-                for di in (dirs_i if dirs_i is not None else self.dirs)
-                for entry in self._row_differences(i, j, di, dirs_j)]
-
-    def _row_differences(self, i, j, di, dirs_j):
-        """The (di, dj) entries for every dj.  The adjoint route reads
-        the contracted integrals; the sensitivity route makes one
-        contraction of player i's cost over the pairs and one of player
-        j's over the swapped pairs, with only this row's mixed responses
-        alive at a time."""
-        if self.method == "BSDE":
-            rows = [(self.bsde[(i, id(di), j, id(dj))],
-                     self.bsde[(j, id(dj), i, id(di))]) for dj in dirs_j]
-        else:
-            pairs = [(self.sens[(i, id(di))], self.sens[(j, id(dj))])
-                     for dj in dirs_j]
-            swapped = [(sl, sh) for sh, sl in pairs]
-            args = (self.spec, self.ens, self.noise)
-            mixed = self._mixed(pairs)
-            _, pw_ij = second_derivative_z_oracle(
-                *args, pairs, mixed, [i], return_pathwise=True)
-            mixed_ji = [SecondSensitivityEnsemble(
-                            values=m.values, players=(j, i),
-                            directions=m.directions[::-1], grid=m.grid,
-                            seed=m.seed) for m in mixed]
-            _, pw_ji = second_derivative_z_oracle(
-                *args, swapped, mixed_ji, [j], return_pathwise=True)
-            rows = [(pw_ij[(i, q)], pw_ji[(j, q)])
-                    for q in range(len(pairs))]
-        return [_mean_se(acc_ij - acc_ji)
-                + (float(acc_ij.mean()), float(acc_ji.mean()))
-                for acc_ij, acc_ji in rows]
+    best = {}
+    values = pathwise()
+    for i, _, j in rows:
+        for _ in dirs:
+            d_ij, d_ji = next(values), next(values)
+            value, se = _mean_se(d_ij - d_ji)
+            if (i, j) not in best or abs(value) > best[(i, j)][0]:
+                best[(i, j)] = (abs(value), se)
+    return best
 
 
 def asymmetry(spec: GameSpec, controls: ControlProfile, i: int, j: int,
-              dirs_i, dirs_j, grid: TimeGrid, noise: NoiseBundle,
+              dirs, grid: TimeGrid, noise: NoiseBundle,
               method: str = "FD", eps_schedule=EPS_SCHEDULE,
               basis: RegressionBasis = RegressionBasis()):
-    """Worst asymmetry of the (i, j) mixed derivatives over the
-    direction dictionary; returns (value, se at the argmax).
-
-    Methods: ``FD`` differences the pathwise Richardson arrays of one
-    mixed FD sweep, whose legs the two cost functionals share,
-    ``BSDE`` contracts cached adjoint pairs, ``SENS``
-    contracts cached forward sensitivities (with the mixed response
-    propagated, or skipped when the coefficients are affine).
-    """
+    """Worst asymmetry of the (i, j) mixed derivatives over every pair
+    of directions from ``dirs``; returns (value, se at the argmax).
+    Methods ``FD``, ``SENS`` and ``BSDE`` as in ``empirical_alpha``."""
     if i == j:
         raise ValueError("asymmetry is defined for distinct players")
-    if method not in ("FD", "BSDE", "SENS"):
-        raise ValueError("method must be 'FD', 'BSDE', or 'SENS'")
-    results = []
-    if method == "FD":
-        for di in dirs_i:
-            for dj in dirs_j:
-                _, pathwise = second_derivative_fd_sweep(
-                    spec, controls, i, j, di, dj, grid, noise, eps_schedule,
-                    return_pathwise=True)
-                d, se = _mean_se(pathwise[i] - pathwise[j])
-                results.append((abs(d), se))
-    else:
-        seen = {}
-        for d in list(dirs_i) + list(dirs_j):
-            seen.setdefault(id(d), d)
-        shared = _SharedEstimators(spec, controls, list(seen.values()), grid,
-                                   noise, method, basis, players=(i, j))
-        for d, se, _, _ in shared.pair_differences(i, j, dirs_i, dirs_j):
-            results.append((abs(d), se))
-    best = max(results, key=lambda r: r[0])
-    return best[0], best[1]
+    return _pair_asymmetry(spec, controls, [(i, j)], dirs, grid, noise,
+                           method, eps_schedule, basis)[(i, j)]
 
 
 def empirical_alpha(spec: GameSpec, anchors, dirs, grid: TimeGrid,
@@ -234,40 +204,28 @@ def empirical_alpha(spec: GameSpec, anchors, dirs, grid: TimeGrid,
                     eps_schedule=EPS_SCHEDULE,
                     basis: RegressionBasis = RegressionBasis()) -> AlphaReport:
     """Empirical lower estimate of alpha over sampled anchors and the
-    direction dictionary: twice the worst row sum of the asymmetry
-    matrix."""
+    direction dictionary: every pair's worst asymmetry over the anchors,
+    then twice the worst row sum of the asymmetry matrix.  ``FD``
+    differences mixed resimulation sweeps, ``SENS`` contracts forward
+    and mixed sensitivities (the Z-oracle), ``BSDE`` contracts adjoints
+    in one backward sweep per anchor."""
     if not anchors or not dirs:
         raise ValueError("anchor and direction dictionaries must be nonempty")
     N = spec.n_players
+    pairs = [(i, j) for i in range(N) for j in range(i + 1, N)]
     asym = np.zeros((N, N))
     asym_se = np.zeros((N, N))
     for controls in anchors:
-        shared = None
-        if method in ("BSDE", "SENS"):
-            shared = _SharedEstimators(spec, controls, list(dirs), grid,
-                                       noise, method, basis)
-        for i in range(N):
-            for j in range(i + 1, N):
-                if shared is not None:
-                    entries = shared.pair_differences(i, j)
-                    v, se = max(((abs(d), s) for d, s, _, _ in entries),
-                                key=lambda r: r[0])
-                else:
-                    v, se = asymmetry(spec, controls, i, j, dirs, dirs, grid,
-                                      noise, method=method,
-                                      eps_schedule=eps_schedule, basis=basis)
-                if v > asym[i, j]:
-                    asym[i, j] = asym[j, i] = v
-                    asym_se[i, j] = asym_se[j, i] = se
-    row = asym.sum(axis=1)
-    ib = int(np.argmax(row))
-    return AlphaReport(
-        n_players=N,
-        asymmetry=asym, asymmetry_se=asym_se,
-        alpha_empirical=float(2.0 * row[ib]),
-        alpha_empirical_se=float(2.0 * np.sqrt(np.sum(asym_se[ib] ** 2))),
-        notes=[f"lower estimate over {len(anchors)} anchor profile(s) and "
-               f"{len(dirs)} directions per player, method {method}"])
+        worst = _pair_asymmetry(spec, controls, pairs, dirs, grid, noise,
+                                method, eps_schedule, basis)
+        for (i, j), (v, se) in worst.items():
+            if v > asym[i, j]:
+                asym[i, j] = asym[j, i] = v
+                asym_se[i, j] = asym_se[j, i] = se
+    return AlphaReport.from_asymmetry(
+        asym, asym_se,
+        [f"lower estimate over {len(anchors)} anchor profile(s) and "
+         f"{len(dirs)} directions per player, method {method}"])
 
 
 def pairwise_quadratic_asymmetry(spec: GameSpec, qhat, gterm,
@@ -497,8 +455,7 @@ def _potential_pathwise(spec, anchor, profile, grid, noise, basis, order):
                              noise)
         _, (integrals, _) = bsde_derivatives(
             spec, ens, noise, basis,
-            first_jobs=[(h, h, d) for h, d in enumerate(directions)],
-            return_pathwise=True)
+            first_jobs=[(h, h, d) for h, d in enumerate(directions)])
         for h in range(len(directions)):
             acc += w * integrals[h]
     return acc

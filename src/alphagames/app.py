@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import subprocess
 import sys
 import time
@@ -49,6 +50,11 @@ class ConfigError(Exception):
     pass
 
 
+def _require_int(name: str, value):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name}: must be an integer, got {value!r}")
+
+
 @dataclass
 class ExperimentConfig:
     preset: str = "lq"
@@ -70,6 +76,17 @@ class ExperimentConfig:
     allow_long: bool = False
 
     def __post_init__(self):
+        for name in ("players", "steps", "paths", "seed", "quad_order"):
+            _require_int(name, getattr(self, name))
+        for n in self.scaling_players:
+            _require_int("scaling_players", n)
+        for name in ("horizon", "spread"):
+            v = getattr(self, name)
+            if (isinstance(v, bool) or not isinstance(v, (int, float))
+                    or not math.isfinite(v)):
+                raise ConfigError(f"{name}: must be a finite number")
+        if not self.anchors:
+            raise ConfigError("anchors: must name at least one anchor")
         if self.preset not in PRESET_IDS:
             raise ConfigError(f"preset: unknown id {self.preset!r}")
         if self.players < 1:
@@ -203,9 +220,22 @@ def _noise(cfg: ExperimentConfig, spec) -> NoiseBundle:
                                 spec.n_drivers)
 
 
+def _finite_or_null(obj):
+    """A JSON-able structure with every non-finite float made None, so
+    the report is strict JSON (null where a number overflowed)."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
 def run(cfg: ExperimentConfig, subcommand: str) -> dict:
     """Execute one subcommand; returns the report dictionary (also
-    written to disk together with the CSV tables)."""
+    written to disk together with the CSV tables), non-finite numbers
+    written as null."""
     if subcommand not in SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     work = _estimate_work(cfg, subcommand)
@@ -220,7 +250,7 @@ def run(cfg: ExperimentConfig, subcommand: str) -> dict:
     results, ok = _DISPATCH[subcommand](cfg, tables)
     elapsed = time.monotonic() - t0
 
-    report = {
+    report = _finite_or_null({
         "config": cfg.canonical(),
         "subcommand": subcommand,
         "build_id": _build_id(),
@@ -228,10 +258,10 @@ def run(cfg: ExperimentConfig, subcommand: str) -> dict:
         "results": results,
         "passed": bool(ok),
         "timing": {"seconds": elapsed},
-    }
+    })
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(
-        json.dumps(report, sort_keys=True, indent=1))
+        json.dumps(report, sort_keys=True, indent=1, allow_nan=False))
     return report
 
 
@@ -273,7 +303,8 @@ def _first_order(cfg: ExperimentConfig, spec, controls, dirs,
     responses to each ``(a, b)`` pair of target indices in
     ``pair_targets``.  Returns the ensemble, noise, sensitivities, one
     (i, h, direction name, FD, SENS, BSDE) row per cost player and
-    target, target-major, and the mixed BSDE estimates by (i, pair)."""
+    target, target-major, and the mixed BSDE estimates, job ``q * N + i``
+    being cost player i's in pair q."""
     grid = cfg.grid()
     noise = _noise(cfg, spec)
     N = spec.n_players
@@ -281,8 +312,9 @@ def _first_order(cfg: ExperimentConfig, spec, controls, dirs,
     names = [name for _ in range(N) for name in cfg.directions[:len(dirs)]]
     ens = simulate_paths(spec, controls, grid, noise)
     sens = propagate_sensitivities(spec, ens, targets, noise)
-    sv = deriv_mod.first_derivative_sens(spec, ens, noise, sens)
-    bs, bs2 = deriv_mod.bsde_derivatives(
+    sv = deriv_mod.first_derivative_sens(
+        spec, ens, noise, [(i, s) for s in sens for i in range(N)])
+    (bs, second), _ = deriv_mod.bsde_derivatives(
         spec, ens, noise, RegressionBasis(),
         first_jobs=[(i, h, d) for h, d in targets for i in range(N)],
         second_jobs=[(i, sens[a], sens[b]) for a, b in pair_targets
@@ -291,10 +323,8 @@ def _first_order(cfg: ExperimentConfig, spec, controls, dirs,
     for s, ((h, direction), name) in enumerate(zip(targets, names)):
         fd = deriv_mod.first_derivative_fd_sweep(
             spec, controls, h, direction, grid, noise, cfg.eps_schedule)
-        rows += [(i, h, name, fd[i], sv[(i, s)], bs[s * N + i])
+        rows += [(i, h, name, fd[i], sv[s * N + i], bs[s * N + i])
                  for i in range(N)]
-    second = {(i, q): bs2[q * N + i] for q in range(len(pair_targets))
-              for i in range(N)}
     return ens, noise, sens, rows, second
 
 
@@ -361,15 +391,16 @@ def _cmd_cross_check(cfg: ExperimentConfig, tables: Path):
     pairs = [(sens[a], sens[b]) for a, b in pair_targets]
     fds = [deriv_mod.second_derivative_fd_sweep(
                spec, controls, sh.perturbed_player, sl.perturbed_player,
-               sh.direction, sl.direction, grid, noise, cfg.eps_schedule)
+               sh.direction, sl.direction, grid, noise, cfg.eps_schedule)[0]
            for sh, sl in pairs]
     mixed = propagate_second_sensitivities(spec, ens, pairs, noise)
-    zos = deriv_mod.second_derivative_z_oracle(spec, ens, noise, pairs,
-                                               mixed, range(N))
+    zos, _ = deriv_mod.second_derivative_z_oracle(
+        spec, ens, noise, [(i, sh, sl, m) for (sh, sl), m in zip(pairs, mixed)
+                           for i in range(N)])
     del mixed
     for q, ((sh, sl), fd_q) in enumerate(zip(pairs, fds)):
         for i, fd in enumerate(fd_q):
-            zo, bs = zos[(i, q)], bsdes[(i, q)]
+            zo, bs = zos[q * N + i], bsdes[q * N + i]
             tol_fz = 5.0 * (fd.std_error + zo.std_error) + 20.0 * eps_min
             tol_fb = 5.0 * (fd.std_error + bs.std_error) + 20.0 * eps_min
             tol_bz = 5.0 * (bs.std_error + zo.std_error) + 20.0 * eps_min
@@ -435,10 +466,8 @@ def _cmd_scaling(cfg: ExperimentConfig, tables: Path):
         asym, se = alpha_mod.pairwise_quadratic_asymmetry(
             spec, params["Qhat"], params["G"], ControlProfile.zeros(n),
             direction, grid, noise)
-        row = asym.sum(axis=1)
-        ib = int(np.argmax(row))
-        a_emp = float(2.0 * row[ib])
-        a_se = float(2.0 * np.sqrt(np.sum(se[ib] ** 2)))
+        emp = alpha_mod.AlphaReport.from_asymmetry(asym, se, [])
+        a_emp, a_se = emp.alpha_empirical, emp.alpha_empirical_se
         bound = alpha_mod.theoretical_alpha_bound(ledger, n, cfg.horizon)
         rows.append([n, a_emp, a_se, bound.alpha_bound])
         alphas.append(a_emp)

@@ -8,16 +8,16 @@
   needs no forward sensitivity at all for first derivatives and no
   mixed second-order sensitivity for second derivatives.
 
-Each route has one implementation.  The FD sweeps yield every cost
-player's estimate at once; the SENS and Z-oracle contractions run over
-a whole list of perturbation targets (first order) or response pairs
-(second order) in one time sweep that evaluates each step's partials
-once, and return ``{(cost player, target or pair index): estimate}``.
-The BSDE route takes first- and second-order jobs for any cost players
-together and contracts them inside the one backward sweep that solves
-their adjoints, from the linearization and second partials that sweep
-evaluated, so no adjoint is ever stored; it returns ``{job index:
-estimate}`` per order.
+Each route has one implementation and one call shape.  The FD sweeps
+yield every cost player's estimate at once.  The SENS, Z-oracle and
+BSDE contractions each take a list of jobs, every job naming its cost
+player and its responses or directions, and run them all in one time
+sweep that evaluates each step's partials and each distinct direction
+once; they return ``{job index: estimate}``.  The BSDE route contracts
+its first- and second-order jobs inside the one backward sweep that
+solves their adjoints, from the linearization and second partials that
+sweep evaluated, so no adjoint is ever stored.  Routes with pathwise
+arrays return them beside the estimates, under the same keys.
 
 All dt-integrals use the left endpoint, matching the Euler filtration.
 Standard errors always come from pathwise differences, never from
@@ -70,17 +70,19 @@ class DerivativeEstimate:
                    method=method, metadata=metadata)
 
 
-def _keyed_estimates(acc: np.ndarray, keys: list, method: str, metadata,
-                     return_pathwise: bool = False):
-    """One estimate per row of ``acc`` (rows in ``keys`` order, paths
-    last), labelled by ``metadata(key)``; with ``return_pathwise`` also
-    the pathwise rows under the same keys."""
-    pathwise = dict(zip(keys, acc.reshape(len(keys), acc.shape[-1])))
-    est = {key: DerivativeEstimate.from_pathwise(pw, method, metadata(key))
-           for key, pw in pathwise.items()}
-    if return_pathwise:
-        return est, pathwise
-    return est
+def _keyed_estimates(acc: np.ndarray, method: str, metadata):
+    """One estimate per row of ``acc`` (job index, paths last), labelled
+    by ``metadata(index)``, and the pathwise rows under the same keys."""
+    pathwise = dict(enumerate(acc))
+    est = {n: DerivativeEstimate.from_pathwise(pw, method, metadata(n))
+           for n, pw in pathwise.items()}
+    return est, pathwise
+
+
+def _direction_values(directions, t, k, noise):
+    """Each distinct direction's values at step k, keyed by identity."""
+    distinct = {id(d): d for d in directions}
+    return {key: d(t, k, noise.increments) for key, d in distinct.items()}
 
 
 def _slices(ensemble: PathEnsemble):
@@ -165,45 +167,41 @@ def first_derivative_fd_sweep(spec: GameSpec, controls: ControlProfile,
 
 
 def first_derivative_sens(spec: GameSpec, ensemble: PathEnsemble,
-                          noise: NoiseBundle, sens_list) -> dict:
-    """Sensitivity-process route for every cost player against every
-    sensitivity in ``sens_list``: contract the linearized state response
-    against the running/terminal cost gradients, plus the direct
-    control term.  Cost gradients and direction values are evaluated
-    once per step.  Returns {(i, sensitivity index): estimate}."""
+                          noise: NoiseBundle, jobs) -> dict:
+    """Sensitivity-process route for every job ``(i, sens)``: player i's
+    cost in the direction of response ``sens``, the linearized state
+    response contracted against the running/terminal cost gradients,
+    plus the direct control term.  Returns {job index: estimate}."""
+    jobs = list(jobs)
     grid = ensemble.grid
-    N = spec.n_players
-    acc = np.zeros((N, len(sens_list), ensemble.n_paths))
+    acc = np.zeros((len(jobs), ensemble.n_paths))
     for k, sl in _slices(ensemble):
-        dvals = [s.direction(sl.t, k, noise.increments) for s in sens_list]
+        dvals = _direction_values([s.direction for _, s in jobs], sl.t, k,
+                                  noise)
         fy, fu = spec.running_cost.dy(sl), spec.running_cost.du(sl)
-        for i in range(N):
-            for s, sens in enumerate(sens_list):
-                acc[i, s] += (_dot(fy[:, i], sens.values[:, k, :])
-                              + fu[:, i, sens.perturbed_player] * dvals[s]
-                              ) * grid.dt
+        for n, (i, sens) in enumerate(jobs):
+            acc[n] += (_dot(fy[:, i], sens.values[:, k, :])
+                       + fu[:, i, sens.perturbed_player]
+                       * dvals[id(sens.direction)]) * grid.dt
     gy = spec.terminal_cost.dy(_terminal(ensemble))
-    for i in range(N):
-        for s, sens in enumerate(sens_list):
-            acc[i, s] += _dot(gy[:, i], sens.values[:, -1, :])
-    keys = [(i, s) for i in range(N) for s in range(len(sens_list))]
+    for n, (i, sens) in enumerate(jobs):
+        acc[n] += _dot(gy[:, i], sens.values[:, -1, :])
     return _keyed_estimates(
-        acc, keys, "SENS",
-        lambda key: {"player": key[0],
-                     "perturbed": sens_list[key[1]].perturbed_player,
-                     "direction": sens_list[key[1]].direction.label})
+        acc, "SENS",
+        lambda n: {"player": jobs[n][0],
+                   "perturbed": jobs[n][1].perturbed_player,
+                   "direction": jobs[n][1].direction.label})[0]
 
 
 def second_derivative_fd_sweep(spec: GameSpec, controls: ControlProfile,
                                h: int, l: int, dir_h: Control, dir_l: Control,
                                grid: TimeGrid, noise: NoiseBundle,
-                               eps_schedule=EPS_SCHEDULE,
-                               return_pathwise: bool = False):
+                               eps_schedule=EPS_SCHEDULE):
     """Four-point central mixed difference for every cost functional at
     once, with all legs in one batched common-random-number sweep.
-    Returns one estimate per player; with ``return_pathwise`` also the
-    per-player pathwise Richardson arrays, which share their legs and
-    so difference with a pathwise standard error."""
+    Returns one estimate per player and the per-player pathwise
+    Richardson arrays, which share their legs and so difference with a
+    pathwise standard error."""
     if h == l:
         raise ValueError("mixed second derivative requires distinct players")
     eps = _check_schedule(eps_schedule)
@@ -222,9 +220,7 @@ def second_derivative_fd_sweep(spec: GameSpec, controls: ControlProfile,
                                 "directions": (dir_h.label, dir_l.label)})
         out.append(est)
         pathwise.append(pw)
-    if return_pathwise:
-        return out, pathwise
-    return out
+    return out, pathwise
 
 
 def _pair_players(pairs) -> list:
@@ -236,63 +232,50 @@ def _pair_players(pairs) -> list:
 
 
 def second_derivative_z_oracle(spec: GameSpec, ensemble: PathEnsemble,
-                               noise: NoiseBundle, pairs, mixed, players,
-                               return_pathwise: bool = False):
-    """Mixed-sensitivity route for every cost player in ``players``
-    against every ``(sens_h, sens_l)`` pair, ``mixed[q]`` being pair q's
-    mixed response: the running and terminal cost quadratic forms in
-    the two responses and directions plus the cost gradients against
-    the mixed response.
+                               noise: NoiseBundle, jobs):
+    """Mixed-sensitivity route for every job ``(i, sens_h, sens_l,
+    mixed)``: player i's cost in two distinct players' response
+    directions, ``mixed`` being their mixed response, built for the two
+    players in either order.  The running and terminal cost quadratic
+    forms in the two responses and directions plus the cost gradients
+    against the mixed response.
 
-    Returns {(i, pair index): estimate}; with ``return_pathwise`` also
-    the pathwise integrals under the same keys.
+    Returns ``(estimates, pathwise)``, each keyed by job index.
     """
-    hl = _pair_players(pairs)
-    if any(mx.players != pl for mx, pl in zip(mixed, hl)):
+    jobs = list(jobs)
+    hl = _pair_players([(sh, sl) for _, sh, sl, _ in jobs])
+    if any(mx.players not in ((h, l), (l, h))
+           for (*_, mx), (h, l) in zip(jobs, hl)):
         raise ValueError("mixed sensitivity was built for different players")
-    players = list(players)
     grid = ensemble.grid
-    acc = np.zeros((len(players), len(pairs), ensemble.n_paths))
+    acc = np.zeros((len(jobs), ensemble.n_paths))
     f, g = spec.running_cost, spec.terminal_cost
     for k, s in _slices(ensemble):
-        dvals = [(sh.direction(s.t, k, noise.increments),
-                  sl.direction(s.t, k, noise.increments)) for sh, sl in pairs]
+        dvals = _direction_values([sens.direction for _, sh, sl, _ in jobs
+                                   for sens in (sh, sl)], s.t, k, noise)
         fy, fyy, fyu, fuu = f.dy(s), f.dyy(s), f.dyu(s), f.duu(s)
-        for a, i in enumerate(players):
-            for q, ((sh, sl), (h, l)) in enumerate(zip(pairs, hl)):
-                yh, yl = sh.values[:, k, :], sl.values[:, k, :]
-                du_h, du_l = dvals[q]
-                acc[a, q] += (np.einsum("pa,pab,pb->p", yh, fyy[:, i], yl,
-                                        optimize=False)
-                              + du_h * _dot(fyu[:, i, :, h], yl)
-                              + du_l * _dot(yh, fyu[:, i, :, l])
-                              + fuu[:, i, h, l] * du_h * du_l) * grid.dt
-                acc[a, q] += _dot(fy[:, i],
-                                  mixed[q].values[:, k, :]) * grid.dt
+        for n, ((i, sh, sl, mixed), (h, l)) in enumerate(zip(jobs, hl)):
+            yh, yl = sh.values[:, k, :], sl.values[:, k, :]
+            du_h, du_l = dvals[id(sh.direction)], dvals[id(sl.direction)]
+            acc[n] += (np.einsum("pa,pab,pb->p", yh, fyy[:, i], yl,
+                                 optimize=False)
+                       + du_h * _dot(fyu[:, i, :, h], yl)
+                       + du_l * _dot(yh, fyu[:, i, :, l])
+                       + fuu[:, i, h, l] * du_h * du_l) * grid.dt
+            acc[n] += _dot(fy[:, i], mixed.values[:, k, :]) * grid.dt
     end = _terminal(ensemble)
     gy, gyy = g.dy(end), g.dyy(end)
-    for a, i in enumerate(players):
-        for q, (sh, sl) in enumerate(pairs):
-            acc[a, q] += np.einsum("pa,pab,pb->p", sh.values[:, -1, :],
-                                   gyy[:, i], sl.values[:, -1, :],
-                                   optimize=False)
-            acc[a, q] += _dot(gy[:, i], mixed[q].values[:, -1, :])
+    for n, (i, sh, sl, mixed) in enumerate(jobs):
+        acc[n] += np.einsum("pa,pab,pb->p", sh.values[:, -1, :], gyy[:, i],
+                            sl.values[:, -1, :], optimize=False)
+        acc[n] += _dot(gy[:, i], mixed.values[:, -1, :])
     return _keyed_estimates(
-        acc, [(i, q) for i in players for q in range(len(pairs))],
-        "Z-ORACLE", lambda key: {"player": key[0], "pair": hl[key[1]]},
-        return_pathwise)
-
-
-def _direction_values(directions, t, k, noise):
-    """Each distinct direction's values at step k, keyed by identity."""
-    distinct = {id(d): d for d in directions}
-    return {key: d(t, k, noise.increments) for key, d in distinct.items()}
+        acc, "Z-ORACLE", lambda n: {"player": jobs[n][0], "pair": hl[n]})
 
 
 def bsde_derivatives(spec: GameSpec, ensemble: PathEnsemble,
                      noise: NoiseBundle, basis: RegressionBasis,
-                     first_jobs=(), second_jobs=(),
-                     return_pathwise: bool = False):
+                     first_jobs=(), second_jobs=()):
     """Adjoint route for every first-order job ``(i, h, direction)``
     (player i's cost in player h's direction) and second-order job ``(i,
     sens_h, sens_l)`` (in two distinct players' response directions).
@@ -308,8 +291,8 @@ def bsde_derivatives(spec: GameSpec, ensemble: PathEnsemble,
     summed forward in time afterwards; first-order ones are stored per
     (cost player, perturbed player) and take each job's direction then.
 
-    Returns ``(first, second)``, each ``{job index: estimate}``; with
-    ``return_pathwise`` also the pathwise integrals under the same keys.
+    Returns ``((first, second), (first_pathwise, second_pathwise))``,
+    each ``{job index: ...}``.
     """
     first_jobs, second_jobs = list(first_jobs), list(second_jobs)
     hl = _pair_players([(sh, sl) for _, sh, sl in second_jobs])
@@ -377,13 +360,10 @@ def bsde_derivatives(spec: GameSpec, ensemble: PathEnsemble,
             first_acc[n] += integrands[row_of[n], k] * dvals[id(d)] * dt
         second_acc += terms[:, k]
     first = _keyed_estimates(
-        first_acc, list(range(len(first_jobs))), "BSDE",
+        first_acc, "BSDE",
         lambda n: {"player": first_jobs[n][0], "perturbed": first_jobs[n][1],
-                   "direction": first_jobs[n][2].label}, return_pathwise)
+                   "direction": first_jobs[n][2].label})
     second = _keyed_estimates(
-        second_acc, list(range(len(second_jobs))), "BSDE",
-        lambda n: {"player": second_jobs[n][0], "pair": hl[n]},
-        return_pathwise)
-    if return_pathwise:
-        return (first[0], second[0]), (first[1], second[1])
-    return first, second
+        second_acc, "BSDE",
+        lambda n: {"player": second_jobs[n][0], "pair": hl[n]})
+    return (first[0], second[0]), (first[1], second[1])

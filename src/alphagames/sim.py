@@ -339,6 +339,8 @@ def propagate_second_sensitivities(spec: GameSpec, ensemble: PathEnsemble,
     of two distinct players' responses, all in one sweep: the pairs run
     as one stack of the response step, forced bilinearly in the two
     first-order sensitivities plus the direction/state cross terms.
+    Affine coefficients have no second partials, so the responses vanish
+    and are returned as zeros without stepping.
     """
     _check_pair(ensemble, noise)
     for sens_h, sens_l in pairs:
@@ -352,7 +354,9 @@ def propagate_second_sensitivities(spec: GameSpec, ensemble: PathEnsemble,
     Z = np.zeros((R, P, M + 1, N))  # Z[q] is pair q's contiguous history
     z = np.zeros((P, R, N))
     forcing = (np.empty((P, R, N)), np.empty((P, R, N)))
-    for k, t, vc in _linearizations(spec, ensemble):
+    steps = (() if spec.has_affine_coefficients()
+             else _linearizations(spec, ensemble))
+    for k, t, vc in steps:
         so = _second_order_slices(spec, vc.slice)
         for q, (sens_h, sens_l) in enumerate(pairs):
             forcing[0][:, q], forcing[1][:, q] = _bilinear_sources(

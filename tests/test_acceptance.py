@@ -55,9 +55,10 @@ def first_order_duality(spec, n, paths, steps, seed, controls):
     ens = ag.simulate_paths(spec, controls, grid, noise)
     sens_all = ag.propagate_sensitivities(spec, ens, targets,
                                           noise, dtype=np.float32)
-    sens_table = first_derivative_sens(spec, ens, noise, sens_all)
+    sens_table = first_derivative_sens(
+        spec, ens, noise, [(i, s) for s in sens_all for i in range(n)])
     del sens_all
-    bsde_table, _ = bsde_derivatives(
+    (bsde_table, _), _ = bsde_derivatives(
         spec, ens, noise, ag.RegressionBasis(),
         first_jobs=[(i, h, d) for h, d in targets for i in range(n)])
     worst = 0.0
@@ -65,7 +66,7 @@ def first_order_duality(spec, n, paths, steps, seed, controls):
         di = tidx % len(dirs)
         for i in range(n):
             fd = fd_all[(h, di)][i]
-            sv = sens_table[(i, tidx)]
+            sv = sens_table[tidx * n + i]
             bs = bsde_table[tidx * n + i]
             tol_s = 3 * (fd.std_error + sv.std_error) + 10 * EPS_MIN
             tol_b = 3 * (fd.std_error + bs.std_error) + 10 * EPS_MIN
@@ -115,18 +116,20 @@ def _second_order_sweep(spec, n, controls, grid, noise, ens, dirs):
             sens[l] = ag.propagate_sensitivity(spec, ens, l, dv, noise)
     pairs = [(sens[h], sens[l]) for h, l in hl]
     fds = [second_derivative_fd_sweep(spec, controls, h, l, sh.direction,
-                                      sl.direction, grid, noise)
+                                      sl.direction, grid, noise)[0]
            for (h, l), (sh, sl) in zip(hl, pairs)]
     mixed = ag.propagate_second_sensitivities(spec, ens, pairs, noise)
-    zos = ag.second_derivative_z_oracle(spec, ens, noise, pairs, mixed,
-                                        range(n))
+    zos, _ = ag.second_derivative_z_oracle(
+        spec, ens, noise, [(i, sh, sl, m) for i in range(n)
+                           for (sh, sl), m in zip(pairs, mixed)])
     del mixed
-    _, bss = bsde_derivatives(spec, ens, noise, ag.RegressionBasis(),
-                              second_jobs=[(i, sh, sl) for i in range(n)
-                                           for sh, sl in pairs])
+    (_, bss), _ = bsde_derivatives(spec, ens, noise, ag.RegressionBasis(),
+                                   second_jobs=[(i, sh, sl) for i in range(n)
+                                                for sh, sl in pairs])
     for i in range(n):
         for q in range(len(pairs)):
-            fd, zo, bs = fds[q][i], zos[(i, q)], bss[i * len(pairs) + q]
+            job = i * len(pairs) + q
+            fd, zo, bs = fds[q][i], zos[job], bss[job]
             tol_fz = 5 * (fd.std_error + zo.std_error) + 20 * EPS_MIN
             tol_fb = 5 * (fd.std_error + bs.std_error) + 20 * EPS_MIN
             tol_bz = 5 * (bs.std_error + zo.std_error) + 20 * EPS_MIN
@@ -258,8 +261,7 @@ def test_criterion_07_potential_game_zero_case():
     noise = ag.NoiseBundle.generate(31, grid, 15_000, 2)
     prof = ag.ControlProfile.constants([0.3, 0.3])
     dirs = ag.direction_dictionary(1.0)[:2]
-    v, se = ag.asymmetry(spec, prof, 0, 1, dirs, dirs, grid, noise,
-                         method="FD")
+    v, se = ag.asymmetry(spec, prof, 0, 1, dirs, grid, noise, method="FD")
     asym_ok = v <= 3 * se + 1e-9
     deviations = [(i, prof[i] + scale * d) for i in range(2)
                   for scale, d in ((0.5, dirs[0]), (-0.5, dirs[0]),
@@ -285,8 +287,8 @@ def test_criterion_08_alpha_decay():
         asym, se = pairwise_quadratic_asymmetry(
             spec, params["Qhat"], params["G"], ag.ControlProfile.zeros(n),
             ag.Control.constant(1.0), grid, noise)
-        row = asym.sum(axis=1)
-        alphas.append(float(2.0 * row.max()))
+        alphas.append(ag.AlphaReport.from_asymmetry(asym, se, [])
+                      .alpha_empirical)
         bounds.append(ag.theoretical_alpha_bound(ledger, n, 1.0).alpha_bound)
         del noise
     lns = np.log(np.asarray(ns, dtype=float))
@@ -337,7 +339,7 @@ def test_criterion_10_common_noise():
     noise0 = ag.NoiseBundle.generate(37, grid, 20_000, 3)
     dirs = [ag.Control.constant(1.0)]
     v0, se0 = ag.asymmetry(spec0, ag.ControlProfile.zeros(2), 0, 1, dirs,
-                           dirs, grid, noise0, method="FD")
+                           grid, noise0, method="FD")
     sym_ok = v0 <= 3 * se0 + 1e-9
 
     dq, dg = 1.0, 0.8
@@ -348,7 +350,7 @@ def test_criterion_10_common_noise():
         spec, ledger = ag.build_common_noise_game(n, Qhat=qhat, G=gterm)
         noise = ag.NoiseBundle.generate(37, grid, 20_000, n + 1)
         v, se = ag.asymmetry(spec, ag.ControlProfile.zeros(n), 0, 1, dirs,
-                             dirs, grid, noise, method="FD")
+                             grid, noise, method="FD")
         vals.append(v)
         from alphagames.alpha import build_bound_ledger
         bl = build_bound_ledger(ledger, n, 1.0, n + 1)

@@ -12,14 +12,59 @@ from oracles import (decay_family_asymmetry, scalar_lq_cost,
                      scalar_lq_optimal_control)
 
 
+# empirical_alpha's (asymmetry, asymmetry_se, alpha_empirical,
+# alpha_empirical_se) on tanh-coupled N=3, 2000 paths x 16 steps, seed
+# 17, anchors zero and constant 0.5, the first two dictionary
+# directions; recorded while FD, SENS and BSDE each had their own
+# asymmetry path, before they became one table
+PINNED = {  # upper entries (0,1) (0,2) (1,2), their se, alpha, se
+    "FD": (
+        (0.07392428782095703, 0.08569709781587945,
+         0.010460213011386513),
+        (0.0010469723177552247, 0.0012564138473189625,
+         0.0002381779319357196),
+        0.31924277127367295, 0.0032709183969525037),
+    "SENS": (
+        (0.07412904971172667, 0.08575215831307752,
+         0.010469123728286907),
+        (0.0010390629953343535, 0.0012489887577984463,
+         0.00023084615304093492),
+        0.31976241604960837, 0.003249384449633564),
+    "BSDE": (
+        (0.07190531207145502, 0.08289702461032084,
+         0.010414901127946241),
+        (0.0007041819500278711, 0.0008261008037023116,
+         0.00020101906223950932),
+        0.3096046733635517, 0.002171004151652097),
+}
+
+
 class TestAsymmetry:
+    @pytest.mark.parametrize("method", ["FD", "SENS", "BSDE"])
+    def test_empirical_alpha_pinned(self, method):
+        spec, _ = ag.build_preset("tanh-coupled", 3)
+        grid = ag.TimeGrid(16, 1.0)
+        noise = ag.NoiseBundle.generate(17, grid, 2000, spec.n_drivers)
+        anchors = [ag.ControlProfile.zeros(3),
+                   ag.ControlProfile.constants([0.5] * 3)]
+        rep = ag.empirical_alpha(spec, anchors,
+                                 ag.direction_dictionary(1.0)[:2], grid,
+                                 noise, method=method)
+        asym, se, alpha, alpha_se = PINNED[method]
+        upper = np.triu_indices(3, 1)
+        for got, want in ((rep.asymmetry, asym), (rep.asymmetry_se, se)):
+            assert got[upper].tolist() == list(want)
+            assert np.array_equal(got, got.T) and not np.diag(got).any()
+        assert rep.alpha_empirical == alpha
+        assert rep.alpha_empirical_se == alpha_se
+
     def test_fully_symmetric_two_player(self):
         spec, _ = ag.build_lq_game(2, Qhat=1.0, G=1.0)
         grid = ag.TimeGrid(16, 1.0)
         noise = ag.NoiseBundle.generate(1, grid, 2000, 2)
         dirs = ag.direction_dictionary(1.0)[:2]
         v, se = ag.asymmetry(spec, ag.ControlProfile.zeros(2), 0, 1, dirs,
-                             dirs, grid, noise, method="FD")
+                             grid, noise, method="FD")
         assert v <= 3 * se + 1e-9
 
     def test_symmetric_costs_heterogeneous_dynamics(self):
@@ -30,7 +75,7 @@ class TestAsymmetry:
         noise = ag.NoiseBundle.generate(2, grid, 2000, 2)
         dirs = [ag.Control.constant(1.0)]
         v, se = ag.asymmetry(spec, ag.ControlProfile.zeros(2), 0, 1, dirs,
-                             dirs, grid, noise, method="FD")
+                             grid, noise, method="FD")
         assert v <= 3 * se + 1e-9
 
     def test_heterogeneous_positive_and_methods_agree(self):
@@ -39,11 +84,11 @@ class TestAsymmetry:
         noise = ag.NoiseBundle.generate(3, grid, 4000, 2)
         dirs = [ag.Control.constant(1.0)]
         prof = ag.ControlProfile.zeros(2)
-        vfd, _ = ag.asymmetry(spec, prof, 0, 1, dirs, dirs, grid, noise,
+        vfd, _ = ag.asymmetry(spec, prof, 0, 1, dirs, grid, noise,
                               method="FD")
-        vsens, _ = ag.asymmetry(spec, prof, 0, 1, dirs, dirs, grid, noise,
+        vsens, _ = ag.asymmetry(spec, prof, 0, 1, dirs, grid, noise,
                                 method="SENS")
-        vbsde, _ = ag.asymmetry(spec, prof, 0, 1, dirs, dirs, grid, noise,
+        vbsde, _ = ag.asymmetry(spec, prof, 0, 1, dirs, grid, noise,
                                 method="BSDE")
         assert vfd > 0.1
         # FD legs run in single precision; the stencil rounding noise
@@ -60,7 +105,6 @@ class TestAsymmetry:
         noise = ag.NoiseBundle.generate(0, grid, 200, 2)
         with pytest.raises(ValueError):
             ag.asymmetry(spec, ag.ControlProfile.zeros(2), 1, 1,
-                         [ag.Control.constant(1.0)],
                          [ag.Control.constant(1.0)], grid, noise)
 
     def test_empirical_alpha_distributed_game(self):

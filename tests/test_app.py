@@ -1,7 +1,6 @@
 import csv
 import dataclasses
 import json
-import math
 import os
 import subprocess
 import sys
@@ -10,7 +9,15 @@ import numpy as np
 import pytest
 
 from alphagames import alpha, derivatives
-from alphagames.app import ConfigError, ExperimentConfig, _noise, main, run
+from alphagames.app import (SUBCOMMANDS, ConfigError, ExperimentConfig,
+                            _noise, main, run)
+
+
+def read_strict(path):
+    """A report parsed as strict JSON: NaN and Infinity are rejected."""
+    def reject(token):
+        raise ValueError(f"non-finite number {token} in {path}")
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 def write_config(tmp_path, **kw):
@@ -214,6 +221,25 @@ class TestCli:
         assert main([subcommand, "--config", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("subcommand,bad", [
+        ("simulate", {"paths": 1000.5}),
+        ("simulate", {"steps": 4.5}),
+        ("simulate", {"seed": True}),
+        ("simulate", {"seed": "x"}),
+        ("simulate", {"horizon": "1"}),
+        ("potential", {"quad_order": 2.5}),
+        ("alpha", {"anchors": []}),
+        ("scaling", {"scaling_players": [2, 4.0]}),
+        ("scaling", {"spread": "wide"}),
+    ])
+    def test_ill_typed_config_exits_two(self, tmp_path, capsys, subcommand,
+                                        bad):
+        # each of these crashed with a traceback (exit 1, which is
+        # reserved for a failed check) or ran with a bool for an integer
+        path, _ = write_config(tmp_path, **bad)
+        assert main([subcommand, "--config", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_scaling_rejects_preset_params(self, tmp_path, capsys):
         # the sweep builds every game from the spread alone, so these
         # parameters would be dropped silently
@@ -236,12 +262,25 @@ class TestCli:
     @pytest.mark.parametrize("A,passed", [(10.0, True), (15.0, False)])
     def test_bound_exits_one_on_overflow(self, tmp_path, capsys, A, passed):
         # at A = 15 the energy constant's chain overflows: the report is
-        # still written, and the vacuous bound fails the run
+        # still written, as strict JSON with null for each non-finite
+        # number (the bound was a bare NaN token), and the vacuous bound
+        # fails the run
         path, _ = write_config(tmp_path, preset_params={"A": A})
         assert main(["bound", "--config", str(path)]) == (0 if passed else 1)
-        rep = json.loads((tmp_path / "out" / "report.json").read_text())
+        rep = read_strict(tmp_path / "out" / "report.json")
         assert rep["passed"] is passed
-        assert math.isfinite(rep["results"]["alpha_bound"]) is passed
+        assert (rep["results"]["alpha_bound"] is not None) is passed
+
+    def test_every_subcommand_runs_and_writes_strict_json(self, tmp_path):
+        for sub in SUBCOMMANDS:
+            path, _ = write_config(tmp_path, paths=100, steps=3,
+                                   quad_order=1, scaling_players=[2, 4],
+                                   directions=["const", "ramp"],
+                                   out=str(tmp_path / sub))
+            code = main([sub, "--config", str(path)])
+            rep = read_strict(tmp_path / sub / "report.json")
+            assert rep["subcommand"] == sub
+            assert code == (0 if rep["passed"] else 1), sub
 
     def test_reproducible_across_thread_counts(self, tmp_path):
         """Identical config and seed give bit-identical numeric output,

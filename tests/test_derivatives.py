@@ -138,16 +138,18 @@ class TestFirstDerivatives:
         assert abs(fd.value - 1.0) < 1e-4 and fd.std_error < 1e-4
         ens = ag.simulate_paths(spec, prof, grid, noise)
         sens = ag.propagate_sensitivity(spec, ens, 0, d, noise)
-        sv = ag.first_derivative_sens(spec, ens, noise, [sens])[(0, 0)]
+        sv = ag.first_derivative_sens(spec, ens, noise, [(0, sens)])[0]
         assert np.isclose(sv.value, 1.0) and sv.std_error < 1e-12
-        bs = ag.bsde_derivatives(spec, ens, noise, ag.RegressionBasis(),
-                                 first_jobs=[(0, 0, d)])[0][0]
+        (first, _), _ = ag.bsde_derivatives(spec, ens, noise,
+                                            ag.RegressionBasis(),
+                                            first_jobs=[(0, 0, d)])
+        bs = first[0]
         assert abs(bs.value - 1.0) < 1e-6
 
     def test_zero_direction_exact_zero(self, tanh_setup):
         spec, grid, noise, controls, ens = tanh_setup
         sens = ag.propagate_sensitivity(spec, ens, 1, ag.Control.zero(), noise)
-        est = ag.first_derivative_sens(spec, ens, noise, [sens])[(0, 0)]
+        est = ag.first_derivative_sens(spec, ens, noise, [(0, sens)])[0]
         assert est.value == 0.0 and est.std_error == 0.0
 
     def test_three_routes_agree_tanh(self, tanh_setup):
@@ -158,9 +160,10 @@ class TestFirstDerivatives:
             fd = first_derivative_fd_sweep(spec, controls, h, d, grid,
                                            noise)[i]
             sens = ag.propagate_sensitivity(spec, ens, h, d, noise)
-            sv = ag.first_derivative_sens(spec, ens, noise, [sens])[(i, 0)]
-            bs = ag.bsde_derivatives(spec, ens, noise, basis,
-                                     first_jobs=[(i, h, d)])[0][0]
+            sv = ag.first_derivative_sens(spec, ens, noise, [(i, sens)])[0]
+            (first, _), _ = ag.bsde_derivatives(spec, ens, noise, basis,
+                                                first_jobs=[(i, h, d)])
+            bs = first[0]
             assert abs(fd.value - sv.value) <= \
                 3 * (fd.std_error + sv.std_error) + 10 * min(EPS_SCHEDULE)
             assert abs(fd.value - bs.value) <= \
@@ -176,8 +179,9 @@ class TestFirstDerivatives:
         d = ag.Control.constant(1.0)
         for i, h in [(0, 0), (0, 1), (1, 0)]:
             fd = first_derivative_fd_sweep(spec, prof, h, d, grid, noise)[i]
-            bs = ag.bsde_derivatives(spec, ens, noise, basis,
-                                     first_jobs=[(i, h, d)])[0][0]
+            (first, _), _ = ag.bsde_derivatives(spec, ens, noise, basis,
+                                                first_jobs=[(i, h, d)])
+            bs = first[0]
             assert abs(fd.value - bs.value) <= \
                 3 * (fd.std_error + bs.std_error) + 10 * min(EPS_SCHEDULE)
 
@@ -187,21 +191,20 @@ class TestFirstDerivatives:
         scaled = 2.5 * d
         sens1 = ag.propagate_sensitivity(spec, ens, 0, d, noise)
         sens2 = ag.propagate_sensitivity(spec, ens, 0, scaled, noise)
-        a = ag.first_derivative_sens(spec, ens, noise, [sens1])[(1, 0)]
-        b = ag.first_derivative_sens(spec, ens, noise, [sens2])[(1, 0)]
+        a = ag.first_derivative_sens(spec, ens, noise, [(1, sens1)])[0]
+        b = ag.first_derivative_sens(spec, ens, noise, [(1, sens2)])[0]
         assert np.isclose(b.value, 2.5 * a.value, rtol=1e-12)
-        basis = ag.RegressionBasis()
-        ba = ag.bsde_derivatives(spec, ens, noise, basis,
-                                 first_jobs=[(1, 0, d)])[0][0]
-        bb = ag.bsde_derivatives(spec, ens, noise, basis,
-                                 first_jobs=[(1, 0, scaled)])[0][0]
+        (first, _), _ = ag.bsde_derivatives(
+            spec, ens, noise, ag.RegressionBasis(),
+            first_jobs=[(1, 0, d), (1, 0, scaled)])
+        ba, bb = first[0], first[1]
         assert np.isclose(bb.value, 2.5 * ba.value, rtol=1e-12)
 
     def test_forward_difference_order_at_least_one(self, tanh_setup):
         spec, grid, noise, controls, ens = tanh_setup
         d = ag.Control.constant(1.0)
         sens = ag.propagate_sensitivity(spec, ens, 0, d, noise)
-        ref = ag.first_derivative_sens(spec, ens, noise, [sens])[(0, 0)]
+        ref = ag.first_derivative_sens(spec, ens, noise, [(0, sens)])[0]
         from alphagames.derivatives import cost_pathwise
         errs = []
         eps_list = [4e-2, 2e-2, 1e-2]
@@ -222,7 +225,7 @@ class TestSecondDerivatives:
         noise = ag.NoiseBundle.generate(4, grid, 500, 2)
         d = ag.Control.constant(1.0)
         est = second_derivative_fd_sweep(spec, ag.ControlProfile.zeros(2),
-                                         0, 1, d, d, grid, noise)[0]
+                                         0, 1, d, d, grid, noise)[0][0]
         assert abs(est.value) <= 3 * est.std_error + 1e-6
 
     def test_product_cost_gives_horizon(self):
@@ -232,18 +235,20 @@ class TestSecondDerivatives:
         prof = ag.ControlProfile.zeros(2)
         d = ag.Control.constant(1.0)
         fd = second_derivative_fd_sweep(spec, prof, 0, 1, d, d, grid,
-                                        noise)[0]
+                                        noise)[0][0]
         assert abs(fd.value - 1.0) < 1e-4
         ens = ag.simulate_paths(spec, prof, grid, noise)
         sh = ag.propagate_sensitivity(spec, ens, 0, d, noise)
         sl = ag.propagate_sensitivity(spec, ens, 1, d, noise)
         mixed = ag.propagate_second_sensitivities(spec, ens, [(sh, sl)],
                                                   noise)
-        zo = ag.second_derivative_z_oracle(spec, ens, noise, [(sh, sl)],
-                                           mixed, [0])[(0, 0)]
-        assert np.isclose(zo.value, 1.0)
-        bs = ag.bsde_derivatives(spec, ens, noise, ag.RegressionBasis(),
-                                 second_jobs=[(0, sh, sl)])[1][0]
+        zos, _ = ag.second_derivative_z_oracle(spec, ens, noise,
+                                               [(0, sh, sl, mixed[0])])
+        assert np.isclose(zos[0].value, 1.0)
+        (_, second), _ = ag.bsde_derivatives(spec, ens, noise,
+                                             ag.RegressionBasis(),
+                                             second_jobs=[(0, sh, sl)])
+        bs = second[0]
         assert abs(bs.value - 1.0) < 1e-5
 
     def test_same_player_rejected(self):
@@ -266,16 +271,16 @@ class TestSecondDerivatives:
         mixed = ag.propagate_second_sensitivities(spec, ens, [(sh, sl)],
                                                   noise)
         eps_min = min(EPS_SCHEDULE)
-        fds = second_derivative_fd_sweep(spec, controls, h, l, du, dv, grid,
-                                         noise)
-        zos = ag.second_derivative_z_oracle(spec, ens, noise, [(sh, sl)],
-                                            mixed, range(3))
-        _, bss = ag.bsde_derivatives(spec, ens, noise, basis,
-                                     second_jobs=[(i, sh, sl)
-                                                  for i in range(3)])
+        fds, _ = second_derivative_fd_sweep(spec, controls, h, l, du, dv,
+                                            grid, noise)
+        zos, _ = ag.second_derivative_z_oracle(
+            spec, ens, noise, [(i, sh, sl, mixed[0]) for i in range(3)])
+        (_, bss), _ = ag.bsde_derivatives(spec, ens, noise, basis,
+                                          second_jobs=[(i, sh, sl)
+                                                       for i in range(3)])
         for i in range(3):
             fd = fds[i]
-            zo = zos[(i, 0)]
+            zo = zos[i]
             bs = bss[i]
             assert abs(fd.value - zo.value) <= \
                 5 * (fd.std_error + zo.std_error) + 20 * eps_min
@@ -292,14 +297,15 @@ class TestSecondDerivatives:
         sl = ag.propagate_sensitivity(spec, ens, 1, dv, noise)
         pairs = [(sh, sl), (sl, sh)]
         mixed = ag.propagate_second_sensitivities(spec, ens, pairs, noise)
-        zos = ag.second_derivative_z_oracle(spec, ens, noise, pairs, mixed,
-                                            [0])
-        z1, z2 = zos[(0, 0)], zos[(0, 1)]
+        zos, _ = ag.second_derivative_z_oracle(
+            spec, ens, noise, [(0, sh, sl, m) for (sh, sl), m in
+                               zip(pairs, mixed)])
+        z1, z2 = zos[0], zos[1]
         assert abs(z1.value - z2.value) <= 1e-10
         fd1 = second_derivative_fd_sweep(spec, controls, 0, 1, du, dv, grid,
-                                         noise)[0]
+                                         noise)[0][0]
         fd2 = second_derivative_fd_sweep(spec, controls, 1, 0, dv, du, grid,
-                                         noise)[0]
+                                         noise)[0][0]
         assert abs(fd1.value - fd2.value) <= \
             5 * (fd1.std_error + fd2.std_error) + 1e-8
 
@@ -333,18 +339,20 @@ class TestSweepHelpers:
         dirs = ag.direction_dictionary(1.0)[:2]
         targets = [(h, d) for h in range(3) for d in dirs]
         sens_all = ag.propagate_sensitivities(spec, ens, targets, noise)
-        sens_table = ag.first_derivative_sens(spec, ens, noise, sens_all)
-        bsde_table, _ = ag.bsde_derivatives(
+        sens_table = ag.first_derivative_sens(
+            spec, ens, noise, [(i, s) for s in sens_all for i in range(3)])
+        (bsde_table, _), _ = ag.bsde_derivatives(
             spec, ens, noise, basis,
             first_jobs=[(i, h, d) for h, d in targets for i in range(3)])
         for tidx, (h, d) in enumerate(targets[:3]):
             single = ag.propagate_sensitivity(spec, ens, h, d, noise)
             for i in (0, 2):
                 sv = ag.first_derivative_sens(spec, ens, noise,
-                                              [single])[(i, 0)]
-                bs = ag.bsde_derivatives(spec, ens, noise, basis,
-                                         first_jobs=[(i, h, d)])[0][0]
-                assert np.isclose(sens_table[(i, tidx)].value, sv.value,
+                                              [(i, single)])[0]
+                (first, _), _ = ag.bsde_derivatives(spec, ens, noise, basis,
+                                                    first_jobs=[(i, h, d)])
+                bs = first[0]
+                assert np.isclose(sens_table[3 * tidx + i].value, sv.value,
                                   rtol=1e-10)
                 assert np.isclose(bsde_table[3 * tidx + i].value, bs.value,
                                   rtol=1e-10)
@@ -364,8 +372,7 @@ class TestSweepHelpers:
         directions = [dirs[h % len(dirs)] for h in range(n)]
         _, (got, _) = ag.bsde_derivatives(
             spec, ens, noise, basis,
-            first_jobs=[(h, h, directions[h]) for h in range(n)],
-            return_pathwise=True)
+            first_jobs=[(h, h, directions[h]) for h in range(n)])
         assert sorted(got) == list(range(n))
         for h in range(n):
             want = _stored_first_order(spec, ens, noise, basis, h,
@@ -399,26 +406,23 @@ class TestSecondOrderEngine:
                                                            **params)
         basis = ag.RegressionBasis()
         mixed = ag.propagate_second_sensitivities(spec, ens, pairs, noise)
-        _, zo = ag.second_derivative_z_oracle(spec, ens, noise, pairs, mixed,
-                                              range(n), return_pathwise=True)
         jobs = [(i, sh, sl) for i in range(n) for sh, sl in pairs]
+        _, zo = ag.second_derivative_z_oracle(
+            spec, ens, noise, [(i, sh, sl, m) for i in range(n)
+                               for (sh, sl), m in zip(pairs, mixed)])
         _, (_, bs) = ag.bsde_derivatives(spec, ens, noise, basis,
-                                         second_jobs=jobs,
-                                         return_pathwise=True)
-        assert sorted(zo) == [(i, q) for i in range(n)
-                              for q in range(len(pairs))]
-        assert sorted(bs) == list(range(len(jobs)))
+                                         second_jobs=jobs)
+        assert sorted(zo) == sorted(bs) == list(range(len(jobs)))
         for q, pair in enumerate(pairs):
             one = ag.propagate_second_sensitivities(spec, ens, [pair], noise)
             np.testing.assert_allclose(mixed[q].values, one[0].values,
                                        rtol=0, atol=0)
             for i in range(n):
                 _, zo1 = ag.second_derivative_z_oracle(
-                    spec, ens, noise, [pair], one, [i], return_pathwise=True)
+                    spec, ens, noise, [(i, *pair, one[0])])
                 _, (_, bs1) = ag.bsde_derivatives(
-                    spec, ens, noise, basis, second_jobs=[(i, *pair)],
-                    return_pathwise=True)
-                np.testing.assert_allclose(zo[(i, q)], zo1[(i, 0)],
+                    spec, ens, noise, basis, second_jobs=[(i, *pair)])
+                np.testing.assert_allclose(zo[i * len(pairs) + q], zo1[0],
                                            rtol=0, atol=0)
                 np.testing.assert_allclose(bs[i * len(pairs) + q], bs1[0],
                                            rtol=0, atol=0)
@@ -471,13 +475,11 @@ class TestAdjointSweep:
         jobs = [(i, h, d) for i in range(n) for h in range(n) for d in dirs]
         _, (first, _) = ag.bsde_derivatives(
             spec, ens, noise, basis, first_jobs=jobs,
-            second_jobs=[(i, sh, sl) for i in range(n) for sh, sl in pairs],
-            return_pathwise=True)
+            second_jobs=[(i, sh, sl) for i in range(n) for sh, sl in pairs])
         assert sorted(first) == list(range(len(jobs)))
         for n_job, job in enumerate(jobs):
             _, (one, _) = ag.bsde_derivatives(spec, ens, noise, basis,
-                                              first_jobs=[job],
-                                              return_pathwise=True)
+                                              first_jobs=[job])
             np.testing.assert_allclose(first[n_job], one[0], rtol=0, atol=0)
 
     def test_jobs_need_distinct_players(self):

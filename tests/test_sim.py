@@ -361,6 +361,34 @@ class TestSecondSensitivity:
         assert np.all(mixed.values == 0.0)
         assert spec.has_affine_coefficients()
 
+    def test_affine_game_is_not_stepped(self, monkeypatch):
+        # no second partials, so the responses vanish: zeros are returned
+        # for every pair without assembling a linearization
+        from alphagames import sim as sim_mod
+        spec, _ = ag.build_lq_game(2, D=0.2)
+        grid = ag.TimeGrid(6, 1.0)
+        noise = ag.NoiseBundle.generate(3, grid, 100, 2)
+        ens = ag.simulate_paths(spec, ag.ControlProfile.constants([0.3, -0.2]),
+                                grid, noise)
+        dirs = ag.direction_dictionary(1.0)[:2]
+        sh, sl = ag.propagate_sensitivities(
+            spec, ens, [(0, dirs[0]), (1, dirs[1])], noise)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return assemble(*args, **kwargs)
+
+        assemble = sim_mod.assemble_variational
+        monkeypatch.setattr(sim_mod, "assemble_variational", counting)
+        mixed = ag.propagate_second_sensitivities(spec, ens,
+                                                  [(sh, sl), (sl, sh)], noise)
+        assert calls == []
+        assert [m.players for m in mixed] == [(0, 1), (1, 0)]
+        for m in mixed:
+            assert m.values.shape == sh.values.shape
+            assert np.all(m.values == 0.0) and not np.signbit(m.values).any()
+
     def test_zero_direction_zero(self):
         spec, _ = ag.build_tanh_game(2)
         grid = ag.TimeGrid(10, 1.0)
