@@ -76,6 +76,14 @@ class ExperimentConfig:
     allow_long: bool = False
 
     def __post_init__(self):
+        for name, kind in (("allow_long", bool), ("export_paths", bool),
+                           ("preset", str), ("method", str), ("out", str),
+                           ("preset_params", dict)):
+            if not isinstance(getattr(self, name), kind):
+                raise ConfigError(f"{name}: must be a {kind.__name__}, got "
+                                  f"{getattr(self, name)!r}")
+        if not all(isinstance(a, str) for a in self.anchors):
+            raise ConfigError("anchors: every anchor must be a string")
         for name in ("players", "steps", "paths", "seed", "quad_order"):
             _require_int(name, getattr(self, name))
         for n in self.scaling_players:
@@ -142,6 +150,9 @@ class ExperimentConfig:
         for tup_key in ("directions", "eps_schedule", "anchors",
                         "scaling_players"):
             if tup_key in merged:
+                if not isinstance(merged[tup_key], list):
+                    raise ConfigError(f"{tup_key}: must be a list, got "
+                                      f"{merged[tup_key]!r}")
                 merged[tup_key] = tuple(merged[tup_key])
         return cls(**merged)
 
@@ -363,7 +374,8 @@ def _cmd_deriv(cfg: ExperimentConfig, tables: Path):
     eps_min = min(cfg.eps_schedule)
     ok = all(_first_order_agree(fd, sv, bs, eps_min)
              for *_, fd, sv, bs in first)
-    return {"n_rows": len(rows), "all_agree": ok}, ok
+    return {"n_rows": len(rows), "all_agree": ok,
+            "bsde_regression": first[0][-1].metadata["regression"]}, ok
 
 
 def _cmd_cross_check(cfg: ExperimentConfig, tables: Path):
@@ -414,7 +426,8 @@ def _cmd_cross_check(cfg: ExperimentConfig, tables: Path):
     _write_csv(tables / "cross_check.csv",
                ["order", "i", "h", "l", "dir_h", "dir_l", "fd", "sens",
                 "bsde", "z_oracle", "agree"], rows)
-    return {"n_rows": len(rows), "all_agree": ok}, ok
+    return {"n_rows": len(rows), "all_agree": ok,
+            "bsde_regression": first[0][-1].metadata["regression"]}, ok
 
 
 def _cmd_alpha(cfg: ExperimentConfig, tables: Path):

@@ -6,9 +6,11 @@ conditional expectations on a global polynomial basis of the state:
 * terminal layer is the terminal functional evaluated pathwise;
 * the martingale component of driver j at step k is the regression of
   next-layer value times that driver's increment, divided by dt; the
-  projection is linear in its targets, so every driver's target is a
-  column block of one stacked fit per step (one moment contraction,
-  one normal-equation solve, one fitted contraction);
+  projection is linear in its targets, so every fitted target is a
+  column of one stacked fit per step (one moment contraction, one
+  normal-equation solve, one fitted contraction), and each solver
+  chooses its columns: the generic solver fits every driver's
+  component of every value column;
 * the value layer at step k is the regression of next-layer value plus
   dt times the (explicitly evaluated) affine driver.
 
@@ -22,7 +24,10 @@ first-adjoint-weighted coefficient Hessians.
 Every solver runs through one backward loop.  The adjoint sweep solves
 the first-order systems of any set of players and the matrix systems of
 any subset of them in one pass with one linearization per step, and
-yields each step's layers with that slice data.  No adjoint layer is
+yields each step's layers with that slice data.  Driver j moves only
+state j, so every driver and contraction reads driver j's martingale
+component of costate entry j and of row j and column j of a matrix
+layer; the sweep fits those columns and no others.  No adjoint layer is
 stored: the derivative contractions and the product-trace duality check
 consume each step's layers as they are solved.
 
@@ -131,14 +136,11 @@ class _Regressor:
         self.residual_norm = float(np.sqrt(np.mean(resid)))
         return fitted
 
-    def fit_martingale(self, ynext: np.ndarray, dw: np.ndarray,
-                       dt: float) -> np.ndarray:
-        """Martingale components (P, d, m) of every driver: the stacked
-        fit of ``ynext * dw[:, j] / dt`` for each of the d drivers."""
-        t = ynext[:, None, :] * dw[:, :, None]
-        t /= dt
-        P, d, m = t.shape
-        fitted = self.fit(t.reshape(P, d * m)).reshape(P, d, m)
+    def fit_martingale(self, targets: np.ndarray) -> np.ndarray:
+        """``fit`` of martingale targets (P, m), each column a next-layer
+        value times one driver's increment over dt; the residual is kept
+        as the martingale fit's."""
+        fitted = self.fit(targets)
         self.martingale_residual_norm = self.residual_norm
         return fitted
 
@@ -178,20 +180,18 @@ class BsdeSolution:
 
 
 def _backward(ensemble: PathEnsemble, noise: NoiseBundle,
-              basis: RegressionBasis, d: int, terminal: np.ndarray, step):
+              basis: RegressionBasis, terminal: np.ndarray, step):
     """The backward loop of every solver: at each step k from M-1 down
-    to 0 one regressor fits the martingale components (P, d, m) of
-    every column of the next value layer (P, m) in one stacked fit, and
-    ``step(k, reg, ynext, z)`` returns the fitted value layer and what
-    to yield."""
+    to 0 one regressor on the step's states, and ``step(k, reg, ynext)``
+    fits the martingale columns its solver reads (one stacked
+    ``fit_martingale``) and the value layer, and returns that layer and
+    what to yield."""
     if ensemble.seed != noise.seed or ensemble.grid != noise.grid:
         raise ValueError("ensemble and noise bundle must share seed and grid")
-    dt = ensemble.grid.dt
     ynext = terminal
     for k in range(ensemble.grid.n_steps - 1, -1, -1):
         reg = _Regressor(basis, ensemble.states[:, k, :], k)
-        z = reg.fit_martingale(ynext, noise.increments[:, k, :d], dt)
-        ynext, out = step(k, reg, ynext, z)
+        ynext, out = step(k, reg, ynext)
         yield out
 
 
@@ -210,8 +210,11 @@ def solve_linear_bsde(spec: LinearBsdeSpec, ensemble: PathEnsemble,
     if not np.all(np.isfinite(y[:, M, :])):
         raise FloatingPointError("non-finite terminal values")
 
-    def step(k, reg, ynext, zk):
-        z[:, k] = zk
+    def step(k, reg, ynext):
+        # every driver's component of every value column
+        t = ynext[:, None, :] * noise.increments[:, k, :d, None]
+        t /= dt
+        z[:, k] = reg.fit_martingale(t.reshape(P, d * m)).reshape(P, d, m)
         driver = np.zeros((P, m))
         if spec.value_coef is not None:
             A = spec.value_coef(k, ensemble)
@@ -227,7 +230,7 @@ def solve_linear_bsde(spec: LinearBsdeSpec, ensemble: PathEnsemble,
         y[:, k, :] = reg.fit(ynext + dt * driver)
         return y[:, k, :], reg.diagnostics()
 
-    diags = list(_backward(ensemble, noise, basis, d, y[:, M, :], step))
+    diags = list(_backward(ensemble, noise, basis, y[:, M, :], step))
     return BsdeSolution(y=y, z=z, diagnostics=diags[::-1])
 
 
@@ -302,27 +305,33 @@ def apriori_bound_check(spec: LinearBsdeSpec, solution: BsdeSolution,
 class AdjointStep:
     """One backward step's solved layers and the slice data they were
     solved with.  Costates and loadings are ordered as the sweep's
-    ``players``, matrix layers as its ``second`` players."""
+    ``players``, matrix layers as its ``second`` players.  Only the
+    martingale columns that are read are kept: ``loadings[:, q, j]`` is
+    driver j's component j of costate q, and ``matrix_loadings`` is the
+    pair ``(rows, columns)``, ``rows[:, s, j]`` being row j and
+    ``columns[:, s, j]`` column j of driver j's component of matrix
+    layer s."""
 
     k: int
     vc: VariationalCoefficients
     slices: Optional[dict]           # second partials, with matrix layers
     costates: np.ndarray             # (P, Q, N)
-    loadings: np.ndarray             # (P, D, Q, N)
+    loadings: np.ndarray             # (P, Q, N)
     matrices: Optional[np.ndarray]   # (P, S, N, N)
-    matrix_loadings: Optional[np.ndarray]  # (P, D, S, N, N)
+    matrix_loadings: Optional[tuple]  # two (P, S, N, N): rows, columns
     diagnostics: StepDiagnostics
 
 
-def _matrix_driver(B0, rows, so, mat, zmat, fyy, costate, qdiag):
+def _matrix_driver(B0, rows, so, mat, zrow, zcol, fyy, costate, qdiag):
     """Driver of one player's matrix system at one step, on its layer
-    ``mat`` and martingale components ``zmat`` (P, D, N, N): the
-    transposed drift linearization ``B0`` from the left and ``B0`` from
-    the right, each driver's matrix (supported on row j of ``rows``)
-    sandwiching the layer and hitting its martingale component from
-    both sides, plus the forcing: the running-cost Hessian ``fyy`` and
-    the pure joint-state coefficient Hessians of ``so`` weighted by the
-    costate pair (``costate``, and ``qdiag``, each driver's own
+    ``mat`` and martingale components, of which driver j's row j is
+    ``zrow[:, j]`` and its column j ``zcol[:, j]`` (each (P, N, N)):
+    the transposed drift linearization ``B0`` from the left and ``B0``
+    from the right, each driver's matrix (supported on row j of
+    ``rows``) sandwiching the layer and hitting its martingale component
+    from both sides, plus the forcing: the running-cost Hessian ``fyy``
+    and the pure joint-state coefficient Hessians of ``so`` weighted by
+    the costate pair (``costate``, and ``qdiag``, each driver's own
     component of its loading)."""
     out = np.einsum("pba,pbc->pac", B0, mat, optimize=False)
     out += np.einsum("pab,pbc->pac", mat, B0, optimize=False)
@@ -332,9 +341,9 @@ def _matrix_driver(B0, rows, so, mat, zmat, fyy, costate, qdiag):
     for j in range(N):
         # driver matrix j has a single row; its transpose against the
         # martingale layer contributes two outer-product terms
-        out += np.einsum("pa,pb->pab", rows[:, j, :], zmat[:, j, j, :],
+        out += np.einsum("pa,pb->pab", rows[:, j, :], zrow[:, j, :],
                          optimize=False)
-        out += np.einsum("pa,pb->pab", zmat[:, j, :, j], rows[:, j, :],
+        out += np.einsum("pa,pb->pab", zcol[:, j, :], rows[:, j, :],
                          optimize=False)
     out += fyy
     out += so["b"][4].weighted(costate)
@@ -355,14 +364,16 @@ def _adjoint_sweep(spec, ensemble, noise, basis, players, second=()):
 
     The systems share every coefficient, so each step assembles one
     linearization, evaluates the second partials once when matrix
-    layers are asked for, and fits every layer's martingale components
-    as stacked columns of one regressor; then comes the costate value
-    fit, then the matrix value fit, whose driver reads the step's
-    costates.  Yields the terminal layers ``(costates (P, Q, N),
-    matrices (P, S, N, N))``, then one ``AdjointStep`` per step, k =
-    M-1 down to 0."""
+    layers are asked for, and fits only the martingale columns that are
+    read, as stacked columns of one regressor: Q*N costate columns
+    (driver j's component j) and 2*S*N*N matrix columns (driver j's row
+    j and column j); driver N of a common noise is never read, so never
+    fitted.  Then comes the costate value fit, then the matrix value
+    fit, whose driver reads the step's costates.  Yields the terminal
+    layers ``(costates (P, Q, N), matrices (P, S, N, N))``, then one
+    ``AdjointStep`` per step, k = M-1 down to 0."""
     players, second = list(players), list(second)
-    N, D = spec.n_players, spec.n_drivers
+    N = spec.n_players
     P = ensemble.n_paths
     dt = ensemble.grid.dt
     Q, S = len(players), len(second)
@@ -370,9 +381,10 @@ def _adjoint_sweep(spec, ensemble, noise, basis, players, second=()):
     cols = Q * N
 
     def split(layer):
+        """Costate columns (.., Q, N) and matrix columns (.., -1, N, N)."""
         lead = layer.shape[:-1]
         return (layer[..., :cols].reshape(lead + (Q, N)),
-                layer[..., cols:].reshape(lead + (S, N, N)))
+                layer[..., cols:].reshape(lead + (-1, N, N)))
 
     terminal = np.empty((P, cols + S * N * N))
     costates, matrices = split(terminal)
@@ -383,9 +395,17 @@ def _adjoint_sweep(spec, ensemble, noise, basis, players, second=()):
         matrices[:] = spec.terminal_cost.dyy(end)[:, second]
     yield costates, matrices
 
-    def step(k, reg, ynext, z):
+    def step(k, reg, ynext):
         ycost, ymat = split(ynext)
-        zcost, zmat = split(z)
+        dw = noise.increments[:, k, None, :N, None]
+        targets = np.empty((P, cols + 2 * S * N * N))
+        tcost, tmat = split(targets)  # matrix rows, then matrix columns
+        np.multiply(ycost, dw[..., 0], out=tcost)
+        np.multiply(ymat, dw, out=tmat[:, :S])
+        np.multiply(np.swapaxes(ymat, 2, 3), dw, out=tmat[:, S:])
+        targets /= dt
+        zcost, zmat = split(reg.fit_martingale(targets))
+        zrow, zcol = zmat[:, :S], zmat[:, S:]
         t = ensemble.grid.nodes[k]
         x = ensemble.states[:, k, :]
         u = ensemble.realized_controls[:, k, :]
@@ -395,7 +415,7 @@ def _adjoint_sweep(spec, ensemble, noise, basis, players, second=()):
         for j in range(N):
             # driver matrix j is the transpose of a single-row matrix
             driver += np.einsum("pa,pq->pqa", vc.diffusion_row(j),
-                                zcost[:, j, :, j], optimize=False)
+                                zcost[:, :, j], optimize=False)
         driver += spec.running_cost.dy(vc.slice)[:, players]
         costates = reg.fit((ycost + dt * driver).reshape(P, cols)).reshape(
             P, Q, N)
@@ -408,9 +428,9 @@ def _adjoint_sweep(spec, ensemble, noise, basis, players, second=()):
         fyy = spec.running_cost.dyy(vc.slice)
         targets = np.empty((P, S, N, N))
         for s, (p, q) in enumerate(zip(second, own)):
-            qdiag = np.stack([zcost[:, j, q, j] for j in range(N)], axis=1)
-            driver = _matrix_driver(B0, rows, so, ymat[:, s], zmat[:, :, s],
-                                    fyy[:, p], costates[:, q], qdiag)
+            driver = _matrix_driver(B0, rows, so, ymat[:, s], zrow[:, s],
+                                    zcol[:, s], fyy[:, p], costates[:, q],
+                                    zcost[:, q])
             targets[:, s] = ymat[:, s] + dt * driver
         fitted = reg.fit(targets.reshape(P, S * N * N)).reshape(P, S, N, N)
         diagnostics.matrix_residual_norm = reg.residual_norm
@@ -418,9 +438,9 @@ def _adjoint_sweep(spec, ensemble, noise, basis, players, second=()):
         layer = np.concatenate([costates.reshape(P, cols),
                                 matrices.reshape(P, S * N * N)], axis=1)
         return layer, AdjointStep(k, vc, so, costates, zcost, matrices,
-                                  zmat, diagnostics)
+                                  (zrow, zcol), diagnostics)
 
-    yield from _backward(ensemble, noise, basis, D, terminal, step)
+    yield from _backward(ensemble, noise, basis, terminal, step)
 
 
 def trace_duality(spec: GameSpec, ensemble: PathEnsemble, noise: NoiseBundle,
@@ -465,12 +485,12 @@ def trace_duality(spec: GameSpec, ensemble: PathEnsemble, noise: NoiseBundle,
         a = np.einsum("pja,pa->pj", rows, yl, optimize=False)
         b[:, h] += vc.dus[:, h] * du_h
         a[:, l] += vc.dus[:, l] * du_l
-        mat, qmat = step.matrices[:, 0], step.matrix_loadings[:, :N, 0]
-        qdiag = np.einsum("pjj->pj", step.loadings[:, :N, 0])
+        mat = step.matrices[:, 0]
+        zrow, zcol = (z[:, 0] for z in step.matrix_loadings)
         theta = -_matrix_driver(
-            B0, rows, step.slices, mat, qmat,
+            B0, rows, step.slices, mat, zrow, zcol,
             spec.running_cost.dyy(vc.slice)[:, player],
-            step.costates[:, 0], qdiag)
+            step.costates[:, 0], step.loadings[:, 0])
         integrand = pair(theta, k)
         # tr[P Phi], P symmetric: Phi = mu_l y_h' + y_l mu_h'
         # + sum_j a_j b_j e_j e_j'
@@ -478,8 +498,8 @@ def trace_duality(spec: GameSpec, ensemble: PathEnsemble, noise: NoiseBundle,
         integrand += np.einsum("pa,pab,pb->p", mu_h, mat, yl, optimize=False)
         integrand += np.einsum("pjj,pj,pj->p", mat, a, b, optimize=False)
         # sum_j tr[Q^j Psi^j] = a_j (y_h' Q^j)_j + b_j (Q^j y_l)_j
-        integrand += np.einsum("pj,pa,pjaj->p", a, yh, qmat, optimize=False)
-        integrand += np.einsum("pj,pjja,pa->p", b, qmat, yl, optimize=False)
+        integrand += np.einsum("pj,pa,pja->p", a, yh, zcol, optimize=False)
+        integrand += np.einsum("pj,pja,pa->p", b, zrow, yl, optimize=False)
         per_path -= integrand * dt
     per_path -= pair(mat, 0)   # the k = 0 layer
     n = per_path.shape[0]

@@ -16,8 +16,10 @@ sweep that evaluates each step's partials and each distinct direction
 once; they return ``{job index: estimate}``.  The BSDE route contracts
 its first- and second-order jobs inside the one backward sweep that
 solves their adjoints, from the linearization and second partials that
-sweep evaluated, so no adjoint is ever stored.  Routes with pathwise
-arrays return them beside the estimates, under the same keys.
+sweep evaluated, and adds each step's integrands into per-path sums as
+they are solved, so neither an adjoint nor an integrand history is
+stored.  Routes with pathwise arrays return them beside the estimates,
+under the same keys.
 
 All dt-integrals use the left endpoint, matching the Euler filtration.
 Standard errors always come from pathwise differences, never from
@@ -273,6 +275,20 @@ def second_derivative_z_oracle(spec: GameSpec, ensemble: PathEnsemble,
         acc, "Z-ORACLE", lambda n: {"player": jobs[n][0], "pair": hl[n]})
 
 
+_WORST_FITS = {"condition_max": "condition", "ridge_max": "ridge",
+               "residual_max": "residual_norm",
+               "martingale_residual_max": "martingale_residual_norm",
+               "matrix_residual_max": "matrix_residual_norm"}
+
+
+def _worst_fits(fits: dict, diagnostics) -> None:
+    """Fold one step's fit diagnostics into the sweep's running maxima."""
+    for key, name in _WORST_FITS.items():
+        value = getattr(diagnostics, name)
+        if value is not None:
+            fits[key] = max(fits.get(key, value), value)
+
+
 def bsde_derivatives(spec: GameSpec, ensemble: PathEnsemble,
                      noise: NoiseBundle, basis: RegressionBasis,
                      first_jobs=(), second_jobs=()):
@@ -287,9 +303,14 @@ def bsde_derivatives(spec: GameSpec, ensemble: PathEnsemble,
     component, direct cost term).  Second order: no mixed sensitivity;
     the term in player h's direction reads row h of driver h's loading,
     the term in l's reads column l of driver l's, the orientation under
-    which the product-trace bookkeeping closes.  The integrands are
-    summed forward in time afterwards; first-order ones are stored per
-    (cost player, perturbed player) and take each job's direction then.
+    which the product-trace bookkeeping closes.  Each step's integrands
+    are added into per-path sums as they are solved, in the sweep's
+    order (k descending); a first-order integrand is formed once per
+    (cost player, perturbed player) and step, and taken by each job's
+    direction.  Every estimate's ``metadata["regression"]`` holds the
+    sweep's worst fits: the largest condition number and ridge, whether
+    any ridge escalated, and the largest value, martingale and matrix
+    residuals (None without matrix layers).
 
     Returns ``((first, second), (first_pathwise, second_pathwise))``,
     each ``{job index: ...}``.
@@ -299,44 +320,48 @@ def bsde_derivatives(spec: GameSpec, ensemble: PathEnsemble,
     second = sorted({i for i, _, _ in second_jobs})
     players = sorted({i for i, _, _ in first_jobs} | set(second))
     rows = sorted({(i, h) for i, h, _ in first_jobs})
+    row_of = [rows.index((i, h)) for i, h, _ in first_jobs]
     own = {i: q for q, i in enumerate(players)}
     grid = ensemble.grid
-    N, M, P, dt = spec.n_players, grid.n_steps, ensemble.n_paths, grid.dt
-    integrands = np.empty((len(rows), M, P))
-    terms = np.empty((len(second_jobs), M, P))
+    P, dt = ensemble.n_paths, grid.dt
+    first_acc = np.zeros((len(first_jobs), P))
+    second_acc = np.zeros((len(second_jobs), P))
+    fits = {}
     sweep = _adjoint_sweep(spec, ensemble, noise, basis, players, second)
     next(sweep)  # the terminal layers enter no integrand
     f = spec.running_cost
     for step in sweep:
+        _worst_fits(fits, step.diagnostics)
         k, vc, at = step.k, step.vc, step.vc.slice
         t = grid.nodes[k]
+        dvals = _direction_values(
+            [d for *_, d in first_jobs]
+            + [sens.direction for _, *pair in second_jobs for sens in pair],
+            t, k, noise)
         fu = f.du(at) if rows else None
-        for r, (i, h) in enumerate(rows):
-            q = own[i]
-            integrands[r, k] = (step.costates[:, q, h] * vc.dub[:, h]
-                                + vc.dus[:, h] * step.loadings[:, h, q, h]
-                                + fu[:, i, h])
+        row_terms = [step.costates[:, own[i], h] * vc.dub[:, h]
+                      + vc.dus[:, h] * step.loadings[:, own[i], h]
+                      + fu[:, i, h] for i, h in rows]
+        for n, (_, _, d) in enumerate(first_jobs):
+            first_acc[n] += row_terms[row_of[n]] * dvals[id(d)] * dt
         fyu, fuu = (f.dyu(at), f.duu(at)) if second else (None, None)
-        cost = {i: (s, own[i], fyu[:, i], fuu[:, i],
-                    np.stack([step.loadings[:, j, own[i], j]
-                              for j in range(N)], axis=1))
+        cost = {i: (s, own[i], fyu[:, i], fuu[:, i])
                 for s, i in enumerate(second)}
-        dvals = _direction_values([sens.direction for _, sh, sl in second_jobs
-                                   for sens in (sh, sl)], t, k, noise)
         sources = {}
         for n, ((i, sh, sl), (h, l)) in enumerate(zip(second_jobs, hl)):
-            s, q, fyu, fuu, qdiag = cost[i]
-            P2, Q2 = step.matrices[:, s], step.matrix_loadings[:, :, s]
+            s, q, fyu, fuu = cost[i]
+            P2 = step.matrices[:, s]
+            Q2row, Q2col = (z[:, s] for z in step.matrix_loadings)
             yh, yl = sh.values[:, k, :], sl.values[:, k, :]
             du_h, du_l = dvals[id(sh.direction)], dvals[id(sl.direction)]
             dus_h, dus_l = vc.dus[:, h], vc.dus[:, l]
             term_h = (vc.dub[:, h] * _dot(P2[:, h, :], yl)
                       + dus_h * P2[:, h, h] * _dot(vc.diffusion_row(h), yl)
-                      + dus_h * _dot(Q2[:, h, h, :], yl))
+                      + dus_h * _dot(Q2row[:, h], yl))
             term_h += _dot(fyu[:, :, h], yl)
             term_l = (vc.dub[:, l] * _dot(yh, P2[:, :, l])
                       + dus_l * P2[:, l, l] * _dot(vc.diffusion_row(l), yh)
-                      + dus_l * _dot(yh, Q2[:, l, :, l]))
+                      + dus_l * _dot(yh, Q2col[:, l]))
             term_l += _dot(yh, fyu[:, :, l])
             direct = fuu[:, h, l] * du_h * du_l
             key = (id(sh), id(sl))
@@ -346,24 +371,18 @@ def bsde_derivatives(spec: GameSpec, ensemble: PathEnsemble,
                     with_joint_hessian=False)
             drift_src, diff_src = sources[key]
             coupling = _dot(step.costates[:, q], drift_src)
-            coupling += _dot(qdiag, diff_src)
-            terms[n, k] = (term_h * du_h + term_l * du_l + direct
-                           + coupling) * dt
+            coupling += _dot(step.loadings[:, q], diff_src)
+            second_acc[n] += (term_h * du_h + term_l * du_l + direct
+                              + coupling) * dt
 
-    first_acc = np.zeros((len(first_jobs), P))
-    row_of = [rows.index((i, h)) for i, h, _ in first_jobs]
-    second_acc = np.zeros((len(second_jobs), P))
-    for k in range(M):
-        dvals = _direction_values([d for _, _, d in first_jobs],
-                                  grid.nodes[k], k, noise)
-        for n, (_, _, d) in enumerate(first_jobs):
-            first_acc[n] += integrands[row_of[n], k] * dvals[id(d)] * dt
-        second_acc += terms[:, k]
+    fits.setdefault("matrix_residual_max", None)
+    fits["ridge_escalated"] = fits["ridge_max"] > basis.ridge
     first = _keyed_estimates(
         first_acc, "BSDE",
         lambda n: {"player": first_jobs[n][0], "perturbed": first_jobs[n][1],
-                   "direction": first_jobs[n][2].label})
+                   "direction": first_jobs[n][2].label, "regression": fits})
     second = _keyed_estimates(
         second_acc, "BSDE",
-        lambda n: {"player": second_jobs[n][0], "pair": hl[n]})
+        lambda n: {"player": second_jobs[n][0], "pair": hl[n],
+                   "regression": fits})
     return (first[0], second[0]), (first[1], second[1])

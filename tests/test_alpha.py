@@ -16,7 +16,9 @@ from oracles import (decay_family_asymmetry, scalar_lq_cost,
 # alpha_empirical_se) on tanh-coupled N=3, 2000 paths x 16 steps, seed
 # 17, anchors zero and constant 0.5, the first two dictionary
 # directions; recorded while FD, SENS and BSDE each had their own
-# asymmetry path, before they became one table
+# asymmetry path, before they became one table.  The BSDE standard
+# errors were recorded again, last bits only, when the backward sweep
+# began summing its integrands as they are solved (k descending)
 PINNED = {  # upper entries (0,1) (0,2) (1,2), their se, alpha, se
     "FD": (
         (0.07392428782095703, 0.08569709781587945,
@@ -33,9 +35,9 @@ PINNED = {  # upper entries (0,1) (0,2) (1,2), their se, alpha, se
     "BSDE": (
         (0.07190531207145502, 0.08289702461032084,
          0.010414901127946241),
-        (0.0007041819500278711, 0.0008261008037023116,
-         0.00020101906223950932),
-        0.3096046733635517, 0.002171004151652097),
+        (0.0007041819500278711, 0.0008261008037023113,
+         0.00020101906223950926),
+        0.3096046733635517, 0.0021710041516520965),
 }
 
 

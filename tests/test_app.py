@@ -11,6 +11,7 @@ import pytest
 from alphagames import alpha, derivatives
 from alphagames.app import (SUBCOMMANDS, ConfigError, ExperimentConfig,
                             _noise, main, run)
+from alphagames.bsde import RegressionBasis
 
 
 def read_strict(path):
@@ -143,6 +144,27 @@ class TestSubcommands:
             assert (got["FD"], got["SENS"], got["BSDE"]) == \
                 (r["fd"], r["sens"], r["bsde"])
 
+    def test_reports_bsde_regression_diagnostics(self, tmp_path):
+        # the backward sweep's worst fits reach the report, finite; the
+        # matrix fit's residual exists only where matrix layers are solved
+        base = {"preset": "tanh-coupled", "players": 2, "steps": 6,
+                "paths": 400, "anchors": ["constant:0.5"],
+                "directions": ["const", "ramp"]}
+        for sub, matrices in (("deriv", False), ("cross-check", True)):
+            cfg = ExperimentConfig.from_dict(dict(base,
+                                                  out=str(tmp_path / sub)))
+            fits = run(cfg, sub)["results"]["bsde_regression"]
+            assert fits["ridge_escalated"] is False
+            assert fits["ridge_max"] == RegressionBasis().ridge
+            assert 1.0 <= fits["condition_max"] < RegressionBasis().cond_limit
+            residuals = ["residual_max", "martingale_residual_max"]
+            if matrices:
+                residuals.append("matrix_residual_max")
+            else:
+                assert fits["matrix_residual_max"] is None
+            for key in residuals:
+                assert np.isfinite(fits[key]) and fits[key] > 0, key
+
     def test_deriv_fails_on_a_disagreeing_route(self, tmp_path,
                                                 monkeypatch):
         # deriv checks cross-check's first-order agreement rule, so a
@@ -236,6 +258,28 @@ class TestCli:
                                         bad):
         # each of these crashed with a traceback (exit 1, which is
         # reserved for a failed check) or ran with a bool for an integer
+        path, _ = write_config(tmp_path, **bad)
+        assert main([subcommand, "--config", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand,bad", [
+        ("simulate", {"eps_schedule": 0.01}),
+        ("cross-check", {"directions": 7}),
+        ("alpha", {"anchors": "zero"}),
+        ("alpha", {"anchors": [0.5]}),
+        ("scaling", {"scaling_players": 4}),
+        ("scaling", {"allow_long": "no"}),
+        ("simulate", {"export_paths": 1}),
+        ("simulate", {"preset": ["lq"]}),
+        ("alpha", {"method": None}),
+        ("simulate", {"out": 5}),
+        ("simulate", {"preset_params": [["R", 2.0]]}),
+    ])
+    def test_wrongly_typed_config_exits_two(self, tmp_path, capsys,
+                                            subcommand, bad):
+        # a bare number where a list belongs crashed with a traceback
+        # (exit 1); a string for a flag was read by its truth value, so
+        # "allow_long": "no" skipped the long-run guard
         path, _ = write_config(tmp_path, **bad)
         assert main([subcommand, "--config", str(path)]) == 2
         assert "config error" in capsys.readouterr().err

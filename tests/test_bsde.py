@@ -259,8 +259,8 @@ class TestFirstAdjoint:
             for k, step in steps.items():
                 assert np.array_equal(step.costates[:, p],
                                       solo_steps[k].costates[:, 0])
-                assert np.array_equal(step.loadings[:, :, p],
-                                      solo_steps[k].loadings[:, :, 0])
+                assert np.array_equal(step.loadings[:, p],
+                                      solo_steps[k].loadings[:, 0])
 
     def test_overwritten_ensemble_not_served_stale_slices(self):
         # a slice cache keyed on object identity once served the
@@ -312,7 +312,8 @@ class TestSecondAdjoint:
         assert np.allclose(matrices, 0.0, atol=1e-10)
         for step in steps.values():
             assert np.allclose(step.matrices, 0.0, atol=1e-10)
-            assert np.allclose(step.matrix_loadings, 0.0, atol=1e-8)
+            for loadings in step.matrix_loadings:
+                assert np.allclose(loadings, 0.0, atol=1e-8)
 
     def test_scalar_quadratic_terminal_unit(self):
         zero_run = RunningCost(lambda s: np.zeros(s.y.shape))
@@ -373,12 +374,13 @@ class TestSecondAdjoint:
             for k, step in steps.items():
                 assert np.array_equal(solo[k].matrices[:, 0],
                                       step.matrices[:, i])
-                assert np.array_equal(solo[k].matrix_loadings[:, :, 0],
-                                      step.matrix_loadings[:, :, i])
+                for one, all_ in zip(solo[k].matrix_loadings,
+                                     step.matrix_loadings):
+                    assert np.array_equal(one[:, 0], all_[:, i])
                 assert np.array_equal(solo[k].costates[:, 0],
                                       step.costates[:, i])
-                assert np.array_equal(solo[k].loadings[:, :, 0],
-                                      step.loadings[:, :, i])
+                assert np.array_equal(solo[k].loadings[:, 0],
+                                      step.loadings[:, i])
 
     def test_matrix_layers_keep_the_costate_residual(self):
         # each step's diagnostics carry the costate value fit's residual
@@ -400,9 +402,9 @@ class TestSecondAdjoint:
 
 
 class TestStackedMartingaleFit:
-    """Each backward step fits every driver's martingale target as
-    column blocks of one regression; replaying the per-driver fits of
-    one step must reproduce those blocks bit for bit."""
+    """Each backward step fits its martingale targets as columns of one
+    regression; replaying the full per-driver fits of one step must
+    reproduce every fitted column bit for bit."""
 
     @pytest.fixture(params=["tanh-coupled", "common-noise"])
     def solved(self, request):
@@ -438,19 +440,26 @@ class TestStackedMartingaleFit:
         P, k = ens.n_paths, 2
         want = self.replay(ens, noise, dt,
                            steps[k + 1].costates.reshape(P, -1), k)
-        got = steps[k].loadings
-        assert np.allclose(got.reshape(want.shape), want, rtol=0, atol=0)
+        N = spec.n_players
+        want = want.reshape(P, -1, 2, N)   # (P, driver, costate, entry)
+        got = steps[k].loadings            # driver j's entry j
+        for j in range(N):
+            assert np.allclose(got[:, :, j], want[:, j, :, j], rtol=0, atol=0)
 
     def test_second_adjoint(self, solved):
         # the matrix columns are fitted together with the costate
         # columns; the columns of one fit are independent
         spec, prof, ens, noise, dt = solved
         _, steps = solved_sweep(spec, ens, noise, [1], [1])
-        P, k = ens.n_paths, 2
+        P, k, N = ens.n_paths, 2, spec.n_players
         want = self.replay(ens, noise, dt,
                            steps[k + 1].matrices[:, 0].reshape(P, -1), k)
-        got = steps[k].matrix_loadings[:, :, 0]
-        assert np.allclose(got.reshape(want.shape), want, rtol=0, atol=0)
+        want = want.reshape(P, -1, N, N)   # (P, driver, row, column)
+        rows, columns = (z[:, 0] for z in steps[k].matrix_loadings)
+        for j in range(N):
+            assert np.allclose(rows[:, j], want[:, j, j, :], rtol=0, atol=0)
+            assert np.allclose(columns[:, j], want[:, j, :, j], rtol=0,
+                               atol=0)
 
 
 def trace_case(preset, paths=2000, steps=10, **params):

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import alphagames as ag
-from alphagames.bsde import _adjoint_sweep
+from alphagames.bsde import _adjoint_sweep, _Regressor
 from alphagames.derivatives import (EPS_SCHEDULE, first_derivative_fd_sweep,
                                     second_derivative_fd_sweep)
 from alphagames.model import Coefficient, RunningCost, TerminalCost
@@ -313,16 +315,16 @@ class TestSecondDerivatives:
 def _stored_first_order(spec, ens, noise, basis, h, direction):
     """Pathwise adjoint-route integral of player h's cost in its own
     direction, from player h's own sweep: every step's costate pair is
-    kept, then contracted after the solve as the left-endpoint sum in
-    forward time."""
+    kept, then contracted after the solve as the left-endpoint sum, in
+    the sweep's order (k descending)."""
     sweep = _adjoint_sweep(spec, ens, noise, basis, [h])
     next(sweep)
-    layers = {step.k: (step.costates[:, 0], step.loadings[:, h, 0])
+    layers = {step.k: (step.costates[:, 0], step.loadings[:, 0])
               for step in sweep}
     grid = ens.grid
     acc = np.zeros(ens.n_paths)
-    for k, t in enumerate(grid.nodes[:-1]):
-        x = ens.states[:, k, :]
+    for k in range(grid.n_steps - 1, -1, -1):
+        t, x = grid.nodes[k], ens.states[:, k, :]
         sl = ag.Slice(t, x, x, ens.realized_controls[:, k, :])
         costate, loading = layers[k]
         integrand = (costate[:, h] * spec.drift.du(sl)[:, h]
@@ -488,3 +490,75 @@ class TestAdjointSweep:
         with pytest.raises(ValueError):
             ag.bsde_derivatives(spec, ens, noise, ag.RegressionBasis(),
                                 second_jobs=[(0, sh, sh)])
+
+
+def _cross_check_jobs(spec, ens, noise):
+    """Cross-check's BSDE jobs on N=3: every cost player in every
+    player's two directions (18 first-order jobs), and every cost player
+    in each pair of distinct players' responses (9 second-order jobs)."""
+    dirs = ag.direction_dictionary(1.0)[:2]
+    targets = [(h, d) for h in range(3) for d in dirs]
+    sens = ag.propagate_sensitivities(spec, ens, targets, noise)
+    first = [(i, h, d) for h, d in targets for i in range(3)]
+    second = [(i, sens[2 * h], sens[2 * l + 1]) for h in range(3)
+              for l in range(h + 1, 3) for i in range(3)]
+    return first, second
+
+
+class TestStreamedSweep:
+    def test_memory_below_one_integrand_history(self):
+        # the integrands are summed as they are solved, so no (jobs, M,
+        # P) history of them is held
+        P, M = 1000, 200
+        spec, _ = ag.build_tanh_game(3)
+        grid = ag.TimeGrid(M, 1.0)
+        noise = ag.NoiseBundle.generate(3, grid, P, 3)
+        ens = ag.simulate_paths(spec, ag.ControlProfile.constants(
+            [0.5, 0.3, 0.1]), grid, noise)
+        first, second = _cross_check_jobs(spec, ens, noise)
+        assert (len(first), len(second)) == (18, 9)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ag.bsde_derivatives(spec, ens, noise, ag.RegressionBasis(),
+                                first, second)
+            rise = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert rise < len(second) * M * P * 8
+
+    def test_fits_only_the_martingale_columns_read(self, monkeypatch):
+        # per step: Q*N costate columns and 2*S*N*N matrix columns (63 at
+        # Q = S = N = 3) for the martingale fit, of D*(Q*N + S*N*N) = 108
+        # candidates, then the costate and matrix value fits
+        spec, _ = ag.build_tanh_game(3)
+        grid = ag.TimeGrid(4, 1.0)
+        noise = ag.NoiseBundle.generate(3, grid, 300, 3)
+        ens = ag.simulate_paths(spec, ag.ControlProfile.constants(
+            [0.5, 0.3, 0.1]), grid, noise)
+        first, second = _cross_check_jobs(spec, ens, noise)
+        widths = []
+        fit = _Regressor.fit
+
+        def recording(self, targets):
+            widths.append(targets.shape[1])
+            return fit(self, targets)
+
+        monkeypatch.setattr(_Regressor, "fit", recording)
+        ag.bsde_derivatives(spec, ens, noise, ag.RegressionBasis(), first,
+                            second)
+        assert widths == [3 * 3 + 2 * 3 * 3 * 3, 3 * 3, 3 * 3 * 3] * 4
+
+    @pytest.mark.parametrize("preset,n,params", [
+        ("tanh-coupled", 3, {}), ("lq", 2, {"D": 0.4}),
+        ("mean-field", 3, {}), ("common-noise", 3, {})])
+    def test_matrix_layers_exactly_symmetric(self, preset, n, params):
+        # each matrix layer equals its transpose bit for bit, so row j
+        # and column j of a layer are the same targets
+        spec, prof, ens, noise, _ = _second_order_case(preset, n, **params)
+        sweep = _adjoint_sweep(spec, ens, noise, ag.RegressionBasis(),
+                               range(n), range(n))
+        layers = [next(sweep)[1]] + [step.matrices for step in sweep]
+        assert len(layers) == ens.grid.n_steps + 1
+        for mat in layers:
+            assert np.array_equal(mat, np.swapaxes(mat, 2, 3))
