@@ -13,19 +13,17 @@ from .model import (Coefficient, ConstantLedger, Control, ControlProfile,
                     NoiseBundle, RunningCost, SampleBox, Slice, TerminalCost,
                     TimeGrid, direction_dictionary, fd_coefficient,
                     validate_game)
-from .sim import (PathEnsemble, SecondSensitivityEnsemble,
-                  SensitivityEnsemble, VariationalCoefficients,
+from .sim import (PathEnsemble, SensitivityEnsemble, VariationalCoefficients,
                   assemble_variational, empirical_moment,
-                  propagate_second_sensitivities, propagate_sensitivities,
-                  propagate_sensitivity, simulate_cost_batch, simulate_paths)
+                  propagate_sensitivities, propagate_sensitivity,
+                  simulate_cost_batch, simulate_paths)
 from .bsde import (BsdeSolution, LinearBsdeSpec, RegressionBasis,
                    apriori_bound_check, apriori_constant, solve_linear_bsde,
                    trace_duality)
 from .derivatives import (DerivativeEstimate, bsde_derivatives,
                           cost_pathwise, cost_value,
-                          first_derivative_fd_sweep, first_derivative_sens,
-                          second_derivative_fd_sweep,
-                          second_derivative_z_oracle)
+                          first_derivative_fd_sweep,
+                          second_derivative_fd_sweep, sens_derivatives)
 from .alpha import (AlphaReport, BoundLedger, asymmetry, build_bound_ledger,
                     cor_decay_bound, empirical_alpha, exploitability,
                     moment_bound_constants, potential_deviation_gaps,

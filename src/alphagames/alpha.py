@@ -21,14 +21,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bsde import RegressionBasis, apriori_constant
-from .derivatives import (EPS_SCHEDULE, bsde_derivatives,
-                          second_derivative_fd_sweep,
-                          second_derivative_z_oracle)
+from .derivatives import (EPS_SCHEDULE, _worst_fits, bsde_derivatives,
+                          second_derivative_fd_sweep, sens_derivatives)
 from .model import (ConstantLedger, Control, ControlProfile, GameSpec,
                     NoiseBundle, TimeGrid)
 from .sim import (_euler, _response_step, assemble_variational,
-                  propagate_second_sensitivities, propagate_sensitivities,
-                  simulate_cost_batch, simulate_paths)
+                  propagate_sensitivities, simulate_cost_batch, simulate_paths)
 
 __all__ = [
     "AlphaReport",
@@ -134,8 +132,8 @@ def _pair_asymmetry(spec, controls, pairs, dirs, grid, noise, method,
     per direction pair, whose legs the two cost functionals share.  The
     other routes share one ensemble and one sensitivity sweep: ``BSDE``
     contracts every job in one backward sweep, ``SENS`` makes one
-    Z-oracle contraction per row (i, di), with only that row's mixed
-    responses alive.
+    ``sens_derivatives`` call per row (i, di), so only that row's mixed
+    responses are stepped at once.
     """
     if method not in ("FD", "BSDE", "SENS"):
         raise ValueError("method must be 'FD', 'BSDE', or 'SENS'")
@@ -167,12 +165,7 @@ def _pair_asymmetry(spec, controls, pairs, dirs, grid, noise, method,
             yield from pw.values()
             return
         for row in jobs:
-            mixed = propagate_second_sensitivities(
-                spec, ens, [(sh, sl) for _, sh, sl in row[::2]], noise)
-            _, pw = second_derivative_z_oracle(
-                spec, ens, noise,
-                [(*job, mixed[n // 2]) for n, job in enumerate(row)])
-            del mixed
+            _, (_, pw) = sens_derivatives(spec, ens, noise, second_jobs=row)
             yield from pw.values()
 
     best = {}
@@ -443,19 +436,22 @@ def _gauss_legendre_01(order: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _potential_pathwise(spec, anchor, profile, grid, noise, basis, order):
+def _potential_pathwise(spec, anchor, profile, grid, noise, basis, order,
+                        fits):
     """Pathwise quadrature accumulation of the line-integrated own-
     control derivatives; one simulation and one backward sweep over all
-    players per node, contracted step by step as it is solved."""
+    players per node, contracted step by step as it is solved.  Each
+    sweep's worst fits are folded into ``fits``."""
     directions = [c + (-1.0) * a for c, a in zip(profile, anchor)]
     nodes, weights = _gauss_legendre_01(order)
     acc = np.zeros(noise.n_paths)
     for r, w in zip(nodes, weights):
         ens = simulate_paths(spec, anchor.combine(profile, 1.0 - r, r), grid,
                              noise)
-        _, (integrals, _) = bsde_derivatives(
+        (first, _), (integrals, _) = bsde_derivatives(
             spec, ens, noise, basis,
             first_jobs=[(h, h, d) for h, d in enumerate(directions)])
+        _worst_fits(fits, first[0].metadata["regression"])
         for h in range(len(directions)):
             acc += w * integrals[h]
     return acc
@@ -471,7 +467,7 @@ def potential_value(spec: GameSpec, profile: ControlProfile, grid: TimeGrid,
     if anchor is None:
         anchor = ControlProfile.zeros(spec.n_players)
     return _mean_se(_potential_pathwise(spec, anchor, profile, grid, noise,
-                                        basis, order))
+                                        basis, order, {}))
 
 
 def potential_deviation_gaps(spec: GameSpec, profile: ControlProfile,
@@ -487,23 +483,27 @@ def potential_deviation_gaps(spec: GameSpec, profile: ControlProfile,
 
     Returns ``(gaps, (value, se))``: one dict per deviation, and the
     profile's candidate potential as ``potential_value`` computes it.
+    Every gap's ``regression`` holds the worst fits over every backward
+    sweep of the call, the profile's and each deviation's at each
+    quadrature node, as ``bsde_derivatives`` summarizes one sweep.
     """
     if anchor is None:
         anchor = ControlProfile.zeros(spec.n_players)
     moved = [profile.with_player(i, deviation) for i, deviation in deviations]
     base_cost, *costs = simulate_cost_batch(spec, [profile] + moved, grid,
                                             noise, dtype=np.float64)
+    fits = {}
     base_phi = _potential_pathwise(spec, anchor, profile, grid, noise, basis,
-                                   order)
+                                   order, fits)
     out = []
     for (i, _), deviated, cost in zip(deviations, moved, costs):
         dv = cost[:, i] - base_cost[:, i]
         dphi = (_potential_pathwise(spec, anchor, deviated, grid, noise,
-                                    basis, order) - base_phi)
+                                    basis, order, fits) - base_phi)
         mean, se = _mean_se(dv - dphi)
         out.append({"cost_change": float(dv.mean()),
                     "potential_change": float(dphi.mean()),
-                    "gap": abs(mean), "se": se})
+                    "gap": abs(mean), "se": se, "regression": fits})
     return out, _mean_se(base_phi)
 
 

@@ -31,8 +31,7 @@ from .bsde import RegressionBasis
 from .model import (Control, ControlProfile, NoiseBundle, SampleBox,
                     TimeGrid, direction_dictionary, validate_game)
 from .presets import PRESET_IDS, build_preset, lq_scaling_params
-from .sim import (empirical_moment, propagate_second_sensitivities,
-                  propagate_sensitivities, simulate_paths)
+from .sim import empirical_moment, propagate_sensitivities, simulate_paths
 
 SUBCOMMANDS = ("simulate", "deriv", "cross-check", "alpha", "bound",
                "scaling", "potential", "nash-gap")
@@ -124,6 +123,12 @@ class ExperimentConfig:
             self.build_game()
         except (TypeError, ValueError) as e:
             raise ConfigError(f"preset_params: {e}")
+        for n in self.scaling_players:
+            try:
+                build_preset("lq", n, **lq_scaling_params(n, self.spread))
+            except ValueError as e:
+                raise ConfigError(f"spread: {self.spread} at {n} players: "
+                                  f"{e}")
         self.anchor_profiles(1)  # parses every anchor
 
     @classmethod
@@ -187,6 +192,8 @@ class ExperimentConfig:
                 try:
                     c = float(arg or 0.5)
                 except ValueError:
+                    c = math.nan
+                if not math.isfinite(c):
                     raise ConfigError(f"anchors: bad constant {arg!r}")
                 profs.append(ControlProfile.constants([c] * n_players))
             elif kind == "ramp":
@@ -307,36 +314,39 @@ def _cmd_simulate(cfg: ExperimentConfig, tables: Path):
 
 def _first_order(cfg: ExperimentConfig, spec, controls, dirs,
                  pair_targets=()):
-    """Every first-order route on shared work: one ensemble, one
-    sensitivity sweep over all (player, direction) targets, one FD sweep
-    per target, one SENS contraction, and one backward sweep for every
-    BSDE job, which include every cost player's mixed derivative in the
-    responses to each ``(a, b)`` pair of target indices in
-    ``pair_targets``.  Returns the ensemble, noise, sensitivities, one
-    (i, h, direction name, FD, SENS, BSDE) row per cost player and
-    target, target-major, and the mixed BSDE estimates, job ``q * N + i``
-    being cost player i's in pair q."""
+    """Every derivative route on shared work: one ensemble, one FD sweep
+    per (player, direction) target, and one job list of every cost
+    player in every target (first order) and in the responses to each
+    ``(a, b)`` pair of target indices in ``pair_targets`` (second
+    order), run by the one SENS and the one BSDE driver.  Only the
+    responses the pairs read are stored.  Returns the noise, the pairs'
+    stored responses, one (i, h, direction name, FD, SENS, BSDE) row per
+    cost player and target, target-major, and the mixed Z-oracle and
+    BSDE estimates, job ``q * N + i`` being cost player i's in pair
+    q."""
     grid = cfg.grid()
     noise = _noise(cfg, spec)
     N = spec.n_players
     targets = [(h, d) for h in range(N) for d in dirs]
     names = [name for _ in range(N) for name in cfg.directions[:len(dirs)]]
     ens = simulate_paths(spec, controls, grid, noise)
-    sens = propagate_sensitivities(spec, ens, targets, noise)
-    sv = deriv_mod.first_derivative_sens(
-        spec, ens, noise, [(i, s) for s in sens for i in range(N)])
-    (bs, second), _ = deriv_mod.bsde_derivatives(
-        spec, ens, noise, RegressionBasis(),
-        first_jobs=[(i, h, d) for h, d in targets for i in range(N)],
-        second_jobs=[(i, sens[a], sens[b]) for a, b in pair_targets
-                     for i in range(N)])
+    read = sorted({t for pair in pair_targets for t in pair})
+    sens = dict(zip(read, propagate_sensitivities(
+        spec, ens, [targets[t] for t in read], noise)))
+    pairs = [(sens[a], sens[b]) for a, b in pair_targets]
+    first_jobs = [(i, h, d) for h, d in targets for i in range(N)]
+    second_jobs = [(i, sh, sl) for sh, sl in pairs for i in range(N)]
+    (sv, zos), _ = deriv_mod.sens_derivatives(spec, ens, noise, first_jobs,
+                                              second_jobs)
+    (bs, bsdes), _ = deriv_mod.bsde_derivatives(
+        spec, ens, noise, RegressionBasis(), first_jobs, second_jobs)
     rows = []
     for s, ((h, direction), name) in enumerate(zip(targets, names)):
         fd = deriv_mod.first_derivative_fd_sweep(
             spec, controls, h, direction, grid, noise, cfg.eps_schedule)
         rows += [(i, h, name, fd[i], sv[s * N + i], bs[s * N + i])
                  for i in range(N)]
-    return ens, noise, sens, rows, second
+    return noise, pairs, rows, (zos, bsdes)
 
 
 def _all_finite(jsonable) -> bool:
@@ -364,8 +374,8 @@ def _cmd_deriv(cfg: ExperimentConfig, tables: Path):
     """Every first-order route, checked by cross-check's rule."""
     spec, _ = cfg.build_game()
     controls = cfg.anchor_profiles(spec.n_players)[0]
-    _, _, _, first, _ = _first_order(cfg, spec, controls,
-                                     cfg.direction_controls())
+    _, _, first, _ = _first_order(cfg, spec, controls,
+                                  cfg.direction_controls())
     rows = [[i, h, -1, name, "", est.method, est.value, est.std_error]
             for i, h, name, *ests in first for est in ests]
     _write_csv(tables / "derivatives.csv",
@@ -391,8 +401,8 @@ def _cmd_cross_check(cfg: ExperimentConfig, tables: Path):
     d1 = 1 % len(dirs)
     pair_targets = [(h * len(dirs), l * len(dirs) + d1)
                     for h in range(N) for l in range(h + 1, N)]
-    ens, noise, sens, first, bsdes = _first_order(cfg, spec, controls, dirs,
-                                                  pair_targets)
+    noise, pairs, first, (zos, bsdes) = _first_order(cfg, spec, controls,
+                                                     dirs, pair_targets)
     rows, ok = [], True
     for i, h, name, fd, sv, bs in first:
         good = _first_order_agree(fd, sv, bs, eps_min)
@@ -400,17 +410,10 @@ def _cmd_cross_check(cfg: ExperimentConfig, tables: Path):
         rows.append(["first", i, h, -1, name, "", fd.value, sv.value,
                      bs.value, float("nan"), int(good)])
 
-    pairs = [(sens[a], sens[b]) for a, b in pair_targets]
-    fds = [deriv_mod.second_derivative_fd_sweep(
-               spec, controls, sh.perturbed_player, sl.perturbed_player,
-               sh.direction, sl.direction, grid, noise, cfg.eps_schedule)[0]
-           for sh, sl in pairs]
-    mixed = propagate_second_sensitivities(spec, ens, pairs, noise)
-    zos, _ = deriv_mod.second_derivative_z_oracle(
-        spec, ens, noise, [(i, sh, sl, m) for (sh, sl), m in zip(pairs, mixed)
-                           for i in range(N)])
-    del mixed
-    for q, ((sh, sl), fd_q) in enumerate(zip(pairs, fds)):
+    for q, (sh, sl) in enumerate(pairs):
+        fd_q, _ = deriv_mod.second_derivative_fd_sweep(
+            spec, controls, sh.perturbed_player, sl.perturbed_player,
+            sh.direction, sl.direction, grid, noise, cfg.eps_schedule)
         for i, fd in enumerate(fd_q):
             zo, bs = zos[q * N + i], bsdes[q * N + i]
             tol_fz = 5.0 * (fd.std_error + zo.std_error) + 20.0 * eps_min
@@ -523,7 +526,8 @@ def _cmd_potential(cfg: ExperimentConfig, tables: Path):
                ["player", "direction", "scale", "cost_change",
                 "potential_change", "gap", "se", "ok"], rows)
     return {"potential_value": value, "potential_se": se,
-            "max_gap": max(g["gap"] for g in gaps)}, ok
+            "max_gap": max(g["gap"] for g in gaps),
+            "bsde_regression": gaps[0]["regression"]}, ok
 
 
 def _cmd_nash_gap(cfg: ExperimentConfig, tables: Path):

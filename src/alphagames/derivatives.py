@@ -3,23 +3,25 @@
 * FD: common-random-number resimulation differences with a geometric
   epsilon schedule and Richardson extrapolation;
 * SENS: forward sensitivity processes contracted against cost
-  gradients;
+  gradients, and for second derivatives the mixed response contracted
+  with the cost quadratic forms (the Z-oracle);
 * BSDE: adjoint pairs contracted against the control loadings, which
   needs no forward sensitivity at all for first derivatives and no
   mixed second-order sensitivity for second derivatives.
 
 Each route has one implementation and one call shape.  The FD sweeps
-yield every cost player's estimate at once.  The SENS, Z-oracle and
-BSDE contractions each take a list of jobs, every job naming its cost
-player and its responses or directions, and run them all in one time
-sweep that evaluates each step's partials and each distinct direction
-once; they return ``{job index: estimate}``.  The BSDE route contracts
-its first- and second-order jobs inside the one backward sweep that
-solves their adjoints, from the linearization and second partials that
-sweep evaluated, and adds each step's integrands into per-path sums as
-they are solved, so neither an adjoint nor an integrand history is
-stored.  Routes with pathwise arrays return them beside the estimates,
-under the same keys.
+yield every cost player's estimate at once.  The SENS and BSDE routes
+are one driver each, ``sens_derivatives`` and ``bsde_derivatives``,
+and take the same two job lists: first-order jobs ``(i, h, direction)``
+and second-order jobs ``(i, sens_h, sens_l)``.  Each runs every job in
+one time sweep that evaluates each step's partials and each distinct
+direction once, adds each step's integrands into per-path sums as they
+are solved, and returns ``((first, second), (first_pathwise,
+second_pathwise))`` keyed by job index.  The SENS driver contracts its
+jobs inside the one forward sweep that steps their responses, so no
+response of that sweep is stored; the BSDE driver contracts them
+inside the one backward sweep that solves their adjoints, so neither
+an adjoint nor an integrand history is stored.
 
 All dt-integrals use the left endpoint, matching the Euler filtration.
 Standard errors always come from pathwise differences, never from
@@ -35,16 +37,16 @@ import numpy as np
 from .bsde import RegressionBasis, _adjoint_sweep
 from .model import (Control, ControlProfile, GameSpec, NoiseBundle, Slice,
                     TimeGrid)
-from .sim import PathEnsemble, _bilinear_sources, _dot, simulate_cost_batch
+from .sim import (PathEnsemble, _bilinear_sources, _direction_values, _dot,
+                  _forward, simulate_cost_batch)
 
 __all__ = [
     "DerivativeEstimate",
     "cost_pathwise",
     "cost_value",
     "first_derivative_fd_sweep",
-    "first_derivative_sens",
     "second_derivative_fd_sweep",
-    "second_derivative_z_oracle",
+    "sens_derivatives",
     "bsde_derivatives",
 ]
 
@@ -81,30 +83,16 @@ def _keyed_estimates(acc: np.ndarray, method: str, metadata):
     return est, pathwise
 
 
-def _direction_values(directions, t, k, noise):
-    """Each distinct direction's values at step k, keyed by identity."""
-    distinct = {id(d): d for d in directions}
-    return {key: d(t, k, noise.increments) for key, d in distinct.items()}
-
-
-def _slices(ensemble: PathEnsemble):
-    """(k, slice) at every step's left endpoint."""
-    for k, t in enumerate(ensemble.grid.nodes[:-1]):
-        x = ensemble.states[:, k, :]
-        yield k, Slice(t, x, x, ensemble.realized_controls[:, k, :])
-
-
-def _terminal(ensemble: PathEnsemble) -> Slice:
-    xT = ensemble.states[:, -1, :]
-    return Slice(ensemble.grid.horizon, xT, xT)
-
-
 def cost_pathwise(spec: GameSpec, ensemble: PathEnsemble) -> np.ndarray:
     """Per-path realized cost of every player, shape (P, N)."""
+    grid, states = ensemble.grid, ensemble.states
     out = np.zeros((ensemble.n_paths, spec.n_players))
-    for _, sl in _slices(ensemble):
-        out += spec.running_cost.value(sl) * ensemble.grid.dt
-    out += spec.terminal_cost.value(_terminal(ensemble))
+    for k, t in enumerate(grid.nodes[:-1]):
+        x = states[:, k, :]
+        out += spec.running_cost.value(
+            Slice(t, x, x, ensemble.realized_controls[:, k, :])) * grid.dt
+    xT = states[:, -1, :]
+    out += spec.terminal_cost.value(Slice(grid.horizon, xT, xT))
     return out
 
 
@@ -168,33 +156,6 @@ def first_derivative_fd_sweep(spec: GameSpec, controls: ControlProfile,
             for i in range(spec.n_players)]
 
 
-def first_derivative_sens(spec: GameSpec, ensemble: PathEnsemble,
-                          noise: NoiseBundle, jobs) -> dict:
-    """Sensitivity-process route for every job ``(i, sens)``: player i's
-    cost in the direction of response ``sens``, the linearized state
-    response contracted against the running/terminal cost gradients,
-    plus the direct control term.  Returns {job index: estimate}."""
-    jobs = list(jobs)
-    grid = ensemble.grid
-    acc = np.zeros((len(jobs), ensemble.n_paths))
-    for k, sl in _slices(ensemble):
-        dvals = _direction_values([s.direction for _, s in jobs], sl.t, k,
-                                  noise)
-        fy, fu = spec.running_cost.dy(sl), spec.running_cost.du(sl)
-        for n, (i, sens) in enumerate(jobs):
-            acc[n] += (_dot(fy[:, i], sens.values[:, k, :])
-                       + fu[:, i, sens.perturbed_player]
-                       * dvals[id(sens.direction)]) * grid.dt
-    gy = spec.terminal_cost.dy(_terminal(ensemble))
-    for n, (i, sens) in enumerate(jobs):
-        acc[n] += _dot(gy[:, i], sens.values[:, -1, :])
-    return _keyed_estimates(
-        acc, "SENS",
-        lambda n: {"player": jobs[n][0],
-                   "perturbed": jobs[n][1].perturbed_player,
-                   "direction": jobs[n][1].direction.label})[0]
-
-
 def second_derivative_fd_sweep(spec: GameSpec, controls: ControlProfile,
                                h: int, l: int, dir_h: Control, dir_l: Control,
                                grid: TimeGrid, noise: NoiseBundle,
@@ -233,46 +194,77 @@ def _pair_players(pairs) -> list:
     return players
 
 
-def second_derivative_z_oracle(spec: GameSpec, ensemble: PathEnsemble,
-                               noise: NoiseBundle, jobs):
-    """Mixed-sensitivity route for every job ``(i, sens_h, sens_l,
-    mixed)``: player i's cost in two distinct players' response
-    directions, ``mixed`` being their mixed response, built for the two
-    players in either order.  The running and terminal cost quadratic
-    forms in the two responses and directions plus the cost gradients
-    against the mixed response.
+def sens_derivatives(spec: GameSpec, ensemble: PathEnsemble,
+                     noise: NoiseBundle, first_jobs=(), second_jobs=()):
+    """Forward route for every first-order job ``(i, h, direction)``
+    (player i's cost in player h's direction) and second-order job ``(i,
+    sens_h, sens_l)`` (in two distinct players' stored responses), the
+    job lists of ``bsde_derivatives``.  One forward sweep steps the
+    response of each distinct (h, direction) and the mixed response of
+    each distinct pair, built with the lower player's response first,
+    so a swapped job shares it and no estimate depends on the call's
+    other jobs; each node's running-cost partials are evaluated once and
+    every job is contracted as its responses are solved.  ``SENS``: the
+    response against the cost gradients plus the direct control term.
+    ``Z-ORACLE``: the cost quadratic forms in the two responses and
+    directions plus the cost gradients against the mixed response.
 
-    Returns ``(estimates, pathwise)``, each keyed by job index.
+    Returns ``((first, second), (first_pathwise, second_pathwise))``,
+    each ``{job index: ...}``.
     """
-    jobs = list(jobs)
-    hl = _pair_players([(sh, sl) for _, sh, sl, _ in jobs])
-    if any(mx.players not in ((h, l), (l, h))
-           for (*_, mx), (h, l) in zip(jobs, hl)):
-        raise ValueError("mixed sensitivity was built for different players")
-    grid = ensemble.grid
-    acc = np.zeros((len(jobs), ensemble.n_paths))
+    first_jobs, second_jobs = list(first_jobs), list(second_jobs)
+    hl = _pair_players([(sh, sl) for _, sh, sl in second_jobs])
+    targets, row = {}, []  # each distinct response, its jobs' index
+    for _, h, d in first_jobs:
+        row.append(targets.setdefault((h, id(d)), (len(targets), h, d))[0])
+    pairs, col = {}, []
+    for _, sh, sl in second_jobs:
+        if sh.perturbed_player > sl.perturbed_player:
+            sh, sl = sl, sh
+        col.append(pairs.setdefault((id(sh), id(sl)), (len(pairs), sh, sl))[0])
+    dt = ensemble.grid.dt
+    first_acc = np.zeros((len(first_jobs), ensemble.n_paths))
+    second_acc = np.zeros((len(second_jobs), ensemble.n_paths))
     f, g = spec.running_cost, spec.terminal_cost
-    for k, s in _slices(ensemble):
-        dvals = _direction_values([sens.direction for _, sh, sl, _ in jobs
-                                   for sens in (sh, sl)], s.t, k, noise)
-        fy, fyy, fyu, fuu = f.dy(s), f.dyy(s), f.dyu(s), f.duu(s)
-        for n, ((i, sh, sl, mixed), (h, l)) in enumerate(zip(jobs, hl)):
+    for k, s, dvals, y, z in _forward(
+            spec, ensemble, noise, [(h, d) for _, h, d in targets.values()],
+            [(sh, sl) for _, sh, sl in pairs.values()]):
+        if s.u is None:
+            break
+        fy = f.dy(s)
+        fu = f.du(s) if first_jobs else None
+        for n, ((i, h, d), r) in enumerate(zip(first_jobs, row)):
+            first_acc[n] += (_dot(fy[:, i], y[:, r])
+                             + fu[:, i, h] * dvals[id(d)]) * dt
+        fyy, fyu, fuu = ((f.dyy(s), f.dyu(s), f.duu(s)) if second_jobs
+                         else (None, None, None))
+        for n, ((i, sh, sl), (h, l), q) in enumerate(zip(second_jobs, hl,
+                                                         col)):
             yh, yl = sh.values[:, k, :], sl.values[:, k, :]
             du_h, du_l = dvals[id(sh.direction)], dvals[id(sl.direction)]
-            acc[n] += (np.einsum("pa,pab,pb->p", yh, fyy[:, i], yl,
-                                 optimize=False)
-                       + du_h * _dot(fyu[:, i, :, h], yl)
-                       + du_l * _dot(yh, fyu[:, i, :, l])
-                       + fuu[:, i, h, l] * du_h * du_l) * grid.dt
-            acc[n] += _dot(fy[:, i], mixed.values[:, k, :]) * grid.dt
-    end = _terminal(ensemble)
-    gy, gyy = g.dy(end), g.dyy(end)
-    for n, (i, sh, sl, mixed) in enumerate(jobs):
-        acc[n] += np.einsum("pa,pab,pb->p", sh.values[:, -1, :], gyy[:, i],
-                            sl.values[:, -1, :], optimize=False)
-        acc[n] += _dot(gy[:, i], mixed.values[:, -1, :])
-    return _keyed_estimates(
-        acc, "Z-ORACLE", lambda n: {"player": jobs[n][0], "pair": hl[n]})
+            second_acc[n] += (np.einsum("pa,pab,pb->p", yh, fyy[:, i], yl,
+                                        optimize=False)
+                              + du_h * _dot(fyu[:, i, :, h], yl)
+                              + du_l * _dot(yh, fyu[:, i, :, l])
+                              + fuu[:, i, h, l] * du_h * du_l) * dt
+            second_acc[n] += _dot(fy[:, i], z[:, q]) * dt
+    gy = g.dy(s)
+    for n, ((i, *_), r) in enumerate(zip(first_jobs, row)):
+        first_acc[n] += _dot(gy[:, i], y[:, r])
+    gyy = g.dyy(s) if second_jobs else None
+    for n, ((i, sh, sl), q) in enumerate(zip(second_jobs, col)):
+        second_acc[n] += np.einsum("pa,pab,pb->p", sh.values[:, -1, :],
+                                   gyy[:, i], sl.values[:, -1, :],
+                                   optimize=False)
+        second_acc[n] += _dot(gy[:, i], z[:, q])
+    first = _keyed_estimates(
+        first_acc, "SENS",
+        lambda n: {"player": first_jobs[n][0], "perturbed": first_jobs[n][1],
+                   "direction": first_jobs[n][2].label})
+    second = _keyed_estimates(
+        second_acc, "Z-ORACLE",
+        lambda n: {"player": second_jobs[n][0], "pair": hl[n]})
+    return (first[0], second[0]), (first[1], second[1])
 
 
 _WORST_FITS = {"condition_max": "condition", "ridge_max": "ridge",
@@ -281,12 +273,19 @@ _WORST_FITS = {"condition_max": "condition", "ridge_max": "ridge",
                "matrix_residual_max": "matrix_residual_norm"}
 
 
-def _worst_fits(fits: dict, diagnostics) -> None:
-    """Fold one step's fit diagnostics into the sweep's running maxima."""
-    for key, name in _WORST_FITS.items():
-        value = getattr(diagnostics, name)
-        if value is not None:
-            fits[key] = max(fits.get(key, value), value)
+def _worst_fits(fits: dict, values: dict) -> None:
+    """Fold fit diagnostics, keyed as in ``bsde_derivatives``' regression
+    summary, into the running worst fits ``fits``: the largest of each
+    value, None while no value was given (no matrix layers), and
+    whether any ridge escalated."""
+    for key, value in values.items():
+        if key == "ridge_escalated":
+            fits[key] = fits.get(key, False) or value
+        elif value is None:
+            fits.setdefault(key, None)
+        else:
+            fits[key] = (value if fits.get(key) is None
+                         else max(fits[key], value))
 
 
 def bsde_derivatives(spec: GameSpec, ensemble: PathEnsemble,
@@ -331,7 +330,8 @@ def bsde_derivatives(spec: GameSpec, ensemble: PathEnsemble,
     next(sweep)  # the terminal layers enter no integrand
     f = spec.running_cost
     for step in sweep:
-        _worst_fits(fits, step.diagnostics)
+        _worst_fits(fits, {key: getattr(step.diagnostics, name)
+                           for key, name in _WORST_FITS.items()})
         k, vc, at = step.k, step.vc, step.vc.slice
         t = grid.nodes[k]
         dvals = _direction_values(
@@ -375,7 +375,6 @@ def bsde_derivatives(spec: GameSpec, ensemble: PathEnsemble,
             second_acc[n] += (term_h * du_h + term_l * du_l + direct
                               + coupling) * dt
 
-    fits.setdefault("matrix_residual_max", None)
     fits["ridge_escalated"] = fits["ridge_max"] > basis.ridge
     first = _keyed_estimates(
         first_acc, "BSDE",

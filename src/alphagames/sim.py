@@ -7,8 +7,13 @@ player-major, and yields each node's ``Slice``: ``simulate_paths``
 records one double-precision leg, ``simulate_cost_batch`` and the
 scaling pass consume it without storing a trajectory.
 ``_response_step`` advances a (P, R, N) stack of linearized responses
-on the same increments, with one linearization per step for the stack:
-first-order sensitivities, mixed responses and the scaling pass.
+on the same increments, with one linearization per step for the stack.
+``_forward``, the twin of ``bsde._adjoint_sweep``, is the one forward
+sweep of the linearized system over a stored ensemble: it steps the
+first-order and the mixed second-order responses and yields both
+stacks at every node.  ``propagate_sensitivities`` stores the
+first-order histories; ``derivatives.sens_derivatives`` contracts
+every response as it is solved and stores none.
 """
 
 from __future__ import annotations
@@ -24,14 +29,12 @@ from .model import (Control, ControlProfile, GameSpec, NoiseBundle, Slice,
 __all__ = [
     "PathEnsemble",
     "SensitivityEnsemble",
-    "SecondSensitivityEnsemble",
     "VariationalCoefficients",
     "simulate_paths",
     "simulate_cost_batch",
     "assemble_variational",
     "propagate_sensitivity",
     "propagate_sensitivities",
-    "propagate_second_sensitivities",
     "empirical_moment",
 ]
 
@@ -57,17 +60,6 @@ class SensitivityEnsemble:
     values: np.ndarray  # (P, M+1, N)
     perturbed_player: int
     direction: Control
-    grid: TimeGrid
-    seed: int
-
-
-@dataclass(frozen=True)
-class SecondSensitivityEnsemble:
-    """Pathwise mixed derivative for two distinct players' directions."""
-
-    values: np.ndarray  # (P, M+1, N)
-    players: tuple
-    directions: tuple
     grid: TimeGrid
     seed: int
 
@@ -229,14 +221,6 @@ def assemble_variational(spec: GameSpec, t: float, x: np.ndarray,
         additive_noise=not s.supplied & {"dx", "du", "dy"})
 
 
-def _linearizations(spec: GameSpec, ensemble: PathEnsemble):
-    """(k, t, linearization) at every step's left endpoint."""
-    for k, t in enumerate(ensemble.grid.nodes[:-1]):
-        yield k, t, assemble_variational(
-            spec, t, ensemble.states[:, k, :],
-            ensemble.realized_controls[:, k, :])
-
-
 def _response_step(vc: VariationalCoefficients, y: np.ndarray, dt: float,
                    dw: np.ndarray, controls=(), forcing=None) -> np.ndarray:
     """The explicit Euler step of the linearized state system for a
@@ -267,23 +251,19 @@ def _response_step(vc: VariationalCoefficients, y: np.ndarray, dt: float,
 
 
 def propagate_sensitivities(spec: GameSpec, ensemble: PathEnsemble, targets,
-                            noise: NoiseBundle, dtype=np.float64) -> list:
+                            noise: NoiseBundle) -> list:
     """Euler recursion for the linearized response to control
     perturbations, on the same increments as the state.
 
     ``targets`` is a list of (player, direction) pairs; all responses
-    share one sweep so the linearization is assembled once per step.
-    ``dtype`` controls the response storage; single precision halves
-    the footprint of wide sweeps and its rounding noise is far below
-    the Monte Carlo error of anything contracted against the output.
+    share one forward sweep, so the linearization is assembled once per
+    step, and each response's history is stored.
     """
-    _check_pair(ensemble, noise)
+    targets = list(targets)
     N, M, P = spec.n_players, ensemble.grid.n_steps, ensemble.n_paths
-    Y = np.zeros((P, M + 1, len(targets), N), dtype=dtype)
-    for k, t, vc in _linearizations(spec, ensemble):
-        Y[:, k + 1] = _response_step(
-            vc, Y[:, k], ensemble.grid.dt, noise.increments[:, k, :N],
-            controls=[(h, d(t, k, noise.increments)) for h, d in targets])
+    Y = np.empty((P, M + 1, len(targets), N))
+    for k, _, _, y, _ in _forward(spec, ensemble, noise, targets):
+        Y[:, k] = y
     return [SensitivityEnsemble(values=Y[:, :, d, :],
                                 perturbed_player=h, direction=direction,
                                 grid=ensemble.grid, seed=ensemble.seed)
@@ -333,47 +313,65 @@ def _bilinear_sources(so, yh, yl, du_h, du_l, h: int, l: int,
     return out[0], out[1]
 
 
-def propagate_second_sensitivities(spec: GameSpec, ensemble: PathEnsemble,
-                                   pairs, noise: NoiseBundle) -> list:
-    """Mixed second-order sensitivity for each ``(sens_h, sens_l)`` pair
-    of two distinct players' responses, all in one sweep: the pairs run
-    as one stack of the response step, forced bilinearly in the two
-    first-order sensitivities plus the direction/state cross terms.
-    Affine coefficients have no second partials, so the responses vanish
-    and are returned as zeros without stepping.
+def _direction_values(directions, t, k, noise):
+    """Each distinct direction's values at step k, keyed by identity."""
+    distinct = {id(d): d for d in directions}
+    return {key: d(t, k, noise.increments) for key, d in distinct.items()}
+
+
+def _forward(spec: GameSpec, ensemble: PathEnsemble, noise: NoiseBundle,
+             targets=(), pairs=()):
+    """The forward sweep of the linearized state system over a stored
+    ensemble: the first-order response to each (player, direction) of
+    ``targets``, and the mixed response of each (sens_h, sens_l) of
+    ``pairs``, two distinct players' stored responses, forced
+    bilinearly in them plus the direction/state cross terms.
+
+    Yields ``(k, slice, direction values, y, z)`` at every node: the
+    values of each distinct direction keyed by identity, and the stacks
+    ``y`` (P, R, N) and ``z`` (P, S, N); the terminal slice has no
+    controls, and the terminal node no values.  The stacks are stepped,
+    as new arrays, when the next node is asked for.  Only a moving
+    stack is linearized, and only ``z`` reads second partials; affine
+    coefficients have none, so ``z`` stays zero unstepped.
     """
     _check_pair(ensemble, noise)
+    targets, pairs = list(targets), list(pairs)
     for sens_h, sens_l in pairs:
         if sens_h.perturbed_player == sens_l.perturbed_player:
             raise ValueError("mixed sensitivity requires two distinct players")
         if sens_h.seed != ensemble.seed or sens_l.seed != ensemble.seed:
             raise ValueError(
                 "sensitivities must be built on the same ensemble")
-    N, M, P = spec.n_players, ensemble.grid.n_steps, ensemble.n_paths
-    R = len(pairs)
-    Z = np.zeros((R, P, M + 1, N))  # Z[q] is pair q's contiguous history
-    z = np.zeros((P, R, N))
-    forcing = (np.empty((P, R, N)), np.empty((P, R, N)))
-    steps = (() if spec.has_affine_coefficients()
-             else _linearizations(spec, ensemble))
-    for k, t, vc in steps:
-        so = _second_order_slices(spec, vc.slice)
-        for q, (sens_h, sens_l) in enumerate(pairs):
-            forcing[0][:, q], forcing[1][:, q] = _bilinear_sources(
-                so, sens_h.values[:, k, :], sens_l.values[:, k, :],
-                sens_h.direction(t, k, noise.increments),
-                sens_l.direction(t, k, noise.increments),
-                sens_h.perturbed_player, sens_l.perturbed_player,
-                with_joint_hessian=True)
-        z = _response_step(vc, z, ensemble.grid.dt,
-                           noise.increments[:, k, :N], forcing=forcing)
-        Z[:, :, k + 1, :] = z.transpose(1, 0, 2)
-    return [SecondSensitivityEnsemble(
-                values=zq,
-                players=(sens_h.perturbed_player, sens_l.perturbed_player),
-                directions=(sens_h.direction, sens_l.direction),
-                grid=ensemble.grid, seed=ensemble.seed)
-            for (sens_h, sens_l), zq in zip(pairs, Z)]
+    grid, N, P = ensemble.grid, spec.n_players, ensemble.n_paths
+    y = np.zeros((P, len(targets), N))
+    z = np.zeros((P, len(pairs), N))
+    mixed = bool(pairs) and not spec.has_affine_coefficients()
+    forcing = (np.empty(z.shape), np.empty(z.shape)) if mixed else None
+    directions = ([d for _, d in targets]
+                  + [sens.direction for pair in pairs for sens in pair])
+    for k, t in enumerate(grid.nodes[:-1]):
+        x, u = ensemble.states[:, k, :], ensemble.realized_controls[:, k, :]
+        vc = assemble_variational(spec, t, x, u) if targets or mixed else None
+        sl = Slice(t, x, x, u) if vc is None else vc.slice
+        dvals = _direction_values(directions, t, k, noise)
+        yield k, sl, dvals, y, z
+        dw = noise.increments[:, k, :N]
+        if mixed:
+            so = _second_order_slices(spec, sl)
+            for q, (sens_h, sens_l) in enumerate(pairs):
+                forcing[0][:, q], forcing[1][:, q] = _bilinear_sources(
+                    so, sens_h.values[:, k, :], sens_l.values[:, k, :],
+                    dvals[id(sens_h.direction)], dvals[id(sens_l.direction)],
+                    sens_h.perturbed_player, sens_l.perturbed_player,
+                    with_joint_hessian=True)
+            z = _response_step(vc, z, grid.dt, dw, forcing=forcing)
+        if targets:
+            y = _response_step(vc, y, grid.dt, dw,
+                               controls=[(h, dvals[id(d)])
+                                         for h, d in targets])
+    xT = ensemble.states[:, -1, :]
+    yield grid.n_steps, Slice(grid.horizon, xT, xT), {}, y, z
 
 
 def empirical_moment(ensemble: PathEnsemble, player: int, p: float):

@@ -23,8 +23,8 @@ from alphagames.bsde import (LinearBsdeSpec, apriori_bound_check,
                              solve_linear_bsde)
 from alphagames.derivatives import (EPS_SCHEDULE, bsde_derivatives,
                                     first_derivative_fd_sweep,
-                                    first_derivative_sens,
-                                    second_derivative_fd_sweep)
+                                    second_derivative_fd_sweep,
+                                    sens_derivatives)
 from alphagames.model import Coefficient, RunningCost, TerminalCost
 from alphagames.presets import lq_scaling_params
 
@@ -53,14 +53,10 @@ def first_order_duality(spec, n, paths, steps, seed, controls):
             fd_all[(h, di)] = first_derivative_fd_sweep(spec, controls, h, d,
                                                         grid, noise)
     ens = ag.simulate_paths(spec, controls, grid, noise)
-    sens_all = ag.propagate_sensitivities(spec, ens, targets,
-                                          noise, dtype=np.float32)
-    sens_table = first_derivative_sens(
-        spec, ens, noise, [(i, s) for s in sens_all for i in range(n)])
-    del sens_all
-    (bsde_table, _), _ = bsde_derivatives(
-        spec, ens, noise, ag.RegressionBasis(),
-        first_jobs=[(i, h, d) for h, d in targets for i in range(n)])
+    jobs = [(i, h, d) for h, d in targets for i in range(n)]
+    (sens_table, _), _ = sens_derivatives(spec, ens, noise, jobs)
+    (bsde_table, _), _ = bsde_derivatives(spec, ens, noise,
+                                          ag.RegressionBasis(), jobs)
     worst = 0.0
     for tidx, (h, d) in enumerate(targets):
         di = tidx % len(dirs)
@@ -101,10 +97,9 @@ def test_criterion_02_diffusion_control_coverage():
 
 def _second_order_sweep(spec, n, controls, grid, noise, ens, dirs):
     """Worst gap-over-tolerance of mixed FD, Z-oracle and BSDE over every
-    (cost player, pair): one mixed FD sweep per pair, one mixed
-    sensitivity sweep and one Z-oracle contraction for all pairs and
-    players, and one backward sweep whose BSDE contraction covers every
-    cost player and pair."""
+    (cost player, pair): one mixed FD sweep per pair, then one forward
+    and one backward sweep whose contractions cover every cost player
+    and pair."""
     worst = 0.0
     du, dv = dirs[0], dirs[1]
     hl = [(h, l) for h in range(n) for l in range(h + 1, n)]
@@ -118,14 +113,10 @@ def _second_order_sweep(spec, n, controls, grid, noise, ens, dirs):
     fds = [second_derivative_fd_sweep(spec, controls, h, l, sh.direction,
                                       sl.direction, grid, noise)[0]
            for (h, l), (sh, sl) in zip(hl, pairs)]
-    mixed = ag.propagate_second_sensitivities(spec, ens, pairs, noise)
-    zos, _ = ag.second_derivative_z_oracle(
-        spec, ens, noise, [(i, sh, sl, m) for i in range(n)
-                           for (sh, sl), m in zip(pairs, mixed)])
-    del mixed
+    jobs = [(i, sh, sl) for i in range(n) for sh, sl in pairs]
+    (_, zos), _ = sens_derivatives(spec, ens, noise, second_jobs=jobs)
     (_, bss), _ = bsde_derivatives(spec, ens, noise, ag.RegressionBasis(),
-                                   second_jobs=[(i, sh, sl) for i in range(n)
-                                                for sh, sl in pairs])
+                                   second_jobs=jobs)
     for i in range(n):
         for q in range(len(pairs)):
             job = i * len(pairs) + q

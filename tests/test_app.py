@@ -145,12 +145,13 @@ class TestSubcommands:
                 (r["fd"], r["sens"], r["bsde"])
 
     def test_reports_bsde_regression_diagnostics(self, tmp_path):
-        # the backward sweep's worst fits reach the report, finite; the
+        # the backward sweeps' worst fits reach the report, finite; the
         # matrix fit's residual exists only where matrix layers are solved
         base = {"preset": "tanh-coupled", "players": 2, "steps": 6,
                 "paths": 400, "anchors": ["constant:0.5"],
-                "directions": ["const", "ramp"]}
-        for sub, matrices in (("deriv", False), ("cross-check", True)):
+                "directions": ["const", "ramp"], "quad_order": 2}
+        for sub, matrices in (("deriv", False), ("cross-check", True),
+                              ("potential", False)):
             cfg = ExperimentConfig.from_dict(dict(base,
                                                   out=str(tmp_path / sub)))
             fits = run(cfg, sub)["results"]["bsde_regression"]
@@ -173,13 +174,14 @@ class TestSubcommands:
         cfg = ExperimentConfig.from_file(str(path))
         rep = run(cfg, "deriv")
         assert rep["passed"] and rep["results"]["all_agree"]
-        sens = derivatives.first_derivative_sens
+        sens = derivatives.sens_derivatives
 
         def shifted(*args, **kwargs):
-            return {key: dataclasses.replace(est, value=est.value + 1.0)
-                    for key, est in sens(*args, **kwargs).items()}
+            (first, second), pathwise = sens(*args, **kwargs)
+            return ({key: dataclasses.replace(est, value=est.value + 1.0)
+                     for key, est in first.items()}, second), pathwise
 
-        monkeypatch.setattr(derivatives, "first_derivative_sens", shifted)
+        monkeypatch.setattr(derivatives, "sens_derivatives", shifted)
         rep = run(cfg, "deriv")
         assert not rep["passed"] and not rep["results"]["all_agree"]
         assert main(["deriv", "--config", str(path)]) == 1
@@ -234,6 +236,9 @@ class TestCli:
         ("simulate", {"preset_params": {"foo": 1}}),
         ("simulate", {"preset_params": {"R": -1}}),
         ("alpha", {"anchors": ["constant:abc"]}),
+        ("alpha", {"anchors": ["constant:nan"]}),
+        ("alpha", {"anchors": ["constant:inf"]}),
+        ("scaling", {"spread": 5.0, "scaling_players": [2, 4]}),
     ])
     def test_invalid_config_exits_two(self, tmp_path, capsys, subcommand,
                                       bad):

@@ -10,6 +10,7 @@ from alphagames.derivatives import (EPS_SCHEDULE, first_derivative_fd_sweep,
 from alphagames.model import Coefficient, RunningCost, TerminalCost
 
 from oracles import scalar_lq_cost
+from test_sim import mixed_histories
 
 
 def control_drift_game(n=1, g_slope=1.0, sigma=0.3):
@@ -118,6 +119,12 @@ class TestCostValue:
         assert abs(vals[0] - oracle) <= 3 * ses[0] + 5 * grid.dt
 
 
+def sens_first(spec, ens, noise, job):
+    """The SENS estimate of one first-order job ``(i, h, direction)``."""
+    (first, _), _ = ag.sens_derivatives(spec, ens, noise, first_jobs=[job])
+    return first[0]
+
+
 class TestFirstDerivatives:
     def test_constant_costs_fd_zero(self):
         spec, _ = ag.build_lq_game(2, Qhat=0.0, G=0.0)
@@ -139,8 +146,7 @@ class TestFirstDerivatives:
         fd = first_derivative_fd_sweep(spec, prof, 0, d, grid, noise)[0]
         assert abs(fd.value - 1.0) < 1e-4 and fd.std_error < 1e-4
         ens = ag.simulate_paths(spec, prof, grid, noise)
-        sens = ag.propagate_sensitivity(spec, ens, 0, d, noise)
-        sv = ag.first_derivative_sens(spec, ens, noise, [(0, sens)])[0]
+        sv = sens_first(spec, ens, noise, (0, 0, d))
         assert np.isclose(sv.value, 1.0) and sv.std_error < 1e-12
         (first, _), _ = ag.bsde_derivatives(spec, ens, noise,
                                             ag.RegressionBasis(),
@@ -150,8 +156,7 @@ class TestFirstDerivatives:
 
     def test_zero_direction_exact_zero(self, tanh_setup):
         spec, grid, noise, controls, ens = tanh_setup
-        sens = ag.propagate_sensitivity(spec, ens, 1, ag.Control.zero(), noise)
-        est = ag.first_derivative_sens(spec, ens, noise, [(0, sens)])[0]
+        est = sens_first(spec, ens, noise, (0, 1, ag.Control.zero()))
         assert est.value == 0.0 and est.std_error == 0.0
 
     def test_three_routes_agree_tanh(self, tanh_setup):
@@ -161,8 +166,7 @@ class TestFirstDerivatives:
         for (i, h) in [(0, 1), (2, 0)]:
             fd = first_derivative_fd_sweep(spec, controls, h, d, grid,
                                            noise)[i]
-            sens = ag.propagate_sensitivity(spec, ens, h, d, noise)
-            sv = ag.first_derivative_sens(spec, ens, noise, [(i, sens)])[0]
+            sv = sens_first(spec, ens, noise, (i, h, d))
             (first, _), _ = ag.bsde_derivatives(spec, ens, noise, basis,
                                                 first_jobs=[(i, h, d)])
             bs = first[0]
@@ -191,10 +195,8 @@ class TestFirstDerivatives:
         spec, grid, noise, controls, ens = tanh_setup
         d = ag.Control.constant(1.0)
         scaled = 2.5 * d
-        sens1 = ag.propagate_sensitivity(spec, ens, 0, d, noise)
-        sens2 = ag.propagate_sensitivity(spec, ens, 0, scaled, noise)
-        a = ag.first_derivative_sens(spec, ens, noise, [(1, sens1)])[0]
-        b = ag.first_derivative_sens(spec, ens, noise, [(1, sens2)])[0]
+        a = sens_first(spec, ens, noise, (1, 0, d))
+        b = sens_first(spec, ens, noise, (1, 0, scaled))
         assert np.isclose(b.value, 2.5 * a.value, rtol=1e-12)
         (first, _), _ = ag.bsde_derivatives(
             spec, ens, noise, ag.RegressionBasis(),
@@ -205,8 +207,7 @@ class TestFirstDerivatives:
     def test_forward_difference_order_at_least_one(self, tanh_setup):
         spec, grid, noise, controls, ens = tanh_setup
         d = ag.Control.constant(1.0)
-        sens = ag.propagate_sensitivity(spec, ens, 0, d, noise)
-        ref = ag.first_derivative_sens(spec, ens, noise, [(0, sens)])[0]
+        ref = sens_first(spec, ens, noise, (0, 0, d))
         from alphagames.derivatives import cost_pathwise
         errs = []
         eps_list = [4e-2, 2e-2, 1e-2]
@@ -242,10 +243,8 @@ class TestSecondDerivatives:
         ens = ag.simulate_paths(spec, prof, grid, noise)
         sh = ag.propagate_sensitivity(spec, ens, 0, d, noise)
         sl = ag.propagate_sensitivity(spec, ens, 1, d, noise)
-        mixed = ag.propagate_second_sensitivities(spec, ens, [(sh, sl)],
-                                                  noise)
-        zos, _ = ag.second_derivative_z_oracle(spec, ens, noise,
-                                               [(0, sh, sl, mixed[0])])
+        (_, zos), _ = ag.sens_derivatives(spec, ens, noise,
+                                          second_jobs=[(0, sh, sl)])
         assert np.isclose(zos[0].value, 1.0)
         (_, second), _ = ag.bsde_derivatives(spec, ens, noise,
                                              ag.RegressionBasis(),
@@ -270,13 +269,11 @@ class TestSecondDerivatives:
         h, l = 0, 2
         sh = ag.propagate_sensitivity(spec, ens, h, du, noise)
         sl = ag.propagate_sensitivity(spec, ens, l, dv, noise)
-        mixed = ag.propagate_second_sensitivities(spec, ens, [(sh, sl)],
-                                                  noise)
         eps_min = min(EPS_SCHEDULE)
         fds, _ = second_derivative_fd_sweep(spec, controls, h, l, du, dv,
                                             grid, noise)
-        zos, _ = ag.second_derivative_z_oracle(
-            spec, ens, noise, [(i, sh, sl, mixed[0]) for i in range(3)])
+        (_, zos), _ = ag.sens_derivatives(
+            spec, ens, noise, second_jobs=[(i, sh, sl) for i in range(3)])
         (_, bss), _ = ag.bsde_derivatives(spec, ens, noise, basis,
                                           second_jobs=[(i, sh, sl)
                                                        for i in range(3)])
@@ -297,12 +294,10 @@ class TestSecondDerivatives:
         dv = ag.direction_dictionary(1.0)[1]
         sh = ag.propagate_sensitivity(spec, ens, 0, du, noise)
         sl = ag.propagate_sensitivity(spec, ens, 1, dv, noise)
-        pairs = [(sh, sl), (sl, sh)]
-        mixed = ag.propagate_second_sensitivities(spec, ens, pairs, noise)
-        zos, _ = ag.second_derivative_z_oracle(
-            spec, ens, noise, [(0, sh, sl, m) for (sh, sl), m in
-                               zip(pairs, mixed)])
-        z1, z2 = zos[0], zos[1]
+        # one call per orientation, so each builds its own mixed response
+        z1, z2 = (ag.sens_derivatives(spec, ens, noise,
+                                      second_jobs=[(0, *pair)])[0][1][0]
+                  for pair in ((sh, sl), (sl, sh)))
         assert abs(z1.value - z2.value) <= 1e-10
         fd1 = second_derivative_fd_sweep(spec, controls, 0, 1, du, dv, grid,
                                          noise)[0][0]
@@ -340,17 +335,13 @@ class TestSweepHelpers:
         basis = ag.RegressionBasis()
         dirs = ag.direction_dictionary(1.0)[:2]
         targets = [(h, d) for h in range(3) for d in dirs]
-        sens_all = ag.propagate_sensitivities(spec, ens, targets, noise)
-        sens_table = ag.first_derivative_sens(
-            spec, ens, noise, [(i, s) for s in sens_all for i in range(3)])
-        (bsde_table, _), _ = ag.bsde_derivatives(
-            spec, ens, noise, basis,
-            first_jobs=[(i, h, d) for h, d in targets for i in range(3)])
+        jobs = [(i, h, d) for h, d in targets for i in range(3)]
+        (sens_table, _), _ = ag.sens_derivatives(spec, ens, noise, jobs)
+        (bsde_table, _), _ = ag.bsde_derivatives(spec, ens, noise, basis,
+                                                 first_jobs=jobs)
         for tidx, (h, d) in enumerate(targets[:3]):
-            single = ag.propagate_sensitivity(spec, ens, h, d, noise)
             for i in (0, 2):
-                sv = ag.first_derivative_sens(spec, ens, noise,
-                                              [(i, single)])[0]
+                sv = sens_first(spec, ens, noise, (i, h, d))
                 (first, _), _ = ag.bsde_derivatives(spec, ens, noise, basis,
                                                     first_jobs=[(i, h, d)])
                 bs = first[0]
@@ -407,27 +398,45 @@ class TestSecondOrderEngine:
         spec, prof, ens, noise, pairs = _second_order_case(preset, n,
                                                            **params)
         basis = ag.RegressionBasis()
-        mixed = ag.propagate_second_sensitivities(spec, ens, pairs, noise)
+        mixed = mixed_histories(spec, ens, noise, pairs)
         jobs = [(i, sh, sl) for i in range(n) for sh, sl in pairs]
-        _, zo = ag.second_derivative_z_oracle(
-            spec, ens, noise, [(i, sh, sl, m) for i in range(n)
-                               for (sh, sl), m in zip(pairs, mixed)])
+        _, (_, zo) = ag.sens_derivatives(spec, ens, noise, second_jobs=jobs)
         _, (_, bs) = ag.bsde_derivatives(spec, ens, noise, basis,
                                          second_jobs=jobs)
         assert sorted(zo) == sorted(bs) == list(range(len(jobs)))
         for q, pair in enumerate(pairs):
-            one = ag.propagate_second_sensitivities(spec, ens, [pair], noise)
-            np.testing.assert_allclose(mixed[q].values, one[0].values,
-                                       rtol=0, atol=0)
+            one = mixed_histories(spec, ens, noise, [pair])
+            np.testing.assert_allclose(mixed[q], one[0], rtol=0, atol=0)
             for i in range(n):
-                _, zo1 = ag.second_derivative_z_oracle(
-                    spec, ens, noise, [(i, *pair, one[0])])
+                _, (_, zo1) = ag.sens_derivatives(
+                    spec, ens, noise, second_jobs=[(i, *pair)])
                 _, (_, bs1) = ag.bsde_derivatives(
                     spec, ens, noise, basis, second_jobs=[(i, *pair)])
                 np.testing.assert_allclose(zo[i * len(pairs) + q], zo1[0],
                                            rtol=0, atol=0)
                 np.testing.assert_allclose(bs[i * len(pairs) + q], bs1[0],
                                            rtol=0, atol=0)
+
+    @pytest.mark.parametrize("preset,n,params", CASES)
+    def test_sens_jobs_of_both_orders_match_one_job_calls(self, preset, n,
+                                                          params):
+        # one forward sweep for every job of both orders, against one
+        # sweep per job
+        spec, prof, ens, noise, pairs = _second_order_case(preset, n,
+                                                           **params)
+        dirs = ag.direction_dictionary(1.0)[:2]
+        first = [(i, h, d) for i in range(n) for h in range(n) for d in dirs]
+        second = [(i, sh, sl) for i in range(n) for sh, sl in pairs]
+        _, (fpw, spw) = ag.sens_derivatives(spec, ens, noise, first, second)
+        assert sorted(fpw) == list(range(len(first)))
+        assert sorted(spw) == list(range(len(second)))
+        for n_job, job in enumerate(first):
+            _, (one, _) = ag.sens_derivatives(spec, ens, noise, [job])
+            np.testing.assert_allclose(fpw[n_job], one[0], rtol=0, atol=0)
+        for n_job, job in enumerate(second):
+            _, (_, one) = ag.sens_derivatives(spec, ens, noise,
+                                              second_jobs=[job])
+            np.testing.assert_allclose(spw[n_job], one[0], rtol=0, atol=0)
 
     def test_one_linearization_per_step_for_all_pairs(self, monkeypatch):
         from alphagames import bsde as bsde_mod
@@ -451,18 +460,23 @@ class TestSecondOrderEngine:
             monkeypatch.setattr(mod, "assemble_variational", linearization)
             monkeypatch.setattr(mod, "_second_order_slices", second_partials)
         M = ens.grid.n_steps
-        ag.propagate_second_sensitivities(spec, ens, pairs, noise)
-        assert calls == {"linearization": M, "second partials": M}
-        # every cost player's first- and second-order jobs in one sweep;
-        # solving each player's adjoints apart and contracting them
-        # again linearized 7M times
+        # every cost player's first- and second-order jobs in one sweep
+        # of each route; solving each player's adjoints apart and
+        # contracting them again linearized 7M times
+        first = [(i, h, d) for i in range(3) for h in range(3) for d in dirs]
+        second = [(i, sh, sl) for i in range(3) for sh, sl in pairs]
+        for driver, args in ((ag.sens_derivatives, ()),
+                             (ag.bsde_derivatives, (ag.RegressionBasis(),))):
+            calls.update({"linearization": 0, "second partials": 0})
+            driver(spec, ens, noise, *args, first, second)
+            assert calls == {"linearization": M, "second partials": M}
+        # affine coefficients: the mixed responses vanish, and the stored
+        # responses the jobs name need no stepping
+        spec, prof, ens, noise, pairs = _second_order_case("lq", 2, D=0.4)
         calls.update({"linearization": 0, "second partials": 0})
-        ag.bsde_derivatives(
-            spec, ens, noise, ag.RegressionBasis(),
-            first_jobs=[(i, h, d) for i in range(3) for h in range(3)
-                        for d in dirs],
-            second_jobs=[(i, sh, sl) for i in range(3) for sh, sl in pairs])
-        assert calls == {"linearization": M, "second partials": M}
+        ag.sens_derivatives(spec, ens, noise, second_jobs=[
+            (i, sh, sl) for i in range(2) for sh, sl in pairs])
+        assert calls == {"linearization": 0, "second partials": 0}
 
 
 class TestAdjointSweep:
@@ -526,6 +540,26 @@ class TestStreamedSweep:
         finally:
             tracemalloc.stop()
         assert rise < len(second) * M * P * 8
+
+    def test_sens_memory_below_one_mixed_history(self):
+        # every response of the forward sweep is contracted as it is
+        # solved, so not even one (pairs, P, M+1, N) mixed history is
+        # held; storing them and contracting after rose 1.12 times that
+        P, M = 1000, 200
+        spec, _ = ag.build_tanh_game(3)
+        grid = ag.TimeGrid(M, 1.0)
+        noise = ag.NoiseBundle.generate(3, grid, P, 3)
+        ens = ag.simulate_paths(spec, ag.ControlProfile.constants(
+            [0.5, 0.3, 0.1]), grid, noise)
+        first, second = _cross_check_jobs(spec, ens, noise)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ag.sens_derivatives(spec, ens, noise, first, second)
+            rise = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert rise < 3 * P * (M + 1) * 3 * 8
 
     def test_fits_only_the_martingale_columns_read(self, monkeypatch):
         # per step: Q*N costate columns and 2*S*N*N matrix columns (63 at
