@@ -125,8 +125,8 @@ def _pair_asymmetry(spec, controls, pairs, dirs, grid, noise, method,
     direction pair (di, dj): the largest |mean| of the pathwise
     difference d_ij - d_ji of player i's mixed derivative in (di, dj)
     and player j's in (dj, di), with its pathwise se.  Player i's
-    direction is outermost and the first maximum is kept.  Returns
-    {(i, j): (value, se)}.
+    direction is outermost and the first maximum is kept; a NaN is kept
+    over every number.  Returns {(i, j): (value, se)}.
 
     ``FD`` differences the pathwise Richardson arrays of one mixed sweep
     per direction pair, whose legs the two cost functionals share.  The
@@ -174,7 +174,8 @@ def _pair_asymmetry(spec, controls, pairs, dirs, grid, noise, method,
         for _ in dirs:
             d_ij, d_ji = next(values), next(values)
             value, se = _mean_se(d_ij - d_ji)
-            if (i, j) not in best or abs(value) > best[(i, j)][0]:
+            if ((i, j) not in best or abs(value) > best[(i, j)][0]
+                    or np.isnan(value)):
                 best[(i, j)] = (abs(value), se)
     return best
 
@@ -212,7 +213,8 @@ def empirical_alpha(spec: GameSpec, anchors, dirs, grid: TimeGrid,
         worst = _pair_asymmetry(spec, controls, pairs, dirs, grid, noise,
                                 method, eps_schedule, basis)
         for (i, j), (v, se) in worst.items():
-            if v > asym[i, j]:
+            # a NaN asymmetry is kept, so that the report shows it
+            if v > asym[i, j] or np.isnan(v):
                 asym[i, j] = asym[j, i] = v
                 asym_se[i, j] = asym_se[j, i] = se
     return AlphaReport.from_asymmetry(
@@ -245,28 +247,32 @@ def pairwise_quadratic_asymmetry(spec: GameSpec, qhat, gterm,
     qhat = np.broadcast_to(np.asarray(qhat, dtype=float), (N,))
     gterm = np.broadcast_to(np.asarray(gterm, dtype=float), (N,))
 
-    def pair_accumulate(acc, y_slice, weights):
-        # proj[p, d, i] = (own minus average) of response d at player i
+    def pair_accumulate(acc_t, y_slice, weights):
+        # proj[p, d, i] = (own minus average) of response d at player i;
+        # acc_t[p, d, i] += weights[i] * proj[p, i, i] * proj[p, d, i]
         proj = y_slice - y_slice.mean(axis=2, keepdims=True)
-        own = proj[:, np.arange(N), np.arange(N)]          # (P, N)
-        cross = np.transpose(proj, (0, 2, 1))              # (P, i, d=j)
-        acc += weights[None, :, None] * own[:, :, None] * cross
+        own = weights * np.diagonal(proj, axis1=1, axis2=2)  # (P, N)
+        np.multiply(own[:, None, :], proj, out=proj)
+        acc_t += proj
 
-    acc = np.zeros((P, N, N))
+    # acc_t[p, j, i] accumulates player i's mixed derivative in (i, j)
+    acc_t = np.zeros((P, N, N))
     y = np.zeros((P, N, N))  # slice of responses, axis 1 = perturbed player
     for k, sl in enumerate(_euler(spec, [controls], grid, noise)):
         if sl.u is None:
             break
         vc = assemble_variational(spec, sl.t, sl.x, sl.u)
         du = direction(sl.t, k, noise.increments)
-        pair_accumulate(acc, y, qhat * dt)
+        pair_accumulate(acc_t, y, qhat * dt)
         y = _response_step(vc, y, dt, noise.increments[:, k, :N],
                            controls=[(h, du) for h in range(N)])
-    pair_accumulate(acc, y, gterm)
+    pair_accumulate(acc_t, y, gterm)
 
-    diff_pw = acc - np.transpose(acc, (0, 2, 1))
-    asym = np.abs(diff_pw.mean(axis=0))
-    se = diff_pw.std(axis=0, ddof=1) / np.sqrt(P)
+    # diff_t[p, j, i] = acc[p, i, j] - acc[p, j, i]; the results are
+    # made contiguous so that row sums keep numpy's summation order
+    diff_t = acc_t - np.transpose(acc_t, (0, 2, 1))
+    asym = np.ascontiguousarray(np.abs(diff_t.mean(axis=0)).T)
+    se = np.ascontiguousarray((diff_t.std(axis=0, ddof=1) / np.sqrt(P)).T)
     np.fill_diagonal(asym, 0.0)
     np.fill_diagonal(se, 0.0)
     return asym, se
@@ -460,14 +466,17 @@ def _potential_pathwise(spec, anchor, profile, grid, noise, basis, order,
 def potential_value(spec: GameSpec, profile: ControlProfile, grid: TimeGrid,
                     noise: NoiseBundle, anchor: ControlProfile = None,
                     basis: RegressionBasis = RegressionBasis(),
-                    order: int = 8):
+                    order: int = 8, fits: dict = None):
     """Candidate potential at a profile: line integral from the anchor
     (default zero profile) of the sum of own-control derivatives; one
-    backward sweep for all players per Gauss-Legendre node."""
+    backward sweep for all players per Gauss-Legendre node.  The worst
+    fits of those sweeps are folded into ``fits`` when one is given, as
+    ``potential_deviation_gaps`` folds its own."""
     if anchor is None:
         anchor = ControlProfile.zeros(spec.n_players)
     return _mean_se(_potential_pathwise(spec, anchor, profile, grid, noise,
-                                        basis, order, {}))
+                                        basis, order,
+                                        {} if fits is None else fits))
 
 
 def potential_deviation_gaps(spec: GameSpec, profile: ControlProfile,

@@ -445,7 +445,9 @@ def _cmd_alpha(cfg: ExperimentConfig, tables: Path):
             rows.append([i, j, float(report.asymmetry[i, j]),
                          float(report.asymmetry_se[i, j])])
     _write_csv(tables / "asymmetry.csv", ["i", "j", "value", "se"], rows)
-    return report.to_jsonable(), True
+    out = report.to_jsonable()
+    # a non-finite asymmetry or standard error certifies nothing
+    return out, _all_finite(out)
 
 
 def _cmd_bound(cfg: ExperimentConfig, tables: Path):
@@ -470,18 +472,21 @@ def _cmd_scaling(cfg: ExperimentConfig, tables: Path):
         raise ConfigError("scaling runs use the lq preset")
     if cfg.preset_params:
         raise ConfigError("scaling runs take no preset_params")
-    rows = []
-    alphas, bounds_v = [], []
+    games = []
     for n in cfg.scaling_players:
         params = lq_scaling_params(n, spread=cfg.spread)
-        spec, ledger = build_preset("lq", n, **params)
-        grid = cfg.grid()
-        noise = NoiseBundle.generate(cfg.seed, grid, cfg.paths,
-                                     spec.n_drivers)
-        direction = cfg.direction_controls()[0]
+        games.append((n, params, *build_preset("lq", n, **params)))
+    grid = cfg.grid()
+    direction = cfg.direction_controls()[0]
+    # one grid for the sweep: each game's noise is its leading columns
+    width = max(spec.n_drivers for _, _, spec, _ in games)
+    noise = NoiseBundle.generate(cfg.seed, grid, cfg.paths, width)
+    rows = []
+    alphas, bounds_v = [], []
+    for n, params, spec, ledger in games:
         asym, se = alpha_mod.pairwise_quadratic_asymmetry(
             spec, params["Qhat"], params["G"], ControlProfile.zeros(n),
-            direction, grid, noise)
+            direction, grid, noise.leading_drivers(spec.n_drivers))
         emp = alpha_mod.AlphaReport.from_asymmetry(asym, se, [])
         a_emp, a_se = emp.alpha_empirical, emp.alpha_empirical_se
         bound = alpha_mod.theoretical_alpha_bound(ledger, n, cfg.horizon)
@@ -550,12 +555,14 @@ def _cmd_nash_gap(cfg: ExperimentConfig, tables: Path):
         return ControlProfile([family(theta)] * spec.n_players)
 
     cache = {}
+    fits = {}
 
     def phi(theta):
         key = tuple(np.round(theta, 10))
         if key not in cache:
             v, _ = alpha_mod.potential_value(spec, profile_of(theta), grid,
-                                             noise, order=cfg.quad_order)
+                                             noise, order=cfg.quad_order,
+                                             fits=fits)
             cache[key] = v
         return cache[key]
 
@@ -578,7 +585,7 @@ def _cmd_nash_gap(cfg: ExperimentConfig, tables: Path):
         for off in offsets:
             v, _ = alpha_mod.potential_value(
                 spec, prof_star.with_player(i, family(theta_star + off)),
-                grid, noise, order=cfg.quad_order)
+                grid, noise, order=cfg.quad_order, fits=fits)
             phi_devs.append(v)
     eps_opt = max(0.0, phi_star - min(phi_devs))
     # standard error of the player attaining the maximum gain
@@ -590,7 +597,7 @@ def _cmd_nash_gap(cfg: ExperimentConfig, tables: Path):
             "phi_star": phi_star, "eps_opt": eps_opt,
             "exploitability": overall,
             "per_player": [[v, se] for v, se in per_player],
-            "nash_gap_ok": ok}, ok
+            "nash_gap_ok": ok, "bsde_regression": fits}, ok
 
 
 _DISPATCH = {

@@ -349,6 +349,17 @@ class NoiseBundle:
         return cls(seed=seed, grid=grid, n_paths=n_paths,
                    n_drivers=n_drivers, increments=z)
 
+    def leading_drivers(self, n_drivers: int) -> "NoiseBundle":
+        """The bundle of the first ``n_drivers`` driver columns, sharing
+        this bundle's increments as a view.  Entry (p, k, j) depends on
+        (seed, p, k, j) alone, so it is bit-identical to ``generate``
+        with the same seed, grid and path count at ``n_drivers``."""
+        if not 1 <= n_drivers <= self.n_drivers:
+            raise ValueError(f"n_drivers must lie in [1, {self.n_drivers}]")
+        return NoiseBundle(seed=self.seed, grid=self.grid,
+                           n_paths=self.n_paths, n_drivers=n_drivers,
+                           increments=self.increments[:, :, :n_drivers])
+
     def truncated_after(self, step: int) -> "NoiseBundle":
         """Copy with all increments from ``step`` onwards zeroed."""
         inc = self.increments.copy()

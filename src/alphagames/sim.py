@@ -244,9 +244,13 @@ def _response_step(vc: VariationalCoefficients, y: np.ndarray, dt: float,
         return acc
 
     drift_force, diff_force = forcing or (None, None)
-    out = y + term(vc.dxb, vc.dyb, vc.dub, drift_force) * dt
+    out = term(vc.dxb, vc.dyb, vc.dub, drift_force)
+    out *= dt
+    out += y
     if forcing is not None or not vc.additive_noise:
-        out += term(vc.dxs, vc.dys, vc.dus, diff_force) * dw[:, None, :]
+        diffusion = term(vc.dxs, vc.dys, vc.dus, diff_force)
+        diffusion *= dw[:, None, :]
+        out += diffusion
     return out
 
 

@@ -119,6 +119,28 @@ class TestAsymmetry:
                                  method="FD")
         assert rep.alpha_empirical <= 3 * rep.alpha_empirical_se + 1e-9
 
+    def test_nan_asymmetry_is_kept(self, monkeypatch):
+        # a NaN in a later direction pair of the first anchor must
+        # survive both the worst-over-directions and the worst-over-
+        # anchors maxima, so that the report cannot pass as finite
+        from alphagames import alpha
+        spec, _ = ag.build_lq_game(2, Qhat=[0.5, 1.5], G=[0.5, 1.5])
+        grid = ag.TimeGrid(4, 1.0)
+        noise = ag.NoiseBundle.generate(2, grid, 300, 2)
+        mean_se, calls = alpha._mean_se, []
+
+        def nan_on_second(pathwise):
+            calls.append(None)
+            return (np.nan, np.nan) if len(calls) == 2 else mean_se(pathwise)
+
+        monkeypatch.setattr(alpha, "_mean_se", nan_on_second)
+        dirs = [ag.Control.constant(1.0), ag.Control.constant(-0.5)]
+        rep = ag.empirical_alpha(spec, [ag.ControlProfile.zeros(2)] * 2,
+                                 dirs, grid, noise, method="SENS")
+        assert len(calls) == 8
+        assert np.isnan(rep.asymmetry[0, 1]) and np.isnan(rep.asymmetry[1, 0])
+        assert np.isnan(rep.alpha_empirical)
+
     def test_empirical_alpha_identical_players_zero(self):
         spec, _ = ag.build_lq_game(3, Qhat=0.9, G=0.8)
         grid = ag.TimeGrid(12, 1.0)

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from alphagames import alpha, derivatives
+from alphagames.model import ControlProfile, NoiseBundle
+from alphagames.presets import build_preset, lq_scaling_params
 from alphagames.app import (SUBCOMMANDS, ConfigError, ExperimentConfig,
                             _noise, main, run)
 from alphagames.bsde import RegressionBasis
@@ -116,6 +118,62 @@ class TestSubcommands:
              "out": str(tmp_path / "o")})
         rep = run(cfg, "alpha")
         assert rep["results"]["alpha_empirical"] > 0
+
+    def test_alpha_fails_on_a_non_finite_asymmetry(self, tmp_path,
+                                                  monkeypatch):
+        # a NaN asymmetry certifies nothing: the run fails and exits 1
+        path, _ = write_config(tmp_path, steps=6, paths=300,
+                               anchors=["zero"], directions=["const"])
+        cfg = ExperimentConfig.from_file(str(path))
+        assert run(cfg, "alpha")["passed"]
+        empirical = alpha.empirical_alpha
+
+        def nan_pair(*args, **kwargs):
+            rep = empirical(*args, **kwargs)
+            asym = rep.asymmetry.copy()
+            asym[0, 1] = asym[1, 0] = np.nan
+            return alpha.AlphaReport.from_asymmetry(asym, rep.asymmetry_se,
+                                                    rep.notes)
+
+        monkeypatch.setattr(alpha, "empirical_alpha", nan_pair)
+        assert not run(cfg, "alpha")["passed"]
+        assert main(["alpha", "--config", str(path)]) == 1
+
+    def test_scaling_rows_match_fresh_bundles(self, tmp_path):
+        # the sweep draws one grid at its widest game; each row must
+        # equal the pairwise evaluator on that game's own fresh noise,
+        # in whatever order the players are listed
+        path, _ = write_config(tmp_path, steps=6, paths=500,
+                               scaling_players=[4, 2], directions=["const"])
+        cfg = ExperimentConfig.from_file(str(path))
+        res = run(cfg, "scaling")["results"]
+        assert res["players"] == [4, 2]
+        with open(tmp_path / "out" / "tables" / "scaling.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        grid = cfg.grid()
+        for n, got, row in zip([4, 2], res["alpha_empirical"], rows):
+            params = lq_scaling_params(n, spread=cfg.spread)
+            spec, _ = build_preset("lq", n, **params)
+            noise = NoiseBundle.generate(cfg.seed, grid, cfg.paths,
+                                         spec.n_drivers)
+            asym, se = alpha.pairwise_quadratic_asymmetry(
+                spec, params["Qhat"], params["G"], ControlProfile.zeros(n),
+                cfg.direction_controls()[0], grid, noise)
+            want = alpha.AlphaReport.from_asymmetry(asym, se, [])
+            assert got == want.alpha_empirical
+            assert int(row["players"]) == n
+            assert float(row["alpha_empirical"]) == want.alpha_empirical
+            assert float(row["alpha_se"]) == want.alpha_empirical_se
+
+    def test_nash_gap_reports_bsde_regression_diagnostics(self, tmp_path):
+        # every backward sweep of the potential minimization is folded
+        # into the report, as potential reports its own
+        path, _ = write_config(tmp_path, steps=4, paths=200, quad_order=1)
+        rep = run(ExperimentConfig.from_file(str(path)), "nash-gap")
+        fits = rep["results"]["bsde_regression"]
+        assert np.isfinite(fits["condition_max"])
+        assert fits["condition_max"] >= 1.0
+        assert fits["ridge_escalated"] is False
 
     def test_deriv_matches_cross_check_first_order(self, tmp_path):
         base = {"preset": "tanh-coupled", "players": 2, "steps": 8,

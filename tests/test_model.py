@@ -31,6 +31,28 @@ class TestPhilox:
                              0xFFFFFFFF, 0xFFFFFFFFFFFFFFFF)
         assert [int(v) for v in out] == [0x408F276D, 0x41C83B0E,
                                          0xA20BC7C6, 0x6D5451FD]
+        out = rng.philox4x32(0x243F6A88, 0x85A308D3, 0x13198A2E,
+                             0x03707344, 0x299F31D0A4093822)
+        assert [int(v) for v in out] == [0xD16CFE09, 0x94FDCCEB,
+                                         0x5001E420, 0x24126EA1]
+
+    def test_counters_unmodified_and_broadcast_matches_scalars(self):
+        # the rounds run in place: they must work on copies of the
+        # counters, and each broadcast lane must be its own scalar call
+        c0 = np.arange(3, dtype=np.uint64)[:, None]
+        c1 = np.array([5, 0xFFFFFFFF], dtype=np.uint64)[None, :]
+        c2 = np.uint64(7)
+        c3 = np.array([[2, 3]], dtype=np.uint64)
+        before = [np.array(c, copy=True) for c in (c0, c1, c2, c3)]
+        out = rng.philox4x32(c0, c1, c2, c3, 0x299F31D0A4093822)
+        for c, b in zip((c0, c1, c2, c3), before):
+            assert np.array_equal(c, b)
+        assert all(w.shape == (3, 2) for w in out)
+        for a in range(3):
+            for b in range(2):
+                one = rng.philox4x32(int(c0[a, 0]), int(c1[0, b]), int(c2),
+                                     int(c3[0, b]), 0x299F31D0A4093822)
+                assert [int(w[a, b]) for w in out] == [int(v) for v in one]
 
     def test_bit_exact_by_counter(self):
         grid = ag.TimeGrid(4, 1.0)
@@ -40,6 +62,22 @@ class TestPhilox:
         assert np.array_equal(big.increments[:10], small.increments)
         again = ag.NoiseBundle.generate(7, grid, 1000, 3)
         assert np.array_equal(big.increments, again.increments)
+
+    def test_leading_drivers_are_a_smaller_bundle(self):
+        # the N-driver noise is the first N columns of any wider grid,
+        # which lets a player sweep draw one grid at its widest game
+        grid = ag.TimeGrid(6, 1.5)
+        wide = ag.NoiseBundle.generate(5, grid, 700, 16)
+        small = ag.NoiseBundle.generate(5, grid, 700, 3)
+        assert np.array_equal(wide.increments[:, :, :3], small.increments)
+        lead = wide.leading_drivers(3)
+        assert (lead.n_drivers, lead.n_paths, lead.seed) == (3, 700, 5)
+        assert lead.increments.shape == small.increments.shape
+        assert np.array_equal(lead.increments, small.increments)
+        assert np.shares_memory(lead.increments, wide.increments)
+        for bad in (0, 17):
+            with pytest.raises(ValueError):
+                wide.leading_drivers(bad)
 
     @pytest.mark.parametrize("blocks, tail, n_steps, n_drivers", [
         (3, 77, 8, 4),    # three full path blocks and a ragged tail
