@@ -13,10 +13,10 @@ from .model import (Coefficient, ConstantLedger, Control, ControlProfile,
                     NoiseBundle, RunningCost, SampleBox, Slice, TerminalCost,
                     TimeGrid, direction_dictionary, fd_coefficient,
                     validate_game)
-from .sim import (PathEnsemble, SensitivityEnsemble, VariationalCoefficients,
+from .sim import (PathEnsemble, VariationalCoefficients,
                   assemble_variational, empirical_moment,
-                  propagate_sensitivities, propagate_sensitivity,
-                  simulate_cost_batch, simulate_paths)
+                  propagate_sensitivities, simulate_cost_batch,
+                  simulate_paths)
 from .bsde import (BsdeSolution, LinearBsdeSpec, RegressionBasis,
                    apriori_bound_check, apriori_constant, solve_linear_bsde,
                    trace_duality)

@@ -26,7 +26,7 @@ from .derivatives import (EPS_SCHEDULE, _worst_fits, bsde_derivatives,
 from .model import (ConstantLedger, Control, ControlProfile, GameSpec,
                     NoiseBundle, TimeGrid)
 from .sim import (_euler, _response_step, assemble_variational,
-                  propagate_sensitivities, simulate_cost_batch, simulate_paths)
+                  simulate_cost_batch, simulate_paths)
 
 __all__ = [
     "AlphaReport",
@@ -57,6 +57,7 @@ class AlphaReport:
     alpha_bound: float = None
     symbolic_constant: float = 1.0
     notes: list = field(default_factory=list)
+    bsde_regression: dict = None          # worst fits of BSDE asymmetry
 
     @classmethod
     def from_asymmetry(cls, asym: np.ndarray, se: np.ndarray, notes):
@@ -78,6 +79,8 @@ class AlphaReport:
             out["asymmetry_se"] = self.asymmetry_se.tolist()
             out["alpha_empirical"] = self.alpha_empirical
             out["alpha_empirical_se"] = self.alpha_empirical_se
+        if self.bsde_regression is not None:
+            out["bsde_regression"] = self.bsde_regression
         if self.alpha_bound is not None:
             out["alpha_bound"] = self.alpha_bound
             out["bound_breakdown"] = {
@@ -120,7 +123,7 @@ def _mean_se(pathwise: np.ndarray):
 
 
 def _pair_asymmetry(spec, controls, pairs, dirs, grid, noise, method,
-                    eps_schedule, basis) -> dict:
+                    eps_schedule, basis, fits) -> dict:
     """Worst asymmetry of each pair (i, j) in ``pairs`` over every
     direction pair (di, dj): the largest |mean| of the pathwise
     difference d_ij - d_ji of player i's mixed derivative in (di, dj)
@@ -130,10 +133,10 @@ def _pair_asymmetry(spec, controls, pairs, dirs, grid, noise, method,
 
     ``FD`` differences the pathwise Richardson arrays of one mixed sweep
     per direction pair, whose legs the two cost functionals share.  The
-    other routes share one ensemble and one sensitivity sweep: ``BSDE``
-    contracts every job in one backward sweep, ``SENS`` makes one
-    ``sens_derivatives`` call per row (i, di), so only that row's mixed
-    responses are stepped at once.
+    other routes make one driver call on one ensemble with every job
+    ``(i, (i, di), (j, dj))`` and ``(j, (j, dj), (i, di))``: ``SENS``
+    contracts them in one forward sweep, ``BSDE`` in one backward sweep
+    whose worst fits are folded into ``fits``.
     """
     if method not in ("FD", "BSDE", "SENS"):
         raise ValueError("method must be 'FD', 'BSDE', or 'SENS'")
@@ -151,22 +154,15 @@ def _pair_asymmetry(spec, controls, pairs, dirs, grid, noise, method,
                     yield from (pw[i], pw[j])
             return
         ens = simulate_paths(spec, controls, grid, noise)
-        targets = [(h, d) for h in sorted({h for p in pairs for h in p})
-                   for d in dirs]
-        sens = {(h, id(d)): s for (h, d), s in zip(
-            targets, propagate_sensitivities(spec, ens, targets, noise))}
-        jobs = [[(a, sens[a, id(da)], sens[b, id(db)]) for dj in dirs
-                 for a, da, b, db in ((i, di, j, dj), (j, dj, i, di))]
-                for i, di, j in rows]
-        if method == "BSDE":
-            _, (_, pw) = bsde_derivatives(
-                spec, ens, noise, basis,
-                second_jobs=[job for row in jobs for job in row])
-            yield from pw.values()
-            return
-        for row in jobs:
-            _, (_, pw) = sens_derivatives(spec, ens, noise, second_jobs=row)
-            yield from pw.values()
+        jobs = [(a, (a, da), (b, db)) for i, di, j in rows for dj in dirs
+                for a, da, b, db in ((i, di, j, dj), (j, dj, i, di))]
+        if method == "SENS":
+            _, (_, pw) = sens_derivatives(spec, ens, noise, second_jobs=jobs)
+        else:
+            (_, est), (_, pw) = bsde_derivatives(spec, ens, noise, basis,
+                                                 second_jobs=jobs)
+            _worst_fits(fits, est[0].metadata["regression"])
+        yield from pw.values()
 
     best = {}
     values = pathwise()
@@ -190,7 +186,7 @@ def asymmetry(spec: GameSpec, controls: ControlProfile, i: int, j: int,
     if i == j:
         raise ValueError("asymmetry is defined for distinct players")
     return _pair_asymmetry(spec, controls, [(i, j)], dirs, grid, noise,
-                           method, eps_schedule, basis)[(i, j)]
+                           method, eps_schedule, basis, {})[(i, j)]
 
 
 def empirical_alpha(spec: GameSpec, anchors, dirs, grid: TimeGrid,
@@ -202,25 +198,29 @@ def empirical_alpha(spec: GameSpec, anchors, dirs, grid: TimeGrid,
     then twice the worst row sum of the asymmetry matrix.  ``FD``
     differences mixed resimulation sweeps, ``SENS`` contracts forward
     and mixed sensitivities (the Z-oracle), ``BSDE`` contracts adjoints
-    in one backward sweep per anchor."""
+    in one backward sweep per anchor and reports the worst fits of them
+    all as ``bsde_regression``."""
     if not anchors or not dirs:
         raise ValueError("anchor and direction dictionaries must be nonempty")
     N = spec.n_players
     pairs = [(i, j) for i in range(N) for j in range(i + 1, N)]
     asym = np.zeros((N, N))
     asym_se = np.zeros((N, N))
+    fits = {}
     for controls in anchors:
         worst = _pair_asymmetry(spec, controls, pairs, dirs, grid, noise,
-                                method, eps_schedule, basis)
+                                method, eps_schedule, basis, fits)
         for (i, j), (v, se) in worst.items():
             # a NaN asymmetry is kept, so that the report shows it
             if v > asym[i, j] or np.isnan(v):
                 asym[i, j] = asym[j, i] = v
                 asym_se[i, j] = asym_se[j, i] = se
-    return AlphaReport.from_asymmetry(
+    report = AlphaReport.from_asymmetry(
         asym, asym_se,
         [f"lower estimate over {len(anchors)} anchor profile(s) and "
          f"{len(dirs)} directions per player, method {method}"])
+    report.bsde_regression = fits or None
+    return report
 
 
 def pairwise_quadratic_asymmetry(spec: GameSpec, qhat, gterm,

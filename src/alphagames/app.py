@@ -31,7 +31,7 @@ from .bsde import RegressionBasis
 from .model import (Control, ControlProfile, NoiseBundle, SampleBox,
                     TimeGrid, direction_dictionary, validate_game)
 from .presets import PRESET_IDS, build_preset, lq_scaling_params
-from .sim import empirical_moment, propagate_sensitivities, simulate_paths
+from .sim import empirical_moment, simulate_paths
 
 SUBCOMMANDS = ("simulate", "deriv", "cross-check", "alpha", "bound",
                "scaling", "potential", "nash-gap")
@@ -316,26 +316,21 @@ def _first_order(cfg: ExperimentConfig, spec, controls, dirs,
                  pair_targets=()):
     """Every derivative route on shared work: one ensemble, one FD sweep
     per (player, direction) target, and one job list of every cost
-    player in every target (first order) and in the responses to each
-    ``(a, b)`` pair of target indices in ``pair_targets`` (second
-    order), run by the one SENS and the one BSDE driver.  Only the
-    responses the pairs read are stored.  Returns the noise, the pairs'
-    stored responses, one (i, h, direction name, FD, SENS, BSDE) row per
-    cost player and target, target-major, and the mixed Z-oracle and
-    BSDE estimates, job ``q * N + i`` being cost player i's in pair
-    q."""
+    player in every target (first order) and in each ``(a, b)`` pair of
+    target indices in ``pair_targets`` (second order), run by the one
+    SENS and the one BSDE driver.  Returns the noise, each pair's two
+    targets, one (i, h, direction name, FD, SENS, BSDE) row per cost
+    player and target, target-major, and the mixed Z-oracle and BSDE
+    estimates, job ``q * N + i`` being cost player i's in pair q."""
     grid = cfg.grid()
     noise = _noise(cfg, spec)
     N = spec.n_players
     targets = [(h, d) for h in range(N) for d in dirs]
     names = [name for _ in range(N) for name in cfg.directions[:len(dirs)]]
     ens = simulate_paths(spec, controls, grid, noise)
-    read = sorted({t for pair in pair_targets for t in pair})
-    sens = dict(zip(read, propagate_sensitivities(
-        spec, ens, [targets[t] for t in read], noise)))
-    pairs = [(sens[a], sens[b]) for a, b in pair_targets]
+    pairs = [(targets[a], targets[b]) for a, b in pair_targets]
     first_jobs = [(i, h, d) for h, d in targets for i in range(N)]
-    second_jobs = [(i, sh, sl) for sh, sl in pairs for i in range(N)]
+    second_jobs = [(i, *pair) for pair in pairs for i in range(N)]
     (sv, zos), _ = deriv_mod.sens_derivatives(spec, ens, noise, first_jobs,
                                               second_jobs)
     (bs, bsdes), _ = deriv_mod.bsde_derivatives(
@@ -410,10 +405,10 @@ def _cmd_cross_check(cfg: ExperimentConfig, tables: Path):
         rows.append(["first", i, h, -1, name, "", fd.value, sv.value,
                      bs.value, float("nan"), int(good)])
 
-    for q, (sh, sl) in enumerate(pairs):
+    for q, ((h, dir_h), (l, dir_l)) in enumerate(pairs):
         fd_q, _ = deriv_mod.second_derivative_fd_sweep(
-            spec, controls, sh.perturbed_player, sl.perturbed_player,
-            sh.direction, sl.direction, grid, noise, cfg.eps_schedule)
+            spec, controls, h, l, dir_h, dir_l, grid, noise,
+            cfg.eps_schedule)
         for i, fd in enumerate(fd_q):
             zo, bs = zos[q * N + i], bsdes[q * N + i]
             tol_fz = 5.0 * (fd.std_error + zo.std_error) + 20.0 * eps_min
@@ -422,10 +417,9 @@ def _cmd_cross_check(cfg: ExperimentConfig, tables: Path):
             good = (_agree(fd, zo, tol_fz) and _agree(fd, bs, tol_fb)
                     and _agree(bs, zo, tol_bz))
             ok = ok and good
-            rows.append(["second", i, sh.perturbed_player,
-                         sl.perturbed_player, dir_names[0],
-                         dir_names[d1], fd.value, float("nan"), bs.value,
-                         zo.value, int(good)])
+            rows.append(["second", i, h, l, dir_names[0], dir_names[d1],
+                         fd.value, float("nan"), bs.value, zo.value,
+                         int(good)])
     _write_csv(tables / "cross_check.csv",
                ["order", "i", "h", "l", "dir_h", "dir_l", "fd", "sens",
                 "bsde", "z_oracle", "agree"], rows)

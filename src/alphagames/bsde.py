@@ -44,8 +44,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .model import GameSpec, NoiseBundle, Slice
-from .sim import (PathEnsemble, SensitivityEnsemble, VariationalCoefficients,
-                  _second_order_slices, assemble_variational)
+from .sim import (PathEnsemble, VariationalCoefficients,
+                  _second_order_slices, assemble_variational,
+                  propagate_sensitivities)
 
 __all__ = [
     "RegressionBasis",
@@ -444,11 +445,12 @@ def _adjoint_sweep(spec, ensemble, noise, basis, players, second=()):
 
 
 def trace_duality(spec: GameSpec, ensemble: PathEnsemble, noise: NoiseBundle,
-                  basis: RegressionBasis, player: int,
-                  sens_h: SensitivityEnsemble, sens_l: SensitivityEnsemble):
+                  basis: RegressionBasis, player: int, target_h, target_l):
     """Defect of the product-trace identity between ``player``'s matrix
     adjoint P (dP = Theta dt + sum_j Q^j dW^j, Theta minus its driver)
-    and the outer product Y = y_l y_h' of two first-order responses
+    and the outer product Y = y_l y_h' of the first-order responses to
+    the (player, direction) targets ``target_h`` = (h, dir_h) and
+    ``target_l`` = (l, dir_l), built on the ensemble in one forward pass
     (dY = Phi dt + sum_j Psi^j dW^j, by the product rule):
     E tr[P_T Y_T] - E tr[P_0 Y_0] equals the expected time integral of
     tr[Theta Y + P Phi + sum_j Q^j Psi^j].
@@ -458,22 +460,24 @@ def trace_duality(spec: GameSpec, ensemble: PathEnsemble, noise: NoiseBundle,
     is kept.  Driver j moves response component j only, so Y's
     diffusion is Psi^j = e_j a_j y_h' + y_l b_j e_j' with a_j, b_j the
     two responses' loadings on driver j.  Returns (residual, se)."""
-    h, l = sens_h.perturbed_player, sens_l.perturbed_player
+    (h, dir_h), (l, dir_l) = target_h, target_l
     N, dt = spec.n_players, ensemble.grid.dt
+    resp_h, resp_l = propagate_sensitivities(spec, ensemble,
+                                             [target_h, target_l], noise)
 
     def pair(mat, k):
         """tr[mat Y_k] = y_h' mat y_l, per path."""
-        return np.einsum("pa,pab,pb->p", sens_h.values[:, k], mat,
-                         sens_l.values[:, k], optimize=False)
+        return np.einsum("pa,pab,pb->p", resp_h[:, k], mat, resp_l[:, k],
+                         optimize=False)
 
     sweep = _adjoint_sweep(spec, ensemble, noise, basis, [player], [player])
     per_path = pair(next(sweep)[1][:, 0], -1)
     for step in sweep:
         k, vc = step.k, step.vc
         t = ensemble.grid.nodes[k]
-        yh, yl = sens_h.values[:, k], sens_l.values[:, k]
-        du_h = sens_h.direction(t, k, noise.increments)
-        du_l = sens_l.direction(t, k, noise.increments)
+        yh, yl = resp_h[:, k], resp_l[:, k]
+        du_h = dir_h(t, k, noise.increments)
+        du_l = dir_l(t, k, noise.increments)
         B0 = vc.drift_state()
         rows = np.stack([vc.diffusion_row(j) for j in range(N)], axis=1)
         # each response's drift and its loading on each private driver

@@ -13,15 +13,18 @@ Each route has one implementation and one call shape.  The FD sweeps
 yield every cost player's estimate at once.  The SENS and BSDE routes
 are one driver each, ``sens_derivatives`` and ``bsde_derivatives``,
 and take the same two job lists: first-order jobs ``(i, h, direction)``
-and second-order jobs ``(i, sens_h, sens_l)``.  Each runs every job in
-one time sweep that evaluates each step's partials and each distinct
-direction once, adds each step's integrands into per-path sums as they
-are solved, and returns ``((first, second), (first_pathwise,
-second_pathwise))`` keyed by job index.  The SENS driver contracts its
-jobs inside the one forward sweep that steps their responses, so no
-response of that sweep is stored; the BSDE driver contracts them
-inside the one backward sweep that solves their adjoints, so neither
-an adjoint nor an integrand history is stored.
+and second-order jobs ``(i, (h, dir_h), (l, dir_l))``.  A job names
+(player, direction) targets, never a stored response, so each driver
+builds every response it reads from its own ensemble.  Each runs every
+job in one time sweep that evaluates each step's partials and each
+distinct direction once, adds each step's integrands into per-path
+sums as they are solved, and returns ``((first, second),
+(first_pathwise, second_pathwise))`` keyed by job index.  The SENS
+driver contracts its jobs inside the one forward sweep that steps
+their responses, so it stores no response; the BSDE driver stores the
+responses its second-order jobs read, then contracts every job inside
+the one backward sweep that solves their adjoints, so neither an
+adjoint nor an integrand history is stored.
 
 All dt-integrals use the left endpoint, matching the Euler filtration.
 Standard errors always come from pathwise differences, never from
@@ -38,7 +41,7 @@ from .bsde import RegressionBasis, _adjoint_sweep
 from .model import (Control, ControlProfile, GameSpec, NoiseBundle, Slice,
                     TimeGrid)
 from .sim import (PathEnsemble, _bilinear_sources, _direction_values, _dot,
-                  _forward, simulate_cost_batch)
+                  _forward, propagate_sensitivities, simulate_cost_batch)
 
 __all__ = [
     "DerivativeEstimate",
@@ -186,49 +189,58 @@ def second_derivative_fd_sweep(spec: GameSpec, controls: ControlProfile,
     return out, pathwise
 
 
-def _pair_players(pairs) -> list:
-    """(h, l) of each (sens_h, sens_l) pair; the players must differ."""
-    players = [(sh.perturbed_player, sl.perturbed_player) for sh, sl in pairs]
-    if any(h == l for h, l in players):
-        raise ValueError("mixed second derivative requires distinct players")
-    return players
+def _job_targets(first_jobs, second_jobs):
+    """The distinct (player, direction) targets the jobs read, keyed by
+    (h, id(direction)) in order of first use: a first-order job ``(i,
+    h, d)`` reads one, a second-order job ``(i, (h, dh), (l, dl))`` two
+    of distinct players and the mixed response of their pair, built
+    with the lower player's target first, so a swapped job shares it.
+    Returns the targets, the distinct pairs as target indices, each
+    first-order job's target and each second-order job's (a, b, q): its
+    two targets in job order and its pair."""
+    index, pairs = {}, {}
+
+    def target(h, d):
+        return index.setdefault((h, id(d)), (len(index), (h, d)))[0]
+
+    first = [target(h, d) for _, h, d in first_jobs]
+    second = []
+    for _, (h, dh), (l, dl) in second_jobs:
+        if h == l:
+            raise ValueError(
+                "mixed second derivative requires distinct players")
+        a, b = target(h, dh), target(l, dl)
+        second.append((a, b, pairs.setdefault((a, b) if h < l else (b, a),
+                                              len(pairs))))
+    return [t for _, t in index.values()], list(pairs), first, second
 
 
 def sens_derivatives(spec: GameSpec, ensemble: PathEnsemble,
                      noise: NoiseBundle, first_jobs=(), second_jobs=()):
     """Forward route for every first-order job ``(i, h, direction)``
     (player i's cost in player h's direction) and second-order job ``(i,
-    sens_h, sens_l)`` (in two distinct players' stored responses), the
+    (h, dir_h), (l, dir_l))`` (in two distinct players' directions), the
     job lists of ``bsde_derivatives``.  One forward sweep steps the
-    response of each distinct (h, direction) and the mixed response of
-    each distinct pair, built with the lower player's response first,
-    so a swapped job shares it and no estimate depends on the call's
-    other jobs; each node's running-cost partials are evaluated once and
-    every job is contracted as its responses are solved.  ``SENS``: the
-    response against the cost gradients plus the direct control term.
-    ``Z-ORACLE``: the cost quadratic forms in the two responses and
-    directions plus the cost gradients against the mixed response.
+    response of each distinct (player, direction) target and the mixed
+    response of each distinct pair, so a swapped job shares it and no
+    estimate depends on the call's other jobs; each node's running-cost
+    partials are evaluated once and every job is contracted as its
+    responses are solved.  ``SENS``: the response against the cost
+    gradients plus the direct control term.  ``Z-ORACLE``: the cost
+    quadratic forms in the two responses and directions plus the cost
+    gradients against the mixed response.
 
     Returns ``((first, second), (first_pathwise, second_pathwise))``,
     each ``{job index: ...}``.
     """
     first_jobs, second_jobs = list(first_jobs), list(second_jobs)
-    hl = _pair_players([(sh, sl) for _, sh, sl in second_jobs])
-    targets, row = {}, []  # each distinct response, its jobs' index
-    for _, h, d in first_jobs:
-        row.append(targets.setdefault((h, id(d)), (len(targets), h, d))[0])
-    pairs, col = {}, []
-    for _, sh, sl in second_jobs:
-        if sh.perturbed_player > sl.perturbed_player:
-            sh, sl = sl, sh
-        col.append(pairs.setdefault((id(sh), id(sl)), (len(pairs), sh, sl))[0])
+    targets, pairs, row, col = _job_targets(first_jobs, second_jobs)
+    hl = [(h, l) for _, (h, _), (l, _) in second_jobs]
     dt = ensemble.grid.dt
     first_acc = np.zeros((len(first_jobs), ensemble.n_paths))
     second_acc = np.zeros((len(second_jobs), ensemble.n_paths))
     f, g = spec.running_cost, spec.terminal_cost
-    for k, s, dvals, y, z in _forward(
-            spec, ensemble, noise, [(h, d) for _, h, d in targets.values()],
-            [(sh, sl) for _, sh, sl in pairs.values()]):
+    for k, s, dvals, y, z in _forward(spec, ensemble, noise, targets, pairs):
         if s.u is None:
             break
         fy = f.dy(s)
@@ -238,10 +250,10 @@ def sens_derivatives(spec: GameSpec, ensemble: PathEnsemble,
                              + fu[:, i, h] * dvals[id(d)]) * dt
         fyy, fyu, fuu = ((f.dyy(s), f.dyu(s), f.duu(s)) if second_jobs
                          else (None, None, None))
-        for n, ((i, sh, sl), (h, l), q) in enumerate(zip(second_jobs, hl,
-                                                         col)):
-            yh, yl = sh.values[:, k, :], sl.values[:, k, :]
-            du_h, du_l = dvals[id(sh.direction)], dvals[id(sl.direction)]
+        for n, ((i, (h, dh), (l, dl)), (a, b, q)) in enumerate(
+                zip(second_jobs, col)):
+            yh, yl = y[:, a], y[:, b]
+            du_h, du_l = dvals[id(dh)], dvals[id(dl)]
             second_acc[n] += (np.einsum("pa,pab,pb->p", yh, fyy[:, i], yl,
                                         optimize=False)
                               + du_h * _dot(fyu[:, i, :, h], yl)
@@ -252,10 +264,9 @@ def sens_derivatives(spec: GameSpec, ensemble: PathEnsemble,
     for n, ((i, *_), r) in enumerate(zip(first_jobs, row)):
         first_acc[n] += _dot(gy[:, i], y[:, r])
     gyy = g.dyy(s) if second_jobs else None
-    for n, ((i, sh, sl), q) in enumerate(zip(second_jobs, col)):
-        second_acc[n] += np.einsum("pa,pab,pb->p", sh.values[:, -1, :],
-                                   gyy[:, i], sl.values[:, -1, :],
-                                   optimize=False)
+    for n, ((i, *_), (a, b, q)) in enumerate(zip(second_jobs, col)):
+        second_acc[n] += np.einsum("pa,pab,pb->p", y[:, a], gyy[:, i],
+                                   y[:, b], optimize=False)
         second_acc[n] += _dot(gy[:, i], z[:, q])
     first = _keyed_estimates(
         first_acc, "SENS",
@@ -293,8 +304,10 @@ def bsde_derivatives(spec: GameSpec, ensemble: PathEnsemble,
                      first_jobs=(), second_jobs=()):
     """Adjoint route for every first-order job ``(i, h, direction)``
     (player i's cost in player h's direction) and second-order job ``(i,
-    sens_h, sens_l)`` (in two distinct players' response directions).
-    One backward sweep solves every cost player's costate pair and every
+    (h, dir_h), (l, dir_l))`` (in two distinct players' directions).
+    When there are second-order jobs, one forward pass first stores the
+    first-order response of each distinct target they read.  One
+    backward sweep solves every cost player's costate pair and every
     second-order cost player's matrix adjoint; each step's layers are
     contracted into the integrands as they are solved, then dropped.
     First order: the direction times (costate against the drift control
@@ -315,7 +328,10 @@ def bsde_derivatives(spec: GameSpec, ensemble: PathEnsemble,
     each ``{job index: ...}``.
     """
     first_jobs, second_jobs = list(first_jobs), list(second_jobs)
-    hl = _pair_players([(sh, sl) for _, sh, sl in second_jobs])
+    targets, _, _, col = _job_targets((), second_jobs)
+    hl = [(h, l) for _, (h, _), (l, _) in second_jobs]
+    responses = (propagate_sensitivities(spec, ensemble, targets, noise)
+                 if second_jobs else [])
     second = sorted({i for i, _, _ in second_jobs})
     players = sorted({i for i, _, _ in first_jobs} | set(second))
     rows = sorted({(i, h) for i, h, _ in first_jobs})
@@ -335,9 +351,8 @@ def bsde_derivatives(spec: GameSpec, ensemble: PathEnsemble,
         k, vc, at = step.k, step.vc, step.vc.slice
         t = grid.nodes[k]
         dvals = _direction_values(
-            [d for *_, d in first_jobs]
-            + [sens.direction for _, *pair in second_jobs for sens in pair],
-            t, k, noise)
+            [d for *_, d in first_jobs] + [d for _, d in targets], t, k,
+            noise)
         fu = f.du(at) if rows else None
         row_terms = [step.costates[:, own[i], h] * vc.dub[:, h]
                       + vc.dus[:, h] * step.loadings[:, own[i], h]
@@ -348,12 +363,13 @@ def bsde_derivatives(spec: GameSpec, ensemble: PathEnsemble,
         cost = {i: (s, own[i], fyu[:, i], fuu[:, i])
                 for s, i in enumerate(second)}
         sources = {}
-        for n, ((i, sh, sl), (h, l)) in enumerate(zip(second_jobs, hl)):
+        for n, ((i, (h, dh), (l, dl)), (a, b, _)) in enumerate(
+                zip(second_jobs, col)):
             s, q, fyu, fuu = cost[i]
             P2 = step.matrices[:, s]
             Q2row, Q2col = (z[:, s] for z in step.matrix_loadings)
-            yh, yl = sh.values[:, k, :], sl.values[:, k, :]
-            du_h, du_l = dvals[id(sh.direction)], dvals[id(sl.direction)]
+            yh, yl = responses[a][:, k], responses[b][:, k]
+            du_h, du_l = dvals[id(dh)], dvals[id(dl)]
             dus_h, dus_l = vc.dus[:, h], vc.dus[:, l]
             term_h = (vc.dub[:, h] * _dot(P2[:, h, :], yl)
                       + dus_h * P2[:, h, h] * _dot(vc.diffusion_row(h), yl)
@@ -364,12 +380,11 @@ def bsde_derivatives(spec: GameSpec, ensemble: PathEnsemble,
                       + dus_l * _dot(yh, Q2col[:, l]))
             term_l += _dot(yh, fyu[:, :, l])
             direct = fuu[:, h, l] * du_h * du_l
-            key = (id(sh), id(sl))
-            if key not in sources:
-                sources[key] = _bilinear_sources(
+            if (a, b) not in sources:
+                sources[a, b] = _bilinear_sources(
                     step.slices, yh, yl, du_h, du_l, h, l,
                     with_joint_hessian=False)
-            drift_src, diff_src = sources[key]
+            drift_src, diff_src = sources[a, b]
             coupling = _dot(step.costates[:, q], drift_src)
             coupling += _dot(step.loadings[:, q], diff_src)
             second_acc[n] += (term_h * du_h + term_l * du_l + direct

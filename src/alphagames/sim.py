@@ -10,10 +10,12 @@ scaling pass consume it without storing a trajectory.
 on the same increments, with one linearization per step for the stack.
 ``_forward``, the twin of ``bsde._adjoint_sweep``, is the one forward
 sweep of the linearized system over a stored ensemble: it steps the
-first-order and the mixed second-order responses and yields both
-stacks at every node.  ``propagate_sensitivities`` stores the
-first-order histories; ``derivatives.sens_derivatives`` contracts
-every response as it is solved and stores none.
+first-order responses to (player, direction) targets and the mixed
+second-order responses of pairs of them, named by target index, and
+yields both stacks at every node.  ``propagate_sensitivities`` stores
+the first-order histories, for the backward sweep that reads them in
+reverse; ``derivatives.sens_derivatives`` contracts every response as
+it is solved and stores none.
 """
 
 from __future__ import annotations
@@ -23,17 +25,14 @@ from typing import Optional
 
 import numpy as np
 
-from .model import (Control, ControlProfile, GameSpec, NoiseBundle, Slice,
-                    TimeGrid)
+from .model import ControlProfile, GameSpec, NoiseBundle, Slice, TimeGrid
 
 __all__ = [
     "PathEnsemble",
-    "SensitivityEnsemble",
     "VariationalCoefficients",
     "simulate_paths",
     "simulate_cost_batch",
     "assemble_variational",
-    "propagate_sensitivity",
     "propagate_sensitivities",
     "empirical_moment",
 ]
@@ -51,17 +50,6 @@ class PathEnsemble:
     @property
     def n_paths(self) -> int:
         return self.states.shape[0]
-
-
-@dataclass(frozen=True)
-class SensitivityEnsemble:
-    """Pathwise derivative of the state in one player's control direction."""
-
-    values: np.ndarray  # (P, M+1, N)
-    perturbed_player: int
-    direction: Control
-    grid: TimeGrid
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -261,25 +249,14 @@ def propagate_sensitivities(spec: GameSpec, ensemble: PathEnsemble, targets,
 
     ``targets`` is a list of (player, direction) pairs; all responses
     share one forward sweep, so the linearization is assembled once per
-    step, and each response's history is stored.
+    step.  Returns each target's response history, (P, M+1, N).
     """
     targets = list(targets)
     N, M, P = spec.n_players, ensemble.grid.n_steps, ensemble.n_paths
     Y = np.empty((P, M + 1, len(targets), N))
     for k, _, _, y, _ in _forward(spec, ensemble, noise, targets):
         Y[:, k] = y
-    return [SensitivityEnsemble(values=Y[:, :, d, :],
-                                perturbed_player=h, direction=direction,
-                                grid=ensemble.grid, seed=ensemble.seed)
-            for d, (h, direction) in enumerate(targets)]
-
-
-def propagate_sensitivity(spec: GameSpec, ensemble: PathEnsemble, h: int,
-                          direction: Control,
-                          noise: NoiseBundle) -> SensitivityEnsemble:
-    """Single-target convenience wrapper around the shared sweep."""
-    return propagate_sensitivities(spec, ensemble, [(h, direction)],
-                                   noise)[0]
+    return list(np.moveaxis(Y, 2, 0))
 
 
 def _second_order_slices(spec: GameSpec, sl: Slice):
@@ -327,47 +304,39 @@ def _forward(spec: GameSpec, ensemble: PathEnsemble, noise: NoiseBundle,
              targets=(), pairs=()):
     """The forward sweep of the linearized state system over a stored
     ensemble: the first-order response to each (player, direction) of
-    ``targets``, and the mixed response of each (sens_h, sens_l) of
-    ``pairs``, two distinct players' stored responses, forced
-    bilinearly in them plus the direction/state cross terms.
+    ``targets``, and the mixed response of each (a, b) of ``pairs``,
+    two targets of distinct players named by index, forced bilinearly
+    in their responses at the node plus the direction/state cross
+    terms.
 
     Yields ``(k, slice, direction values, y, z)`` at every node: the
-    values of each distinct direction keyed by identity, and the stacks
+    values of each target's direction keyed by identity, and the stacks
     ``y`` (P, R, N) and ``z`` (P, S, N); the terminal slice has no
     controls, and the terminal node no values.  The stacks are stepped,
-    as new arrays, when the next node is asked for.  Only a moving
-    stack is linearized, and only ``z`` reads second partials; affine
-    coefficients have none, so ``z`` stays zero unstepped.
+    as new arrays, when the next node is asked for.  Only ``z`` reads
+    second partials; affine coefficients have none, so ``z`` stays zero
+    unstepped.
     """
     _check_pair(ensemble, noise)
     targets, pairs = list(targets), list(pairs)
-    for sens_h, sens_l in pairs:
-        if sens_h.perturbed_player == sens_l.perturbed_player:
-            raise ValueError("mixed sensitivity requires two distinct players")
-        if sens_h.seed != ensemble.seed or sens_l.seed != ensemble.seed:
-            raise ValueError(
-                "sensitivities must be built on the same ensemble")
     grid, N, P = ensemble.grid, spec.n_players, ensemble.n_paths
     y = np.zeros((P, len(targets), N))
     z = np.zeros((P, len(pairs), N))
     mixed = bool(pairs) and not spec.has_affine_coefficients()
     forcing = (np.empty(z.shape), np.empty(z.shape)) if mixed else None
-    directions = ([d for _, d in targets]
-                  + [sens.direction for pair in pairs for sens in pair])
     for k, t in enumerate(grid.nodes[:-1]):
         x, u = ensemble.states[:, k, :], ensemble.realized_controls[:, k, :]
-        vc = assemble_variational(spec, t, x, u) if targets or mixed else None
+        vc = assemble_variational(spec, t, x, u) if targets else None
         sl = Slice(t, x, x, u) if vc is None else vc.slice
-        dvals = _direction_values(directions, t, k, noise)
+        dvals = _direction_values([d for _, d in targets], t, k, noise)
         yield k, sl, dvals, y, z
         dw = noise.increments[:, k, :N]
         if mixed:
             so = _second_order_slices(spec, sl)
-            for q, (sens_h, sens_l) in enumerate(pairs):
+            for q, (a, b) in enumerate(pairs):
+                (h, dh), (l, dl) = targets[a], targets[b]
                 forcing[0][:, q], forcing[1][:, q] = _bilinear_sources(
-                    so, sens_h.values[:, k, :], sens_l.values[:, k, :],
-                    dvals[id(sens_h.direction)], dvals[id(sens_l.direction)],
-                    sens_h.perturbed_player, sens_l.perturbed_player,
+                    so, y[:, a], y[:, b], dvals[id(dh)], dvals[id(dl)], h, l,
                     with_joint_hessian=True)
             z = _response_step(vc, z, grid.dt, dw, forcing=forcing)
         if targets:

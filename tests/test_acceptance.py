@@ -103,17 +103,16 @@ def _second_order_sweep(spec, n, controls, grid, noise, ens, dirs):
     worst = 0.0
     du, dv = dirs[0], dirs[1]
     hl = [(h, l) for h in range(n) for l in range(h + 1, n)]
-    sens = {}
+    # each player keeps the direction of its first pair: du as h, dv as l
+    direction = {}
     for h, l in hl:
-        if h not in sens:
-            sens[h] = ag.propagate_sensitivity(spec, ens, h, du, noise)
-        if l not in sens:
-            sens[l] = ag.propagate_sensitivity(spec, ens, l, dv, noise)
-    pairs = [(sens[h], sens[l]) for h, l in hl]
-    fds = [second_derivative_fd_sweep(spec, controls, h, l, sh.direction,
-                                      sl.direction, grid, noise)[0]
-           for (h, l), (sh, sl) in zip(hl, pairs)]
-    jobs = [(i, sh, sl) for i in range(n) for sh, sl in pairs]
+        direction.setdefault(h, du)
+        direction.setdefault(l, dv)
+    pairs = [((h, direction[h]), (l, direction[l])) for h, l in hl]
+    fds = [second_derivative_fd_sweep(spec, controls, h, l, dh, dl, grid,
+                                      noise)[0]
+           for (h, dh), (l, dl) in pairs]
+    jobs = [(i, *pair) for i in range(n) for pair in pairs]
     (_, zos), _ = sens_derivatives(spec, ens, noise, second_jobs=jobs)
     (_, bss), _ = bsde_derivatives(spec, ens, noise, ag.RegressionBasis(),
                                    second_jobs=jobs)
@@ -236,10 +235,8 @@ def test_criterion_06_trace_duality():
     prof = ag.ControlProfile.constants([0.1, -0.1])
     ens = ag.simulate_paths(spec, prof, grid, noise)
     d1, d2 = ag.direction_dictionary(1.0)[:2]
-    sh = ag.propagate_sensitivity(spec, ens, 0, d1, noise)
-    sl = ag.propagate_sensitivity(spec, ens, 1, d2, noise)
     res, se = ag.trace_duality(spec, ens, noise, ag.RegressionBasis(), 0,
-                               sh, sl)
+                               (0, d1), (1, d2))
     tol = 3 * se + 5 * grid.dt
     ok = res <= tol
     report(6, ok, f"product-trace residual {res:.5f} vs tolerance {tol:.5f} "
@@ -303,7 +300,7 @@ def test_criterion_09_moment_bounds():
         prof = ag.ControlProfile.constants([0.3, -0.3])
         ens = ag.simulate_paths(spec, prof, grid, noise)
         d = ag.Control.constant(1.0)
-        sens = ag.propagate_sensitivity(spec, ens, 0, d, noise)
+        sens, = ag.propagate_sensitivities(spec, ens, [(0, d)], noise)
         for p in (2, 4):
             xi = [s.moment(p) for s in spec.initial_samplers]
             un = [prof.h2_norm_estimate(grid, noise, i, p) ** p
@@ -314,7 +311,7 @@ def test_criterion_09_moment_bounds():
                 worst = max(worst, emp / caps["C_X"][i])
                 scap = ag.sensitivity_moment_bound(ledger, p, 1.0, 1.0, 0,
                                                    i, 2)
-                semp = np.max(np.mean(np.abs(sens.values[:, :, i]) ** p,
+                semp = np.max(np.mean(np.abs(sens[:, :, i]) ** p,
                                       axis=0))
                 if scap > 0 or semp > 0:
                     worst = max(worst, semp / scap)

@@ -347,12 +347,12 @@ class TestMomentBounds:
                 assert emp <= caps["C_X"][i]
         # sensitivity moments against their closed-form cap
         d = ag.Control.constant(1.0)
-        sens = ag.propagate_sensitivity(spec, ens, 0, d, noise)
+        sens, = ag.propagate_sensitivities(spec, ens, [(0, d)], noise)
         for p in (2, 4):
             for i in range(2):
                 cap = ag.sensitivity_moment_bound(ledger, p, 1.0, 1.0, 0, i,
                                                   2)
-                emp = np.max(np.mean(np.abs(sens.values[:, :, i]) ** p,
+                emp = np.max(np.mean(np.abs(sens[:, :, i]) ** p,
                                      axis=0))
                 assert emp <= cap
 

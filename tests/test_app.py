@@ -207,9 +207,10 @@ class TestSubcommands:
         # matrix fit's residual exists only where matrix layers are solved
         base = {"preset": "tanh-coupled", "players": 2, "steps": 6,
                 "paths": 400, "anchors": ["constant:0.5"],
-                "directions": ["const", "ramp"], "quad_order": 2}
+                "directions": ["const", "ramp"], "quad_order": 2,
+                "method": "BSDE"}
         for sub, matrices in (("deriv", False), ("cross-check", True),
-                              ("potential", False)):
+                              ("potential", False), ("alpha", True)):
             cfg = ExperimentConfig.from_dict(dict(base,
                                                   out=str(tmp_path / sub)))
             fits = run(cfg, sub)["results"]["bsde_regression"]
@@ -243,6 +244,47 @@ class TestSubcommands:
         rep = run(cfg, "deriv")
         assert not rep["passed"] and not rep["results"]["all_agree"]
         assert main(["deriv", "--config", str(path)]) == 1
+
+    def test_cross_check_fails_on_a_disagreeing_route(self, tmp_path,
+                                                      monkeypatch):
+        # a second-order route that drifts off the other two fails the
+        # run and exits 1
+        path, _ = write_config(tmp_path, directions=["const", "ramp"])
+        cfg = ExperimentConfig.from_file(str(path))
+        rep = run(cfg, "cross-check")
+        assert rep["passed"] and rep["results"]["all_agree"]
+        sens = derivatives.sens_derivatives
+
+        def shifted(*args, **kwargs):
+            (first, second), pathwise = sens(*args, **kwargs)
+            return (first, {
+                key: dataclasses.replace(est, value=est.value + 1.0)
+                for key, est in second.items()}), pathwise
+
+        monkeypatch.setattr(derivatives, "sens_derivatives", shifted)
+        rep = run(cfg, "cross-check")
+        assert not rep["passed"] and not rep["results"]["all_agree"]
+        assert main(["cross-check", "--config", str(path)]) == 1
+
+    def test_scaling_fails_without_decay(self, tmp_path, monkeypatch):
+        # an asymmetry that does not decay in N leaves the slope band,
+        # which fails the run and exits 1
+        path, _ = write_config(tmp_path, steps=6, paths=200,
+                               scaling_players=[4, 8, 16],
+                               directions=["const"])
+        cfg = ExperimentConfig.from_file(str(path))
+        rep = run(cfg, "scaling")
+        assert rep["passed"] and rep["results"]["decay_ok"]
+
+        def flat(spec, *args):
+            n = spec.n_players
+            return (np.ones((n, n)) - np.eye(n)) / (n - 1), np.zeros((n, n))
+
+        monkeypatch.setattr(alpha, "pairwise_quadratic_asymmetry", flat)
+        rep = run(cfg, "scaling")
+        assert rep["results"]["alpha_empirical"] == [2.0, 2.0, 2.0]
+        assert not rep["passed"] and not rep["results"]["decay_ok"]
+        assert main(["scaling", "--config", str(path)]) == 1
 
     def test_potential_value_matches_library(self, tmp_path):
         # the subcommand reads the profile's potential off the deviation

@@ -463,17 +463,15 @@ class TestStackedMartingaleFit:
 
 
 def trace_case(preset, paths=2000, steps=10, **params):
-    """Ensemble, noise and two players' responses for the product-trace
-    identity of player 0's matrix adjoint."""
+    """Ensemble, noise and two players' (player, direction) targets for
+    the product-trace identity of player 0's matrix adjoint."""
     spec, _ = ag.build_preset(preset, 2, **params)
     grid = ag.TimeGrid(steps, 1.0)
     noise = ag.NoiseBundle.generate(11, grid, paths, spec.n_drivers)
     prof = ag.ControlProfile.constants([0.1, -0.1])
     ens = ag.simulate_paths(spec, prof, grid, noise)
     d1, d2 = ag.direction_dictionary(1.0)[:2]
-    sh = ag.propagate_sensitivity(spec, ens, 0, d1, noise)
-    sl = ag.propagate_sensitivity(spec, ens, 1, d2, noise)
-    return spec, ens, noise, sh, sl
+    return spec, ens, noise, (0, d1), (1, d2)
 
 
 LQ_TRACE = {"D": 0.4, "Qhat": [0.8, 1.2], "G": [1.0, 0.6]}
@@ -487,23 +485,24 @@ class TestTraceDuality:
     def test_pinned_residuals(self, preset, params, want):
         # (residual, se) of the earlier whole-grid computation, which
         # stored both adjoints and the outer product's Ito decomposition
-        spec, ens, noise, sh, sl = trace_case(preset, **params)
+        spec, ens, noise, th, tl = trace_case(preset, **params)
         got = ag.trace_duality(spec, ens, noise, ag.RegressionBasis(), 0,
-                               sh, sl)
+                               th, tl)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_memory_below_one_grid_buffer(self):
-        # streamed: nothing of size (P, M+1, N, N) is ever held
+        # streamed: nothing of size (P, M+1, N, N) is ever held beside
+        # the two (P, M+1, N) response histories the call builds
         P, M, N = 1000, 100, 2
-        spec, ens, noise, sh, sl = trace_case("lq", P, M, **LQ_TRACE)
+        spec, ens, noise, th, tl = trace_case("lq", P, M, **LQ_TRACE)
         tracemalloc.start()
         try:
             ag.trace_duality(spec, ens, noise, ag.RegressionBasis(), 0,
-                             sh, sl)
+                             th, tl)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < P * (M + 1) * N * N * 8
+        assert peak < 2 * P * (M + 1) * N * 8 + P * (M + 1) * N * N * 8
 
     def test_lq_adjoint_outer_product_pair(self):
         spec, _ = ag.build_lq_game(2, D=0.4, Qhat=[0.8, 1.2], G=[1.0, 0.6])
@@ -512,10 +511,8 @@ class TestTraceDuality:
         prof = ag.ControlProfile.constants([0.1, -0.1])
         ens = ag.simulate_paths(spec, prof, grid, noise)
         d1, d2 = ag.direction_dictionary(1.0)[:2]
-        sh = ag.propagate_sensitivity(spec, ens, 0, d1, noise)
-        sl = ag.propagate_sensitivity(spec, ens, 1, d2, noise)
         res, se = ag.trace_duality(spec, ens, noise, ag.RegressionBasis(), 0,
-                                   sh, sl)
+                                   (0, d1), (1, d2))
         assert res <= 3 * se + 5 * grid.dt
 
 

@@ -241,14 +241,13 @@ class TestSecondDerivatives:
                                         noise)[0][0]
         assert abs(fd.value - 1.0) < 1e-4
         ens = ag.simulate_paths(spec, prof, grid, noise)
-        sh = ag.propagate_sensitivity(spec, ens, 0, d, noise)
-        sl = ag.propagate_sensitivity(spec, ens, 1, d, noise)
+        job = (0, (0, d), (1, d))
         (_, zos), _ = ag.sens_derivatives(spec, ens, noise,
-                                          second_jobs=[(0, sh, sl)])
+                                          second_jobs=[job])
         assert np.isclose(zos[0].value, 1.0)
         (_, second), _ = ag.bsde_derivatives(spec, ens, noise,
                                              ag.RegressionBasis(),
-                                             second_jobs=[(0, sh, sl)])
+                                             second_jobs=[job])
         bs = second[0]
         assert abs(bs.value - 1.0) < 1e-5
 
@@ -267,16 +266,13 @@ class TestSecondDerivatives:
         du = ag.Control.constant(1.0)
         dv = ag.direction_dictionary(1.0)[1]
         h, l = 0, 2
-        sh = ag.propagate_sensitivity(spec, ens, h, du, noise)
-        sl = ag.propagate_sensitivity(spec, ens, l, dv, noise)
         eps_min = min(EPS_SCHEDULE)
         fds, _ = second_derivative_fd_sweep(spec, controls, h, l, du, dv,
                                             grid, noise)
-        (_, zos), _ = ag.sens_derivatives(
-            spec, ens, noise, second_jobs=[(i, sh, sl) for i in range(3)])
+        jobs = [(i, (h, du), (l, dv)) for i in range(3)]
+        (_, zos), _ = ag.sens_derivatives(spec, ens, noise, second_jobs=jobs)
         (_, bss), _ = ag.bsde_derivatives(spec, ens, noise, basis,
-                                          second_jobs=[(i, sh, sl)
-                                                       for i in range(3)])
+                                          second_jobs=jobs)
         for i in range(3):
             fd = fds[i]
             zo = zos[i]
@@ -292,12 +288,11 @@ class TestSecondDerivatives:
         spec, grid, noise, controls, ens = tanh_setup
         du = ag.Control.constant(1.0)
         dv = ag.direction_dictionary(1.0)[1]
-        sh = ag.propagate_sensitivity(spec, ens, 0, du, noise)
-        sl = ag.propagate_sensitivity(spec, ens, 1, dv, noise)
+        th, tl = (0, du), (1, dv)
         # one call per orientation, so each builds its own mixed response
         z1, z2 = (ag.sens_derivatives(spec, ens, noise,
                                       second_jobs=[(0, *pair)])[0][1][0]
-                  for pair in ((sh, sl), (sl, sh)))
+                  for pair in ((th, tl), (tl, th)))
         assert abs(z1.value - z2.value) <= 1e-10
         fd1 = second_derivative_fd_sweep(spec, controls, 0, 1, du, dv, grid,
                                          noise)[0][0]
@@ -375,17 +370,16 @@ class TestSweepHelpers:
 
 def _second_order_case(preset, n, **params):
     """Small ensemble with every ordered pair of distinct players'
-    responses over two directions, in both orientations."""
+    (player, direction) targets over two directions, in both
+    orientations."""
     spec, _ = ag.build_preset(preset, n, **params)
     grid = ag.TimeGrid(8, 1.0)
     noise = ag.NoiseBundle.generate(6, grid, 600, spec.n_drivers)
     prof = ag.ControlProfile.constants([0.2 - 0.15 * i for i in range(n)])
     ens = ag.simulate_paths(spec, prof, grid, noise)
     dirs = ag.direction_dictionary(1.0)[:2]
-    sens = ag.propagate_sensitivities(
-        spec, ens, [(h, d) for h in range(n) for d in dirs], noise)
-    pairs = [(sh, sl) for sh in sens for sl in sens
-             if sh.perturbed_player != sl.perturbed_player]
+    targets = [(h, d) for h in range(n) for d in dirs]
+    pairs = [(th, tl) for th in targets for tl in targets if th[0] != tl[0]]
     return spec, prof, ens, noise, pairs
 
 
@@ -399,7 +393,7 @@ class TestSecondOrderEngine:
                                                            **params)
         basis = ag.RegressionBasis()
         mixed = mixed_histories(spec, ens, noise, pairs)
-        jobs = [(i, sh, sl) for i in range(n) for sh, sl in pairs]
+        jobs = [(i, th, tl) for i in range(n) for th, tl in pairs]
         _, (_, zo) = ag.sens_derivatives(spec, ens, noise, second_jobs=jobs)
         _, (_, bs) = ag.bsde_derivatives(spec, ens, noise, basis,
                                          second_jobs=jobs)
@@ -426,7 +420,7 @@ class TestSecondOrderEngine:
                                                            **params)
         dirs = ag.direction_dictionary(1.0)[:2]
         first = [(i, h, d) for i in range(n) for h in range(n) for d in dirs]
-        second = [(i, sh, sl) for i in range(n) for sh, sl in pairs]
+        second = [(i, th, tl) for i in range(n) for th, tl in pairs]
         _, (fpw, spw) = ag.sens_derivatives(spec, ens, noise, first, second)
         assert sorted(fpw) == list(range(len(first)))
         assert sorted(spw) == list(range(len(second)))
@@ -462,21 +456,26 @@ class TestSecondOrderEngine:
         M = ens.grid.n_steps
         # every cost player's first- and second-order jobs in one sweep
         # of each route; solving each player's adjoints apart and
-        # contracting them again linearized 7M times
+        # contracting them again linearized 7M times.  The BSDE route
+        # first stores the responses its second-order jobs read, in one
+        # forward pass of M more linearizations
         first = [(i, h, d) for i in range(3) for h in range(3) for d in dirs]
-        second = [(i, sh, sl) for i in range(3) for sh, sl in pairs]
-        for driver, args in ((ag.sens_derivatives, ()),
-                             (ag.bsde_derivatives, (ag.RegressionBasis(),))):
+        second = [(i, th, tl) for i in range(3) for th, tl in pairs]
+        for driver, args, linearizations in (
+                (ag.sens_derivatives, (), M),
+                (ag.bsde_derivatives, (ag.RegressionBasis(),), 2 * M)):
             calls.update({"linearization": 0, "second partials": 0})
             driver(spec, ens, noise, *args, first, second)
-            assert calls == {"linearization": M, "second partials": M}
-        # affine coefficients: the mixed responses vanish, and the stored
-        # responses the jobs name need no stepping
+            assert calls == {"linearization": linearizations,
+                             "second partials": M}
+        # affine coefficients: the mixed responses vanish unstepped; the
+        # first-order responses the jobs name are stepped in the sweep
         spec, prof, ens, noise, pairs = _second_order_case("lq", 2, D=0.4)
         calls.update({"linearization": 0, "second partials": 0})
         ag.sens_derivatives(spec, ens, noise, second_jobs=[
-            (i, sh, sl) for i in range(2) for sh, sl in pairs])
-        assert calls == {"linearization": 0, "second partials": 0}
+            (i, th, tl) for i in range(2) for th, tl in pairs])
+        assert calls == {"linearization": ens.grid.n_steps,
+                         "second partials": 0}
 
 
 class TestAdjointSweep:
@@ -491,7 +490,7 @@ class TestAdjointSweep:
         jobs = [(i, h, d) for i in range(n) for h in range(n) for d in dirs]
         _, (first, _) = ag.bsde_derivatives(
             spec, ens, noise, basis, first_jobs=jobs,
-            second_jobs=[(i, sh, sl) for i in range(n) for sh, sl in pairs])
+            second_jobs=[(i, th, tl) for i in range(n) for th, tl in pairs])
         assert sorted(first) == list(range(len(jobs)))
         for n_job, job in enumerate(jobs):
             _, (one, _) = ag.bsde_derivatives(spec, ens, noise, basis,
@@ -500,10 +499,10 @@ class TestAdjointSweep:
 
     def test_jobs_need_distinct_players(self):
         spec, prof, ens, noise, pairs = _second_order_case("lq", 2)
-        sh = pairs[0][0]
+        th = pairs[0][0]
         with pytest.raises(ValueError):
             ag.bsde_derivatives(spec, ens, noise, ag.RegressionBasis(),
-                                second_jobs=[(0, sh, sh)])
+                                second_jobs=[(0, th, th)])
 
 
 def _cross_check_jobs(spec, ens, noise):
@@ -512,9 +511,8 @@ def _cross_check_jobs(spec, ens, noise):
     in each pair of distinct players' responses (9 second-order jobs)."""
     dirs = ag.direction_dictionary(1.0)[:2]
     targets = [(h, d) for h in range(3) for d in dirs]
-    sens = ag.propagate_sensitivities(spec, ens, targets, noise)
     first = [(i, h, d) for h, d in targets for i in range(3)]
-    second = [(i, sens[2 * h], sens[2 * l + 1]) for h in range(3)
+    second = [(i, targets[2 * h], targets[2 * l + 1]) for h in range(3)
               for l in range(h + 1, 3) for i in range(3)]
     return first, second
 
@@ -522,7 +520,9 @@ def _cross_check_jobs(spec, ens, noise):
 class TestStreamedSweep:
     def test_memory_below_one_integrand_history(self):
         # the integrands are summed as they are solved, so no (jobs, M,
-        # P) history of them is held
+        # P) history of them is held beside the four (P, M+1, N)
+        # response histories the second-order jobs read, which the call
+        # builds
         P, M = 1000, 200
         spec, _ = ag.build_tanh_game(3)
         grid = ag.TimeGrid(M, 1.0)
@@ -539,7 +539,7 @@ class TestStreamedSweep:
             rise = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert rise < len(second) * M * P * 8
+        assert rise < len(second) * M * P * 8 + 4 * P * (M + 1) * 3 * 8
 
     def test_sens_memory_below_one_mixed_history(self):
         # every response of the forward sweep is contracted as it is
@@ -560,6 +560,29 @@ class TestStreamedSweep:
         finally:
             tracemalloc.stop()
         assert rise < 3 * P * (M + 1) * 3 * 8
+
+    def test_sens_second_order_job_holds_no_history(self):
+        # a second-order job names its two (player, direction) targets,
+        # whose responses the sweep steps and contracts node by node, so
+        # not one (P, M+1, N) history is held.  One step's partials and
+        # cost Hessians come to about two histories at M = 40, so the
+        # grid is long enough for a history to stand out
+        P, M, N = 2000, 200, 3
+        spec, _ = ag.build_tanh_game(N)
+        grid = ag.TimeGrid(M, 1.0)
+        noise = ag.NoiseBundle.generate(3, grid, P, N)
+        ens = ag.simulate_paths(spec, ag.ControlProfile.constants(
+            [0.5, 0.3, 0.1]), grid, noise)
+        dirs = ag.direction_dictionary(1.0)[:2]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ag.sens_derivatives(spec, ens, noise, second_jobs=[
+                (0, (0, dirs[0]), (1, dirs[1]))])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < P * (M + 1) * N * 8
 
     def test_fits_only_the_martingale_columns_read(self, monkeypatch):
         # per step: Q*N costate columns and 2*S*N*N matrix columns (63 at

@@ -23,13 +23,20 @@ def make_game(n, drift=None, diffusion=None, xi=0.0, horizon=1.0):
 
 
 def mixed_histories(spec, ens, noise, pairs):
-    """(S, P, M+1, N): each pair's mixed response at every node, read
-    from the forward sweep."""
+    """(S, P, M+1, N): the mixed response of each pair of (player,
+    direction) targets at every node, read from the forward sweep."""
     out = np.empty((len(pairs), ens.n_paths, ens.grid.n_steps + 1,
                     spec.n_players))
-    for k, *_, z in _forward(spec, ens, noise, pairs=pairs):
+    targets = [target for pair in pairs for target in pair]
+    for k, *_, z in _forward(spec, ens, noise, targets,
+                             [(2 * q, 2 * q + 1) for q in range(len(pairs))]):
         out[:, :, k] = z.transpose(1, 0, 2)
     return out
+
+
+def response(spec, ens, h, direction, noise):
+    """(P, M+1, N): the first-order response history to one target."""
+    return ag.propagate_sensitivities(spec, ens, [(h, direction)], noise)[0]
 
 
 CONTROL_DRIFT = Coefficient(value=lambda s: s.u,
@@ -218,8 +225,8 @@ class TestSensitivity:
         grid = ag.TimeGrid(10, 1.0)
         noise = ag.NoiseBundle.generate(3, grid, 100, 2)
         ens = ag.simulate_paths(spec, ag.ControlProfile.zeros(2), grid, noise)
-        sens = ag.propagate_sensitivity(spec, ens, 0, ag.Control.zero(), noise)
-        assert np.all(sens.values == 0.0)
+        sens = response(spec, ens, 0, ag.Control.zero(), noise)
+        assert np.all(sens == 0.0)
 
     def test_forced_ramp(self):
         spec = make_game(2, drift=CONTROL_DRIFT, diffusion=UNIT_DIFFUSION)
@@ -227,11 +234,10 @@ class TestSensitivity:
         noise = ag.NoiseBundle.generate(3, grid, 64, 2)
         prof = ag.ControlProfile.zeros(2)
         ens = ag.simulate_paths(spec, prof, grid, noise)
-        sens = ag.propagate_sensitivity(spec, ens, 0,
-                                        ag.Control.constant(1.0), noise)
+        sens = response(spec, ens, 0, ag.Control.constant(1.0), noise)
         for k, t in enumerate(grid.nodes):
-            assert np.allclose(sens.values[:, k, 0], t)
-            assert np.all(sens.values[:, k, 1] == 0.0)
+            assert np.allclose(sens[:, k, 0], t)
+            assert np.all(sens[:, k, 1] == 0.0)
 
     def test_matches_resimulation_difference(self):
         spec, _ = ag.build_tanh_game(3)
@@ -242,11 +248,11 @@ class TestSensitivity:
         ens = ag.simulate_paths(spec, prof, grid, noise)
         h, eps = 1, 1e-3
         direction = ag.Control.constant(1.0)
-        sens = ag.propagate_sensitivity(spec, ens, h, direction, noise)
+        sens = response(spec, ens, h, direction, noise)
         up = ag.simulate_paths(spec, prof.perturbed(h, direction, eps),
                                grid, noise)
         fd = (up.states - ens.states) / eps
-        gap = np.abs(sens.values - fd)
+        gap = np.abs(sens - fd)
         se = gap.std() / np.sqrt(P)
         assert gap.max() <= 3 * se + 10 * eps
 
@@ -259,11 +265,10 @@ class TestSensitivity:
         d1 = ag.Control.constant(1.0)
         d2 = ag.Control.from_time_function(lambda t: np.sin(t))
         combo = 2.0 * d1 + (-0.5) * d2
-        y1 = ag.propagate_sensitivity(spec, ens, 0, d1, noise)
-        y2 = ag.propagate_sensitivity(spec, ens, 0, d2, noise)
-        yc = ag.propagate_sensitivity(spec, ens, 0, combo, noise)
-        assert np.allclose(yc.values, 2.0 * y1.values - 0.5 * y2.values,
-                           rtol=1e-12, atol=1e-12)
+        y1 = response(spec, ens, 0, d1, noise)
+        y2 = response(spec, ens, 0, d2, noise)
+        yc = response(spec, ens, 0, combo, noise)
+        assert np.allclose(yc, 2.0 * y1 - 0.5 * y2, rtol=1e-12, atol=1e-12)
 
     def test_shared_sweep_matches_single(self):
         spec, _ = ag.build_tanh_game(2)
@@ -275,8 +280,9 @@ class TestSensitivity:
         targets = [(h, d) for h in range(2) for d in dirs]
         batch = ag.propagate_sensitivities(spec, ens, targets, noise)
         for (h, d), got in zip(targets, batch):
-            single = ag.propagate_sensitivity(spec, ens, h, d, noise)
-            assert np.allclose(got.values, single.values, rtol=0, atol=0)
+            assert got.shape == (128, 9, 2)
+            assert np.allclose(got, response(spec, ens, h, d, noise),
+                               rtol=0, atol=0)
 
 
 class TestResponseStep:
@@ -364,15 +370,15 @@ class TestSecondSensitivity:
         prof = ag.ControlProfile.zeros(2)
         ens = ag.simulate_paths(spec, prof, grid, noise)
         d = ag.Control.constant(1.0)
-        sh = ag.propagate_sensitivity(spec, ens, 0, d, noise)
-        sl = ag.propagate_sensitivity(spec, ens, 1, d, noise)
-        mixed, = mixed_histories(spec, ens, noise, [(sh, sl)])
+        mixed, = mixed_histories(spec, ens, noise, [((0, d), (1, d))])
         assert np.all(mixed == 0.0)
         assert spec.has_affine_coefficients()
 
     def test_affine_game_is_not_stepped(self, monkeypatch):
-        # no second partials, so the responses vanish: zeros are yielded
-        # for every pair without assembling a linearization
+        # no second partials, so the mixed responses vanish: zeros are
+        # yielded for every pair without evaluating a second partial;
+        # only the pairs' first-order responses are linearized, once
+        # per step
         from alphagames import sim as sim_mod
         spec, _ = ag.build_lq_game(2, D=0.2)
         grid = ag.TimeGrid(6, 1.0)
@@ -380,21 +386,25 @@ class TestSecondSensitivity:
         ens = ag.simulate_paths(spec, ag.ControlProfile.constants([0.3, -0.2]),
                                 grid, noise)
         dirs = ag.direction_dictionary(1.0)[:2]
-        sh, sl = ag.propagate_sensitivities(
-            spec, ens, [(0, dirs[0]), (1, dirs[1])], noise)
-        calls = []
+        th, tl = (0, dirs[0]), (1, dirs[1])
+        calls = {"linearization": [], "second partials": []}
 
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return assemble(*args, **kwargs)
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                calls[key].append(args[1])
+                return fn(*args, **kwargs)
+            return wrapped
 
-        assemble = sim_mod.assemble_variational
-        monkeypatch.setattr(sim_mod, "assemble_variational", counting)
-        mixed = mixed_histories(spec, ens, noise, [(sh, sl), (sl, sh)])
-        assert calls == []
+        monkeypatch.setattr(sim_mod, "assemble_variational", counting(
+            "linearization", sim_mod.assemble_variational))
+        monkeypatch.setattr(sim_mod, "_second_order_slices", counting(
+            "second partials", sim_mod._second_order_slices))
+        mixed = mixed_histories(spec, ens, noise, [(th, tl), (tl, th)])
+        assert calls == {"linearization": list(grid.nodes[:-1]),
+                         "second partials": []}
         assert len(mixed) == 2
         for m in mixed:
-            assert m.shape == sh.values.shape
+            assert m.shape == (100, 7, 2)
             assert np.all(m == 0.0) and not np.signbit(m).any()
 
     def test_zero_direction_zero(self):
@@ -403,10 +413,8 @@ class TestSecondSensitivity:
         noise = ag.NoiseBundle.generate(3, grid, 100, 2)
         prof = ag.ControlProfile.zeros(2)
         ens = ag.simulate_paths(spec, prof, grid, noise)
-        sh = ag.propagate_sensitivity(spec, ens, 0, ag.Control.zero(), noise)
-        sl = ag.propagate_sensitivity(spec, ens, 1,
-                                      ag.Control.constant(1.0), noise)
-        mixed, = mixed_histories(spec, ens, noise, [(sh, sl)])
+        mixed, = mixed_histories(spec, ens, noise, [
+            ((0, ag.Control.zero()), (1, ag.Control.constant(1.0)))])
         assert np.all(mixed == 0.0)
 
     def test_same_player_rejected(self):
@@ -416,27 +424,28 @@ class TestSecondSensitivity:
         prof = ag.ControlProfile.zeros(2)
         ens = ag.simulate_paths(spec, prof, grid, noise)
         d = ag.Control.constant(1.0)
-        sh = ag.propagate_sensitivity(spec, ens, 0, d, noise)
-        s2 = ag.propagate_sensitivity(spec, ens, 0, d, noise)
         with pytest.raises(ValueError):
-            mixed_histories(spec, ens, noise, [(sh, s2)])
+            ag.sens_derivatives(spec, ens, noise,
+                                second_jobs=[(0, (0, d), (0, d))])
 
     def test_every_pair_checked(self):
+        # a job names targets, not stored responses, so no response of
+        # another ensemble can enter; a same-player pair anywhere in
+        # the list, or noise of another seed, is refused
         spec, _ = ag.build_tanh_game(2)
         grid = ag.TimeGrid(4, 1.0)
         noise = ag.NoiseBundle.generate(3, grid, 32, 2)
         other = ag.NoiseBundle.generate(4, grid, 32, 2)
         prof = ag.ControlProfile.zeros(2)
         ens = ag.simulate_paths(spec, prof, grid, noise)
-        ens_other = ag.simulate_paths(spec, prof, grid, other)
         d = ag.Control.constant(1.0)
-        sh = ag.propagate_sensitivity(spec, ens, 0, d, noise)
-        sl = ag.propagate_sensitivity(spec, ens, 1, d, noise)
-        s2 = ag.propagate_sensitivity(spec, ens, 0, d, noise)
-        foreign = ag.propagate_sensitivity(spec, ens_other, 1, d, other)
-        for bad in ((sh, s2), (sh, foreign)):
-            with pytest.raises(ValueError):
-                mixed_histories(spec, ens, noise, [(sh, sl), bad])
+        good = (0, (0, d), (1, d))
+        for bad, bundle in (((1, (0, d), (0, d)), noise), (good, other)):
+            for driver, args in ((ag.sens_derivatives, ()),
+                                 (ag.bsde_derivatives,
+                                  (ag.RegressionBasis(),))):
+                with pytest.raises(ValueError):
+                    driver(spec, ens, bundle, *args, (), [good, bad])
 
     def test_exchange_symmetry(self):
         spec, _ = ag.build_tanh_game(3)
@@ -446,9 +455,8 @@ class TestSecondSensitivity:
         ens = ag.simulate_paths(spec, prof, grid, noise)
         du = ag.Control.constant(1.0)
         dv = ag.Control.from_time_function(lambda t: t)
-        sh = ag.propagate_sensitivity(spec, ens, 0, du, noise)
-        sl = ag.propagate_sensitivity(spec, ens, 2, dv, noise)
-        m1, m2 = mixed_histories(spec, ens, noise, [(sh, sl), (sl, sh)])
+        th, tl = (0, du), (2, dv)
+        m1, m2 = mixed_histories(spec, ens, noise, [(th, tl), (tl, th)])
         assert np.allclose(m1, m2, rtol=1e-12, atol=1e-14)
 
     def test_matches_second_difference_stencil(self):
@@ -461,9 +469,7 @@ class TestSecondSensitivity:
         eps = 1e-3
         du = ag.Control.constant(1.0)
         dv = ag.Control.from_time_function(lambda t: t)
-        sh = ag.propagate_sensitivity(spec, ens, 0, du, noise)
-        sl = ag.propagate_sensitivity(spec, ens, 1, dv, noise)
-        mixed, = mixed_histories(spec, ens, noise, [(sh, sl)])
+        mixed, = mixed_histories(spec, ens, noise, [((0, du), (1, dv))])
         pp = ag.simulate_paths(
             spec, prof.perturbed(0, du, eps).perturbed(1, dv, eps),
             grid, noise)
