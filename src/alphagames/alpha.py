@@ -24,7 +24,7 @@ from .bsde import RegressionBasis, apriori_constant
 from .derivatives import (EPS_SCHEDULE, _worst_fits, bsde_derivatives,
                           second_derivative_fd_sweep, sens_derivatives)
 from .model import (ConstantLedger, Control, ControlProfile, GameSpec,
-                    NoiseBundle, TimeGrid)
+                    NoiseBundle, Slice, TimeGrid)
 from .sim import (_euler, _response_step, assemble_variational,
                   simulate_cost_batch, simulate_paths)
 
@@ -226,7 +226,7 @@ def empirical_alpha(spec: GameSpec, anchors, dirs, grid: TimeGrid,
 def pairwise_quadratic_asymmetry(spec: GameSpec, qhat, gterm,
                                  controls: ControlProfile,
                                  direction: Control, grid: TimeGrid,
-                                 noise: NoiseBundle):
+                                 noise: NoiseBundle = None):
     """All-pairs mixed-derivative asymmetry for affine-coefficient games
     with quadratic distance-to-average costs, in one streaming sweep.
 
@@ -236,13 +236,21 @@ def pairwise_quadratic_asymmetry(spec: GameSpec, qhat, gterm,
     product of two first-order responses.  Exact algebra, not an
     approximation.  The state and the N responses are stepped and
     contracted as they go, so memory stays at one time slice regardless
-    of N.  Returns (asymmetry, se) matrices.
+    of N.  When the responses do not depend on the path
+    (``GameSpec.has_path_independent_responses``), one (1, N, N) stack
+    is stepped on a linearization assembled at one row, with no
+    ensemble and no noise; the result is exact, its se zero, and
+    ``noise`` may be None.  Returns (asymmetry, se) matrices.
     """
     if not spec.has_affine_coefficients():
         raise ValueError("streaming pairwise evaluator needs affine "
                          "coefficients")
+    exact = spec.has_path_independent_responses(direction)
+    if noise is None and not exact:
+        raise ValueError("responses depend on the path: a noise bundle "
+                         "is needed")
     N = spec.n_players
-    P = noise.n_paths
+    P = 1 if exact else noise.n_paths
     dt = grid.dt
     qhat = np.broadcast_to(np.asarray(qhat, dtype=float), (N,))
     gterm = np.broadcast_to(np.asarray(gterm, dtype=float), (N,))
@@ -255,16 +263,27 @@ def pairwise_quadratic_asymmetry(spec: GameSpec, qhat, gterm,
         np.multiply(own[:, None, :], proj, out=proj)
         acc_t += proj
 
+    if exact:
+        # affine partials read neither state nor control, and a
+        # noise-free direction reads no increment: one row stands for
+        # every path
+        row = np.zeros((1, N))
+        inc = np.zeros((1, grid.n_steps, spec.n_drivers))
+        slices = (Slice(t, row, row, row) for t in grid.nodes[:-1])
+    else:
+        inc = noise.increments
+        slices = _euler(spec, [controls], grid, noise)
+
     # acc_t[p, j, i] accumulates player i's mixed derivative in (i, j)
     acc_t = np.zeros((P, N, N))
     y = np.zeros((P, N, N))  # slice of responses, axis 1 = perturbed player
-    for k, sl in enumerate(_euler(spec, [controls], grid, noise)):
+    for k, sl in enumerate(slices):
         if sl.u is None:
             break
         vc = assemble_variational(spec, sl.t, sl.x, sl.u)
-        du = direction(sl.t, k, noise.increments)
+        du = direction(sl.t, k, inc)
         pair_accumulate(acc_t, y, qhat * dt)
-        y = _response_step(vc, y, dt, noise.increments[:, k, :N],
+        y = _response_step(vc, y, dt, inc[:, k, :N],
                            controls=[(h, du) for h in range(N)])
     pair_accumulate(acc_t, y, gterm)
 
@@ -272,7 +291,8 @@ def pairwise_quadratic_asymmetry(spec: GameSpec, qhat, gterm,
     # made contiguous so that row sums keep numpy's summation order
     diff_t = acc_t - np.transpose(acc_t, (0, 2, 1))
     asym = np.ascontiguousarray(np.abs(diff_t.mean(axis=0)).T)
-    se = np.ascontiguousarray((diff_t.std(axis=0, ddof=1) / np.sqrt(P)).T)
+    se = (np.zeros((N, N)) if exact else np.ascontiguousarray(
+        (diff_t.std(axis=0, ddof=1) / np.sqrt(P)).T))
     np.fill_diagonal(asym, 0.0)
     np.fill_diagonal(se, 0.0)
     return asym, se

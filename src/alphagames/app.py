@@ -38,7 +38,8 @@ SUBCOMMANDS = ("simulate", "deriv", "cross-check", "alpha", "bound",
 
 _DIRECTION_NAMES = ("const", "ramp", "sine", "half")
 
-# rough per-subcommand path*step*player work multipliers for the
+# rough per-subcommand path*step*player work multipliers (step*N^2
+# summed over the sweep for scaling, which reads no paths) for the
 # long-run guard (about ten minutes of desk-scale work)
 _WORK_MULT = {"simulate": 2, "deriv": 60, "cross-check": 200, "alpha": 80,
               "bound": 0, "scaling": 400, "potential": 60, "nash-gap": 120}
@@ -228,9 +229,11 @@ def _write_csv(path: Path, header, rows):
 
 def _estimate_work(cfg: ExperimentConfig, subcommand: str) -> float:
     mult = _WORK_MULT.get(subcommand, 10)
-    players = (max(cfg.scaling_players) if subcommand == "scaling"
-               else cfg.players)
-    return float(cfg.paths) * cfg.steps * players * mult
+    if subcommand == "scaling":
+        # one exact (N, N) response stack per game, no paths
+        return float(cfg.steps * sum(n * n for n in cfg.scaling_players)
+                     * mult)
+    return float(cfg.paths) * cfg.steps * cfg.players * mult
 
 
 def _noise(cfg: ExperimentConfig, spec) -> NoiseBundle:
@@ -461,7 +464,9 @@ def _cmd_bound(cfg: ExperimentConfig, tables: Path):
 
 def _cmd_scaling(cfg: ExperimentConfig, tables: Path):
     """Empirical alpha and the closed-form bound along a player sweep of
-    the heterogeneous weakly coupled family."""
+    the heterogeneous weakly coupled family.  Its responses do not
+    depend on the path, so each alpha is exact (se 0) and ``paths`` and
+    ``seed`` are not read."""
     if cfg.preset != "lq":
         raise ConfigError("scaling runs use the lq preset")
     if cfg.preset_params:
@@ -472,15 +477,12 @@ def _cmd_scaling(cfg: ExperimentConfig, tables: Path):
         games.append((n, params, *build_preset("lq", n, **params)))
     grid = cfg.grid()
     direction = cfg.direction_controls()[0]
-    # one grid for the sweep: each game's noise is its leading columns
-    width = max(spec.n_drivers for _, _, spec, _ in games)
-    noise = NoiseBundle.generate(cfg.seed, grid, cfg.paths, width)
     rows = []
     alphas, bounds_v = [], []
     for n, params, spec, ledger in games:
         asym, se = alpha_mod.pairwise_quadratic_asymmetry(
             spec, params["Qhat"], params["G"], ControlProfile.zeros(n),
-            direction, grid, noise.leading_drivers(spec.n_drivers))
+            direction, grid)
         emp = alpha_mod.AlphaReport.from_asymmetry(asym, se, [])
         a_emp, a_se = emp.alpha_empirical, emp.alpha_empirical_se
         bound = alpha_mod.theoretical_alpha_bound(ledger, n, cfg.horizon)

@@ -260,6 +260,8 @@ def sens_derivatives(spec: GameSpec, ensemble: PathEnsemble,
                               + du_l * _dot(yh, fyu[:, i, :, l])
                               + fuu[:, i, h, l] * du_h * du_l) * dt
             second_acc[n] += _dot(fy[:, i], z[:, q]) * dt
+        # freed before the forward sweep assembles the next step
+        del fy, fu, fyy, fyu, fuu
     gy = g.dy(s)
     for n, ((i, *_), r) in enumerate(zip(first_jobs, row)):
         first_acc[n] += _dot(gy[:, i], y[:, r])

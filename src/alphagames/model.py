@@ -299,6 +299,20 @@ class GameSpec:
         identically."""
         return self.drift.is_affine and self.diffusion.is_affine
 
+    def has_additive_noise(self) -> bool:
+        """True when the diffusion supplies no first partial, so the
+        linearized responses have no diffusion term of their own."""
+        return not self.diffusion.supplied & {"dx", "du", "dy"}
+
+    def has_path_independent_responses(self, direction) -> bool:
+        """True when every first-order response to ``direction`` is the
+        same on every path: affine coefficients, additive noise and a
+        direction that reads no noise.  The linearization then reads
+        neither state nor control, and the response steps read no
+        increment."""
+        return (self.has_affine_coefficients() and self.has_additive_noise()
+                and not direction.reads_noise)
+
     def initial_states(self, seed: int, n_paths: int) -> np.ndarray:
         """(P, N) initial states, player i's column drawn by its sampler."""
         return np.stack([s.draw(seed, n_paths, i)
@@ -349,17 +363,6 @@ class NoiseBundle:
         return cls(seed=seed, grid=grid, n_paths=n_paths,
                    n_drivers=n_drivers, increments=z)
 
-    def leading_drivers(self, n_drivers: int) -> "NoiseBundle":
-        """The bundle of the first ``n_drivers`` driver columns, sharing
-        this bundle's increments as a view.  Entry (p, k, j) depends on
-        (seed, p, k, j) alone, so it is bit-identical to ``generate``
-        with the same seed, grid and path count at ``n_drivers``."""
-        if not 1 <= n_drivers <= self.n_drivers:
-            raise ValueError(f"n_drivers must lie in [1, {self.n_drivers}]")
-        return NoiseBundle(seed=self.seed, grid=self.grid,
-                           n_paths=self.n_paths, n_drivers=n_drivers,
-                           increments=self.increments[:, :, :n_drivers])
-
     def truncated_after(self, step: int) -> "NoiseBundle":
         """Copy with all increments from ``step`` onwards zeroed."""
         inc = self.increments.copy()
@@ -376,11 +379,17 @@ class Control:
     is the full (P, M, D) noise tensor; an adapted control may only
     read columns strictly before step ``k``.  Scalar returns broadcast
     over paths.  Controls are closed under scalar combination.
+    ``reads_noise`` declares whether the values may depend on the
+    increments: a bare ``Control(fn)`` may, the time-function
+    constructors do not, and a combination reads noise when any of its
+    operands does.
     """
 
-    def __init__(self, fn: Callable, label: str = "control"):
+    def __init__(self, fn: Callable, label: str = "control",
+                 reads_noise: bool = True):
         self.fn = fn
         self.label = label
+        self.reads_noise = reads_noise
 
     def __call__(self, t: float, k: int, increments: np.ndarray) -> np.ndarray:
         out = self.fn(t, k, increments)
@@ -391,12 +400,14 @@ class Control:
 
     def __add__(self, other: "Control") -> "Control":
         return Control(lambda t, k, w: self(t, k, w) + other(t, k, w),
-                       label=f"({self.label}+{other.label})")
+                       label=f"({self.label}+{other.label})",
+                       reads_noise=self.reads_noise or other.reads_noise)
 
     def __rmul__(self, c: float) -> "Control":
         c = float(c)
         return Control(lambda t, k, w: c * self(t, k, w),
-                       label=f"{c}*{self.label}")
+                       label=f"{c}*{self.label}",
+                       reads_noise=self.reads_noise)
 
     def __mul__(self, c: float) -> "Control":
         return self.__rmul__(c)
@@ -406,17 +417,17 @@ class Control:
 
     @classmethod
     def zero(cls) -> "Control":
-        return cls(lambda t, k, w: 0.0, label="0")
+        return cls(lambda t, k, w: 0.0, label="0", reads_noise=False)
 
     @classmethod
     def constant(cls, c: float) -> "Control":
         c = float(c)
-        return cls(lambda t, k, w: c, label=f"const({c})")
+        return cls(lambda t, k, w: c, label=f"const({c})", reads_noise=False)
 
     @classmethod
     def from_time_function(cls, f: Callable[[float], float],
                            label: str = "t->f(t)") -> "Control":
-        return cls(lambda t, k, w: f(t), label=label)
+        return cls(lambda t, k, w: f(t), label=label, reads_noise=False)
 
     @classmethod
     def own_noise_feedback(cls, driver: int, scale: float = 1.0) -> "Control":

@@ -5,7 +5,8 @@ NoiseBundle (common random numbers) for every perturbed ensemble.
 ``_euler`` advances stacked legs, one per control profile, stored
 player-major, and yields each node's ``Slice``: ``simulate_paths``
 records one double-precision leg, ``simulate_cost_batch`` and the
-scaling pass consume it without storing a trajectory.
+pairwise evaluator's path route consume it without storing a
+trajectory.
 ``_response_step`` advances a (P, R, N) stack of linearized responses
 on the same increments, with one linearization per step for the stack.
 ``_forward``, the twin of ``bsde._adjoint_sweep``, is the one forward
@@ -206,7 +207,7 @@ def assemble_variational(spec: GameSpec, t: float, x: np.ndarray,
     return VariationalCoefficients(
         dxb=b.dx(sl), dyb=joint(b), dub=b.du(sl),
         dxs=s.dx(sl), dys=joint(s), dus=s.du(sl), slice=sl,
-        additive_noise=not s.supplied & {"dx", "du", "dy"})
+        additive_noise=spec.has_additive_noise())
 
 
 def _response_step(vc: VariationalCoefficients, y: np.ndarray, dt: float,
@@ -343,6 +344,8 @@ def _forward(spec: GameSpec, ensemble: PathEnsemble, noise: NoiseBundle,
             y = _response_step(vc, y, grid.dt, dw,
                                controls=[(h, dvals[id(d)])
                                          for h, d in targets])
+        # one step's partials are held at a time
+        vc = sl = so = None
     xT = ensemble.states[:, -1, :]
     yield grid.n_steps, Slice(grid.horizon, xT, xT), {}, y, z
 

@@ -173,6 +173,89 @@ class TestAsymmetry:
             tracemalloc.stop()
         assert peak < states
 
+    def test_pairwise_path_route_streams_without_a_stored_ensemble(self):
+        # the twin above takes the exact route; multiplicative noise
+        # (D != 0) makes the responses depend on the path, so this
+        # bound measures the streaming path route
+        import tracemalloc
+        n, P, M = 2, 2000, 200
+        params = dict(lq_scaling_params(n), D=0.3)
+        spec, _ = ag.build_preset("lq", n, **params)
+        direction = ag.Control.constant(1.0)
+        assert not spec.has_path_independent_responses(direction)
+        grid = ag.TimeGrid(M, 1.0)
+        noise = ag.NoiseBundle.generate(14, grid, P, spec.n_drivers)
+        states = P * (M + 1) * n * 8
+        tracemalloc.start()
+        try:
+            _, se = pairwise_quadratic_asymmetry(
+                spec, params["Qhat"], params["G"], ag.ControlProfile.zeros(n),
+                direction, grid, noise)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < states
+        assert se[0, 1] > 0
+
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    def test_exact_route_matches_path_route(self, n):
+        # a bare Control wrapping the same direction declares that it
+        # may read noise, which forces the path route on the same game
+        params = lq_scaling_params(n)
+        spec, _ = ag.build_preset("lq", n, **params)
+        grid = ag.TimeGrid(20, 1.0)
+        noise = ag.NoiseBundle.generate(21, grid, 300, spec.n_drivers)
+        quiet = ag.Control.constant(1.0)
+        wrapped = ag.Control(quiet.fn)
+        assert spec.has_path_independent_responses(quiet)
+        assert not spec.has_path_independent_responses(wrapped)
+        args = (spec, params["Qhat"], params["G"], ag.ControlProfile.zeros(n))
+        exact, exact_se = pairwise_quadratic_asymmetry(*args, quiet, grid)
+        again, _ = pairwise_quadratic_asymmetry(*args, quiet, grid, noise)
+        paths, paths_se = pairwise_quadratic_asymmetry(*args, wrapped, grid,
+                                                       noise)
+        assert exact.tobytes() == again.tobytes()
+        assert np.all(exact_se == 0.0)
+        assert np.all(paths_se <= 1e-12 * paths.max())
+        assert exact.max() > 0
+        assert np.allclose(exact, paths, rtol=1e-12, atol=0)
+
+    def test_exact_route_allocates_nothing_path_sized(self, monkeypatch):
+        # under the predicate no Euler ensemble is run and no (P, ...)
+        # array is made, even when a large noise bundle is passed
+        import tracemalloc
+        from alphagames import alpha
+
+        def no_euler(*args, **kwargs):
+            raise AssertionError("the exact route ran an Euler ensemble")
+
+        monkeypatch.setattr(alpha, "_euler", no_euler)
+        n, P = 8, 50_000
+        params = lq_scaling_params(n)
+        spec, _ = ag.build_preset("lq", n, **params)
+        grid = ag.TimeGrid(40, 1.0)
+        noise = ag.NoiseBundle.generate(3, grid, P, spec.n_drivers)
+        args = (spec, params["Qhat"], params["G"], ag.ControlProfile.zeros(n),
+                ag.Control.constant(1.0), grid)
+        tracemalloc.start()
+        try:
+            asym, se = pairwise_quadratic_asymmetry(*args, noise)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < P * 8
+        bare, bare_se = pairwise_quadratic_asymmetry(*args)
+        assert asym.tobytes() == bare.tobytes()
+        assert np.all(se == 0.0) and np.all(bare_se == 0.0)
+
+    def test_path_route_needs_noise(self):
+        params = dict(lq_scaling_params(3), D=0.3)
+        spec, _ = ag.build_preset("lq", 3, **params)
+        with pytest.raises(ValueError, match="noise"):
+            pairwise_quadratic_asymmetry(
+                spec, params["Qhat"], params["G"], ag.ControlProfile.zeros(3),
+                ag.Control.constant(1.0), ag.TimeGrid(4, 1.0))
+
     @pytest.mark.parametrize("n", [2, 5, 16])
     def test_decay_family_matches_closed_form(self, n):
         # the scaling pass's family: decoupled dynamics and additive

@@ -87,7 +87,31 @@ class TestConfig:
             {"paths": 400_000, "steps": 200, "players": 16,
              "out": str(tmp_path)})
         with pytest.raises(ConfigError, match="allow-long"):
+            run(cfg, "alpha")
+        # the scaling sweep reads no paths; its work is steps x sum N^2
+        cfg = ExperimentConfig.from_dict(
+            {"steps": 10**6, "out": str(tmp_path)})
+        with pytest.raises(ConfigError, match="allow-long"):
             run(cfg, "scaling")
+
+    def test_scaling_ignores_paths(self, tmp_path):
+        # a million paths was refused as too long, though the exact
+        # sweep draws no noise and allocates nothing path-sized
+        import tracemalloc
+        path, _ = write_config(tmp_path, paths=10**6, steps=40,
+                               directions=["const"])
+        tracemalloc.start()
+        try:
+            code = main(["scaling", "--config", str(path)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        # half of one float64 value per path; the game builds take most
+        assert peak < 10**6 * 8 / 2
+        rows = list(csv.DictReader(open(tmp_path / "out" / "tables"
+                                        / "scaling.csv")))
+        assert [float(r["alpha_se"]) for r in rows] == [0.0] * 4
 
 
 class TestSubcommands:
@@ -140,9 +164,9 @@ class TestSubcommands:
         assert main(["alpha", "--config", str(path)]) == 1
 
     def test_scaling_rows_match_fresh_bundles(self, tmp_path):
-        # the sweep draws one grid at its widest game; each row must
-        # equal the pairwise evaluator on that game's own fresh noise,
-        # in whatever order the players are listed
+        # the sweep draws no noise; each row must equal the pairwise
+        # evaluator given that game's own fresh noise, in whatever
+        # order the players are listed, with a standard error of 0
         path, _ = write_config(tmp_path, steps=6, paths=500,
                                scaling_players=[4, 2], directions=["const"])
         cfg = ExperimentConfig.from_file(str(path))
@@ -163,7 +187,7 @@ class TestSubcommands:
             assert got == want.alpha_empirical
             assert int(row["players"]) == n
             assert float(row["alpha_empirical"]) == want.alpha_empirical
-            assert float(row["alpha_se"]) == want.alpha_empirical_se
+            assert float(row["alpha_se"]) == want.alpha_empirical_se == 0.0
 
     def test_nash_gap_reports_bsde_regression_diagnostics(self, tmp_path):
         # every backward sweep of the potential minimization is folded

@@ -565,7 +565,7 @@ class TestStreamedSweep:
         # a second-order job names its two (player, direction) targets,
         # whose responses the sweep steps and contracts node by node, so
         # not one (P, M+1, N) history is held.  One step's partials and
-        # cost Hessians come to about two histories at M = 40, so the
+        # cost Hessians come to more than one history at M = 40, so the
         # grid is long enough for a history to stand out
         P, M, N = 2000, 200, 3
         spec, _ = ag.build_tanh_game(N)
@@ -583,6 +583,28 @@ class TestStreamedSweep:
         finally:
             tracemalloc.stop()
         assert peak < P * (M + 1) * N * 8
+
+    def test_sens_sweep_holds_one_step_of_partials(self):
+        # the forward sweep and the contraction each free a step's
+        # linearization, second partials and cost partials before the
+        # next step is assembled; holding two steps' at once peaked at
+        # 2.49 histories here
+        P, M, N = 2000, 40, 3
+        spec, _ = ag.build_tanh_game(N)
+        grid = ag.TimeGrid(M, 1.0)
+        noise = ag.NoiseBundle.generate(3, grid, P, N)
+        ens = ag.simulate_paths(spec, ag.ControlProfile.constants(
+            [0.5, 0.3, 0.1]), grid, noise)
+        dirs = ag.direction_dictionary(1.0)[:2]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ag.sens_derivatives(spec, ens, noise, second_jobs=[
+                (0, (0, dirs[0]), (1, dirs[1]))])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.0 * P * (M + 1) * N * 8
 
     def test_fits_only_the_martingale_columns_read(self, monkeypatch):
         # per step: Q*N costate columns and 2*S*N*N matrix columns (63 at

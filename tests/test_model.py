@@ -63,22 +63,6 @@ class TestPhilox:
         again = ag.NoiseBundle.generate(7, grid, 1000, 3)
         assert np.array_equal(big.increments, again.increments)
 
-    def test_leading_drivers_are_a_smaller_bundle(self):
-        # the N-driver noise is the first N columns of any wider grid,
-        # which lets a player sweep draw one grid at its widest game
-        grid = ag.TimeGrid(6, 1.5)
-        wide = ag.NoiseBundle.generate(5, grid, 700, 16)
-        small = ag.NoiseBundle.generate(5, grid, 700, 3)
-        assert np.array_equal(wide.increments[:, :, :3], small.increments)
-        lead = wide.leading_drivers(3)
-        assert (lead.n_drivers, lead.n_paths, lead.seed) == (3, 700, 5)
-        assert lead.increments.shape == small.increments.shape
-        assert np.array_equal(lead.increments, small.increments)
-        assert np.shares_memory(lead.increments, wide.increments)
-        for bad in (0, 17):
-            with pytest.raises(ValueError):
-                wide.leading_drivers(bad)
-
     @pytest.mark.parametrize("blocks, tail, n_steps, n_drivers", [
         (3, 77, 8, 4),    # three full path blocks and a ragged tail
         (3, 5, 40, 1),    # one driver
@@ -128,6 +112,28 @@ class TestControls:
         truncated = noise.truncated_after(k)
         cut = ctrl(grid.nodes[k], k, truncated.increments)
         assert np.array_equal(full, cut)
+
+    def test_time_function_constructors_read_no_noise(self):
+        assert not ag.Control.zero().reads_noise
+        assert not ag.Control.constant(0.4).reads_noise
+        assert not ag.Control.from_time_function(lambda t: t).reads_noise
+        assert not any(d.reads_noise for d in ag.direction_dictionary(2.0))
+
+    def test_combinations_inherit_the_declaration(self):
+        quiet = ag.Control.constant(1.0)
+        ramp = ag.Control.from_time_function(lambda t: t)
+        noisy = ag.Control.own_noise_feedback(0)
+        assert not (quiet + ramp).reads_noise
+        assert not (0.5 * ramp).reads_noise
+        assert not (ramp * 2.0).reads_noise
+        assert not (-quiet).reads_noise
+        for mixed in (quiet + noisy, noisy + quiet, 0.5 * noisy, -noisy,
+                      (quiet + 2.0 * ramp) + (-noisy)):
+            assert mixed.reads_noise
+
+    def test_bare_and_feedback_controls_read_noise(self):
+        assert ag.Control(lambda t, k, w: 0.0).reads_noise
+        assert ag.Control.own_noise_feedback(1, scale=0.5).reads_noise
 
     def test_h2_norm_estimate(self):
         grid = ag.TimeGrid(50, 1.0)
@@ -278,9 +284,31 @@ class TestLqDeclarations:
         spec, ledger = ag.build_lq_game(3, Abar=0.0, C=0.0, Cbar=0.0, D=0.0)
         assert spec.drift.supplied == {"dx", "du"}
         assert spec.diffusion.supplied == set()
-        assert spec.has_affine_coefficients()
+        assert spec.has_affine_coefficients() and spec.has_additive_noise()
         rep = ag.validate_game(spec, ledger, ag.SampleBox(), 128)
         assert rep.passed, (rep.worst(), rep.messages[:3])
+
+    def test_path_independent_responses_predicate(self):
+        from alphagames.presets import lq_scaling_params
+        n = 4
+        params = lq_scaling_params(n)
+        spec, _ = ag.build_preset("lq", n, **params)
+        for d in ag.direction_dictionary(1.0):
+            assert spec.has_path_independent_responses(d)
+        # a drift coupled through the average keeps affine partials
+        coupled, _ = ag.build_preset("lq", n, **dict(params, Abar=0.2))
+        assert coupled.has_path_independent_responses(ag.Control.zero())
+        const = ag.Control.constant(1.0)
+        for bad in ({"D": 0.3}, {"C": 0.2}, {"Cbar": 0.1}):
+            other, _ = ag.build_preset("lq", n, **dict(params, **bad))
+            assert not other.has_additive_noise()
+            assert not other.has_path_independent_responses(const)
+        assert not spec.has_path_independent_responses(
+            ag.Control.own_noise_feedback(0))
+        assert not spec.has_path_independent_responses(
+            ag.Control(lambda t, k, w: 1.0))
+        tanh, _ = ag.build_preset("tanh-coupled", n)
+        assert not tanh.has_path_independent_responses(const)
 
 
 class TestSlice:
