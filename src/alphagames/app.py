@@ -230,9 +230,9 @@ def _write_csv(path: Path, header, rows):
 def _estimate_work(cfg: ExperimentConfig, subcommand: str) -> float:
     mult = _WORK_MULT.get(subcommand, 10)
     if subcommand == "scaling":
-        # one exact (N, N) response stack per game, no paths
+        # one exact (N, N) response stack per game and direction
         return float(cfg.steps * sum(n * n for n in cfg.scaling_players)
-                     * mult)
+                     * len(cfg.directions) * mult)
     return float(cfg.paths) * cfg.steps * cfg.players * mult
 
 
@@ -464,9 +464,9 @@ def _cmd_bound(cfg: ExperimentConfig, tables: Path):
 
 def _cmd_scaling(cfg: ExperimentConfig, tables: Path):
     """Empirical alpha and the closed-form bound along a player sweep of
-    the heterogeneous weakly coupled family.  Its responses do not
-    depend on the path, so each alpha is exact (se 0) and ``paths`` and
-    ``seed`` are not read."""
+    the heterogeneous weakly coupled family, each pair's asymmetry the
+    worst over the directions.  The responses do not depend on the path,
+    so each alpha is exact (se 0) and ``paths`` and ``seed`` are not read."""
     if cfg.preset != "lq":
         raise ConfigError("scaling runs use the lq preset")
     if cfg.preset_params:
@@ -476,13 +476,15 @@ def _cmd_scaling(cfg: ExperimentConfig, tables: Path):
         params = lq_scaling_params(n, spread=cfg.spread)
         games.append((n, params, *build_preset("lq", n, **params)))
     grid = cfg.grid()
-    direction = cfg.direction_controls()[0]
     rows = []
     alphas, bounds_v = [], []
     for n, params, spec, ledger in games:
-        asym, se = alpha_mod.pairwise_quadratic_asymmetry(
+        (asym, se), *rest = [alpha_mod.pairwise_quadratic_asymmetry(
             spec, params["Qhat"], params["G"], ControlProfile.zeros(n),
-            direction, grid)
+            direction, grid) for direction in cfg.direction_controls()]
+        for a, s in rest:  # the first on ties, a NaN over any number
+            worse = (a > asym) | np.isnan(a)
+            asym, se = np.where(worse, a, asym), np.where(worse, s, se)
         emp = alpha_mod.AlphaReport.from_asymmetry(asym, se, [])
         a_emp, a_se = emp.alpha_empirical, emp.alpha_empirical_se
         bound = alpha_mod.theoretical_alpha_bound(ledger, n, cfg.horizon)

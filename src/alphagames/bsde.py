@@ -26,10 +26,11 @@ the first-order systems of any set of players and the matrix systems of
 any subset of them in one pass with one linearization per step, and
 yields each step's layers with that slice data.  Driver j moves only
 state j, so every driver and contraction reads driver j's martingale
-component of costate entry j and of row j and column j of a matrix
-layer; the sweep fits those columns and no others.  No adjoint layer is
-stored: the derivative contractions and the product-trace duality check
-consume each step's layers as they are solved.
+component of costate entry j and of row j of a matrix layer, which is
+also its column j since the layers are symmetric; the sweep fits those
+columns and no others.  No adjoint layer is stored: the derivative
+contractions and the product-trace duality check consume each step's
+layers and slice data as they are solved.
 
 All reductions go through ``np.einsum`` so results do not depend on
 BLAS threading.
@@ -44,7 +45,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .model import GameSpec, NoiseBundle, Slice
-from .sim import (PathEnsemble, VariationalCoefficients,
+from .sim import (PathEnsemble, VariationalCoefficients, _check_pair,
                   _second_order_slices, assemble_variational,
                   propagate_sensitivities)
 
@@ -187,8 +188,7 @@ def _backward(ensemble: PathEnsemble, noise: NoiseBundle,
     fits the martingale columns its solver reads (one stacked
     ``fit_martingale``) and the value layer, and returns that layer and
     what to yield."""
-    if ensemble.seed != noise.seed or ensemble.grid != noise.grid:
-        raise ValueError("ensemble and noise bundle must share seed and grid")
+    _check_pair(ensemble, noise)
     ynext = terminal
     for k in range(ensemble.grid.n_steps - 1, -1, -1):
         reg = _Regressor(basis, ensemble.states[:, k, :], k)
@@ -308,10 +308,9 @@ class AdjointStep:
     solved with.  Costates and loadings are ordered as the sweep's
     ``players``, matrix layers as its ``second`` players.  Only the
     martingale columns that are read are kept: ``loadings[:, q, j]`` is
-    driver j's component j of costate q, and ``matrix_loadings`` is the
-    pair ``(rows, columns)``, ``rows[:, s, j]`` being row j and
-    ``columns[:, s, j]`` column j of driver j's component of matrix
-    layer s."""
+    driver j's component j of costate q, and ``matrix_loadings[:, s, j]``
+    row j (= column j) of driver j's component of matrix layer s.
+    ``hessians[:, i]`` is player i's running-cost Hessian at the step."""
 
     k: int
     vc: VariationalCoefficients
@@ -319,21 +318,22 @@ class AdjointStep:
     costates: np.ndarray             # (P, Q, N)
     loadings: np.ndarray             # (P, Q, N)
     matrices: Optional[np.ndarray]   # (P, S, N, N)
-    matrix_loadings: Optional[tuple]  # two (P, S, N, N): rows, columns
+    matrix_loadings: Optional[np.ndarray]  # (P, S, N, N)
+    hessians: Optional[np.ndarray]   # (P, N, N, N)
     diagnostics: StepDiagnostics
 
 
-def _matrix_driver(B0, rows, so, mat, zrow, zcol, fyy, costate, qdiag):
+def _matrix_driver(vc, so, mat, zmat, fyy, costate, qdiag):
     """Driver of one player's matrix system at one step, on its layer
-    ``mat`` and martingale components, of which driver j's row j is
-    ``zrow[:, j]`` and its column j ``zcol[:, j]`` (each (P, N, N)):
-    the transposed drift linearization ``B0`` from the left and ``B0``
-    from the right, each driver's matrix (supported on row j of
-    ``rows``) sandwiching the layer and hitting its martingale component
-    from both sides, plus the forcing: the running-cost Hessian ``fyy``
-    and the pure joint-state coefficient Hessians of ``so`` weighted by
-    the costate pair (``costate``, and ``qdiag``, each driver's own
-    component of its loading)."""
+    ``mat`` and martingale components, driver j's row j (= column j)
+    being ``zmat[:, j]``: the transposed drift matrix of ``vc`` from the
+    left and the drift matrix from the right, each driver's matrix
+    (supported on its diffusion row) sandwiching the layer and hitting
+    its martingale component from both sides, plus the forcing: the
+    running-cost Hessian ``fyy`` and the pure joint-state coefficient
+    Hessians of ``so`` weighted by the costate pair (``costate``, and
+    ``qdiag``, each driver's own component of its loading)."""
+    B0, rows = vc.drift_matrix, vc.diffusion_rows
     out = np.einsum("pba,pbc->pac", B0, mat, optimize=False)
     out += np.einsum("pab,pbc->pac", mat, B0, optimize=False)
     N = mat.shape[-1]
@@ -342,9 +342,9 @@ def _matrix_driver(B0, rows, so, mat, zrow, zcol, fyy, costate, qdiag):
     for j in range(N):
         # driver matrix j has a single row; its transpose against the
         # martingale layer contributes two outer-product terms
-        out += np.einsum("pa,pb->pab", rows[:, j, :], zrow[:, j, :],
+        out += np.einsum("pa,pb->pab", rows[:, j, :], zmat[:, j, :],
                          optimize=False)
-        out += np.einsum("pa,pb->pab", zcol[:, j, :], rows[:, j, :],
+        out += np.einsum("pa,pb->pab", zmat[:, j, :], rows[:, j, :],
                          optimize=False)
     out += fyy
     out += so["b"][4].weighted(costate)
@@ -358,8 +358,8 @@ def _adjoint_sweep(spec, ensemble, noise, basis, players, second=()):
     ``players`` because its step-k costate pair forces its matrix
     system.  A costate system has the terminal-cost gradient as terminal
     value and the transposed linearization plus the running-cost
-    gradient as driver; a matrix system has the terminal-cost Hessian
-    and ``_matrix_driver``, and each fitted layer is symmetrized.
+    gradient as driver; a matrix system has the symmetrized terminal-cost
+    Hessian and ``_matrix_driver``, and each fitted layer is symmetrized.
     Own-slot curvature is booked in the derivative integrands instead,
     the split under which the product-trace identities close.
 
@@ -367,12 +367,12 @@ def _adjoint_sweep(spec, ensemble, noise, basis, players, second=()):
     linearization, evaluates the second partials once when matrix
     layers are asked for, and fits only the martingale columns that are
     read, as stacked columns of one regressor: Q*N costate columns
-    (driver j's component j) and 2*S*N*N matrix columns (driver j's row
-    j and column j); driver N of a common noise is never read, so never
-    fitted.  Then comes the costate value fit, then the matrix value
-    fit, whose driver reads the step's costates.  Yields the terminal
-    layers ``(costates (P, Q, N), matrices (P, S, N, N))``, then one
-    ``AdjointStep`` per step, k = M-1 down to 0."""
+    (driver j's component j) and S*N*N matrix columns (driver j's row
+    j, its column j too); driver N of a common noise is never read, so
+    never fitted.  Then comes the costate value fit, then the matrix
+    value fit, whose driver reads the step's costates.  Yields the
+    terminal layers ``(costates (P, Q, N), matrices (P, S, N, N))``,
+    then one ``AdjointStep`` per step, k = M-1 down to 0."""
     players, second = list(players), list(second)
     N = spec.n_players
     P = ensemble.n_paths
@@ -382,10 +382,9 @@ def _adjoint_sweep(spec, ensemble, noise, basis, players, second=()):
     cols = Q * N
 
     def split(layer):
-        """Costate columns (.., Q, N) and matrix columns (.., -1, N, N)."""
-        lead = layer.shape[:-1]
-        return (layer[..., :cols].reshape(lead + (Q, N)),
-                layer[..., cols:].reshape(lead + (-1, N, N)))
+        """Costate columns (P, Q, N) and matrix columns (P, S, N, N)."""
+        return (layer[:, :cols].reshape(P, Q, N),
+                layer[:, cols:].reshape(P, S, N, N))
 
     terminal = np.empty((P, cols + S * N * N))
     costates, matrices = split(terminal)
@@ -393,29 +392,28 @@ def _adjoint_sweep(spec, ensemble, noise, basis, players, second=()):
     end = Slice(ensemble.grid.horizon, xT, xT)
     costates[:] = spec.terminal_cost.dy(end)[:, players]
     if S:
-        matrices[:] = spec.terminal_cost.dyy(end)[:, second]
+        gyy = spec.terminal_cost.dyy(end)[:, second]
+        matrices[:] = 0.5 * (gyy + np.swapaxes(gyy, 2, 3))
     yield costates, matrices
 
     def step(k, reg, ynext):
         ycost, ymat = split(ynext)
         dw = noise.increments[:, k, None, :N, None]
-        targets = np.empty((P, cols + 2 * S * N * N))
-        tcost, tmat = split(targets)  # matrix rows, then matrix columns
+        targets = np.empty(ynext.shape)
+        tcost, tmat = split(targets)
         np.multiply(ycost, dw[..., 0], out=tcost)
-        np.multiply(ymat, dw, out=tmat[:, :S])
-        np.multiply(np.swapaxes(ymat, 2, 3), dw, out=tmat[:, S:])
+        np.multiply(ymat, dw, out=tmat)
         targets /= dt
         zcost, zmat = split(reg.fit_martingale(targets))
-        zrow, zcol = zmat[:, :S], zmat[:, S:]
         t = ensemble.grid.nodes[k]
         x = ensemble.states[:, k, :]
         u = ensemble.realized_controls[:, k, :]
         vc = assemble_variational(spec, t, x, u)
-        B0 = vc.drift_state()
-        driver = np.einsum("pba,pqb->pqa", B0, ycost, optimize=False)
+        driver = np.einsum("pba,pqb->pqa", vc.drift_matrix, ycost,
+                           optimize=False)
         for j in range(N):
             # driver matrix j is the transpose of a single-row matrix
-            driver += np.einsum("pa,pq->pqa", vc.diffusion_row(j),
+            driver += np.einsum("pa,pq->pqa", vc.diffusion_rows[:, j],
                                 zcost[:, :, j], optimize=False)
         driver += spec.running_cost.dy(vc.slice)[:, players]
         costates = reg.fit((ycost + dt * driver).reshape(P, cols)).reshape(
@@ -423,15 +421,13 @@ def _adjoint_sweep(spec, ensemble, noise, basis, players, second=()):
         diagnostics = reg.diagnostics()
         if not S:
             return costates.reshape(P, cols), AdjointStep(
-                k, vc, None, costates, zcost, None, None, diagnostics)
+                k, vc, None, costates, zcost, None, None, None, diagnostics)
         so = _second_order_slices(spec, vc.slice)
-        rows = np.stack([vc.diffusion_row(j) for j in range(N)], axis=1)
         fyy = spec.running_cost.dyy(vc.slice)
         targets = np.empty((P, S, N, N))
         for s, (p, q) in enumerate(zip(second, own)):
-            driver = _matrix_driver(B0, rows, so, ymat[:, s], zrow[:, s],
-                                    zcol[:, s], fyy[:, p], costates[:, q],
-                                    zcost[:, q])
+            driver = _matrix_driver(vc, so, ymat[:, s], zmat[:, s],
+                                    fyy[:, p], costates[:, q], zcost[:, q])
             targets[:, s] = ymat[:, s] + dt * driver
         fitted = reg.fit(targets.reshape(P, S * N * N)).reshape(P, S, N, N)
         diagnostics.matrix_residual_norm = reg.residual_norm
@@ -439,7 +435,7 @@ def _adjoint_sweep(spec, ensemble, noise, basis, players, second=()):
         layer = np.concatenate([costates.reshape(P, cols),
                                 matrices.reshape(P, S * N * N)], axis=1)
         return layer, AdjointStep(k, vc, so, costates, zcost, matrices,
-                                  (zrow, zcol), diagnostics)
+                                  zmat, fyy, diagnostics)
 
     yield from _backward(ensemble, noise, basis, terminal, step)
 
@@ -461,7 +457,7 @@ def trace_duality(spec: GameSpec, ensemble: PathEnsemble, noise: NoiseBundle,
     diffusion is Psi^j = e_j a_j y_h' + y_l b_j e_j' with a_j, b_j the
     two responses' loadings on driver j.  Returns (residual, se)."""
     (h, dir_h), (l, dir_l) = target_h, target_l
-    N, dt = spec.n_players, ensemble.grid.dt
+    dt = ensemble.grid.dt
     resp_h, resp_l = propagate_sensitivities(spec, ensemble,
                                              [target_h, target_l], noise)
 
@@ -478,8 +474,7 @@ def trace_duality(spec: GameSpec, ensemble: PathEnsemble, noise: NoiseBundle,
         yh, yl = resp_h[:, k], resp_l[:, k]
         du_h = dir_h(t, k, noise.increments)
         du_l = dir_l(t, k, noise.increments)
-        B0 = vc.drift_state()
-        rows = np.stack([vc.diffusion_row(j) for j in range(N)], axis=1)
+        B0, rows = vc.drift_matrix, vc.diffusion_rows
         # each response's drift and its loading on each private driver
         mu_h = np.einsum("pab,pb->pa", B0, yh, optimize=False)
         mu_l = np.einsum("pab,pb->pa", B0, yl, optimize=False)
@@ -489,12 +484,10 @@ def trace_duality(spec: GameSpec, ensemble: PathEnsemble, noise: NoiseBundle,
         a = np.einsum("pja,pa->pj", rows, yl, optimize=False)
         b[:, h] += vc.dus[:, h] * du_h
         a[:, l] += vc.dus[:, l] * du_l
-        mat = step.matrices[:, 0]
-        zrow, zcol = (z[:, 0] for z in step.matrix_loadings)
-        theta = -_matrix_driver(
-            B0, rows, step.slices, mat, zrow, zcol,
-            spec.running_cost.dyy(vc.slice)[:, player],
-            step.costates[:, 0], step.loadings[:, 0])
+        mat, zmat = step.matrices[:, 0], step.matrix_loadings[:, 0]
+        theta = -_matrix_driver(vc, step.slices, mat, zmat,
+                                step.hessians[:, player], step.costates[:, 0],
+                                step.loadings[:, 0])
         integrand = pair(theta, k)
         # tr[P Phi], P symmetric: Phi = mu_l y_h' + y_l mu_h'
         # + sum_j a_j b_j e_j e_j'
@@ -502,8 +495,8 @@ def trace_duality(spec: GameSpec, ensemble: PathEnsemble, noise: NoiseBundle,
         integrand += np.einsum("pa,pab,pb->p", mu_h, mat, yl, optimize=False)
         integrand += np.einsum("pjj,pj,pj->p", mat, a, b, optimize=False)
         # sum_j tr[Q^j Psi^j] = a_j (y_h' Q^j)_j + b_j (Q^j y_l)_j
-        integrand += np.einsum("pj,pa,pja->p", a, yh, zcol, optimize=False)
-        integrand += np.einsum("pj,pja,pa->p", b, zrow, yl, optimize=False)
+        integrand += np.einsum("pj,pa,pja->p", a, yh, zmat, optimize=False)
+        integrand += np.einsum("pj,pja,pa->p", b, zmat, yl, optimize=False)
         per_path -= integrand * dt
     per_path -= pair(mat, 0)   # the k = 0 layer
     n = per_path.shape[0]

@@ -316,10 +316,11 @@ def bsde_derivatives(spec: GameSpec, ensemble: PathEnsemble,
     loading, diffusion control loading against the matching martingale
     component, direct cost term).  Second order: no mixed sensitivity;
     the term in player h's direction reads row h of driver h's loading,
-    the term in l's reads column l of driver l's, the orientation under
-    which the product-trace bookkeeping closes.  Each step's integrands
-    are added into per-path sums as they are solved, in the sweep's
-    order (k descending); a first-order integrand is formed once per
+    the term in l's column l of driver l's, the orientation under which
+    the product-trace bookkeeping closes (the loadings are symmetric, so
+    both are the one fitted row).  Each step's integrands are added into
+    per-path sums as they are solved, in the sweep's order (k
+    descending); a first-order integrand is formed once per
     (cost player, perturbed player) and step, and taken by each job's
     direction.  Every estimate's ``metadata["regression"]`` holds the
     sweep's worst fits: the largest condition number and ridge, whether
@@ -351,6 +352,7 @@ def bsde_derivatives(spec: GameSpec, ensemble: PathEnsemble,
         _worst_fits(fits, {key: getattr(step.diagnostics, name)
                            for key, name in _WORST_FITS.items()})
         k, vc, at = step.k, step.vc, step.vc.slice
+        diff_rows = vc.diffusion_rows
         t = grid.nodes[k]
         dvals = _direction_values(
             [d for *_, d in first_jobs] + [d for _, d in targets], t, k,
@@ -368,18 +370,17 @@ def bsde_derivatives(spec: GameSpec, ensemble: PathEnsemble,
         for n, ((i, (h, dh), (l, dl)), (a, b, _)) in enumerate(
                 zip(second_jobs, col)):
             s, q, fyu, fuu = cost[i]
-            P2 = step.matrices[:, s]
-            Q2row, Q2col = (z[:, s] for z in step.matrix_loadings)
+            P2, Q2 = step.matrices[:, s], step.matrix_loadings[:, s]
             yh, yl = responses[a][:, k], responses[b][:, k]
             du_h, du_l = dvals[id(dh)], dvals[id(dl)]
             dus_h, dus_l = vc.dus[:, h], vc.dus[:, l]
             term_h = (vc.dub[:, h] * _dot(P2[:, h, :], yl)
-                      + dus_h * P2[:, h, h] * _dot(vc.diffusion_row(h), yl)
-                      + dus_h * _dot(Q2row[:, h], yl))
+                      + dus_h * P2[:, h, h] * _dot(diff_rows[:, h], yl)
+                      + dus_h * _dot(Q2[:, h], yl))
             term_h += _dot(fyu[:, :, h], yl)
             term_l = (vc.dub[:, l] * _dot(yh, P2[:, :, l])
-                      + dus_l * P2[:, l, l] * _dot(vc.diffusion_row(l), yh)
-                      + dus_l * _dot(yh, Q2col[:, l]))
+                      + dus_l * P2[:, l, l] * _dot(diff_rows[:, l], yh)
+                      + dus_l * _dot(yh, Q2[:, l]))
             term_l += _dot(yh, fyu[:, :, l])
             direct = fuu[:, h, l] * du_h * du_l
             if (a, b) not in sources:

@@ -22,6 +22,7 @@ it is solved and stores none.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -57,13 +58,13 @@ class PathEnsemble:
 class VariationalCoefficients:
     """First-order coefficient data of the linearized state system.
 
-    Stored as the primitive partial arrays.  ``drift_state`` is the
+    Stored as the primitive partial arrays.  ``drift_matrix`` is the
     N x N matrix acting on the sensitivity vector in the drift (own-state
     diagonal plus joint-state block); the matrix in front of driver j is
-    nonzero only in row j, which ``diffusion_row(j)`` returns.  Player
-    h's control loads the drift by ``dub[:, h]`` and driver h by
-    ``dus[:, h]``, each in entry h only.  A joint gradient the
-    coefficient does not supply is ``None``, read as zero.
+    nonzero only in row j, ``diffusion_rows[:, j]``; both are built on
+    first use and kept.  Player h's control loads the drift by ``dub[:,
+    h]`` and driver h by ``dus[:, h]``, each in entry h only.  A joint
+    gradient the coefficient does not supply is ``None``, read as zero.
     ``additive_noise`` holds when the diffusion supplies no first
     partial, so the responses have no diffusion term of their own.
     ``slice`` is the slice the partials were evaluated on; the step's
@@ -79,24 +80,25 @@ class VariationalCoefficients:
     slice: Slice
     additive_noise: bool
 
-    @property
-    def n_players(self) -> int:
-        return self.dxb.shape[1]
-
-    def drift_state(self) -> np.ndarray:
+    @cached_property
+    def drift_matrix(self) -> np.ndarray:
         """(P, N, N): diagonal own-state partials plus the coupling block."""
-        P, N = self.dxb.shape
-        out = np.zeros((P, N, N)) if self.dyb is None else self.dyb.copy()
-        idx = np.arange(N)
-        out[:, idx, idx] += self.dxb
-        return out
+        return _plus_diagonal(self.dyb, self.dxb)
 
-    def diffusion_row(self, j: int) -> np.ndarray:
-        """(P, N): the only nonzero row (row j) of driver j's matrix."""
-        row = (np.zeros(self.dxs.shape) if self.dys is None
-               else self.dys[:, j, :].copy())
-        row[:, j] += self.dxs[:, j]
-        return row
+    @cached_property
+    def diffusion_rows(self) -> np.ndarray:
+        """(P, N, N): row j is the only nonzero row of driver j's matrix."""
+        return _plus_diagonal(self.dys, self.dxs)
+
+
+def _plus_diagonal(block: Optional[np.ndarray], diag: np.ndarray):
+    """(P, N, N): ``block`` (zero when None) plus ``diag`` on the diagonal,
+    read-only, since every reader of the step shares it."""
+    P, N = diag.shape
+    out = np.zeros((P, N, N)) if block is None else block.copy()
+    out.reshape(P, N * N)[:, ::N + 1] += diag
+    out.flags.writeable = False
+    return out
 
 
 def _check_pair(ensemble: PathEnsemble, noise: NoiseBundle):

@@ -165,10 +165,12 @@ class TestSubcommands:
 
     def test_scaling_rows_match_fresh_bundles(self, tmp_path):
         # the sweep draws no noise; each row must equal the pairwise
-        # evaluator given that game's own fresh noise, in whatever
-        # order the players are listed, with a standard error of 0
+        # evaluator given that game's own fresh noise, worst over the
+        # directions pair by pair, in whatever order the players are
+        # listed, with a standard error of 0
         path, _ = write_config(tmp_path, steps=6, paths=500,
-                               scaling_players=[4, 2], directions=["const"])
+                               scaling_players=[4, 2],
+                               directions=["ramp", "const"])
         cfg = ExperimentConfig.from_file(str(path))
         res = run(cfg, "scaling")["results"]
         assert res["players"] == [4, 2]
@@ -180,14 +182,30 @@ class TestSubcommands:
             spec, _ = build_preset("lq", n, **params)
             noise = NoiseBundle.generate(cfg.seed, grid, cfg.paths,
                                          spec.n_drivers)
-            asym, se = alpha.pairwise_quadratic_asymmetry(
+            asyms, ses = zip(*(alpha.pairwise_quadratic_asymmetry(
                 spec, params["Qhat"], params["G"], ControlProfile.zeros(n),
-                cfg.direction_controls()[0], grid, noise)
+                d, grid, noise) for d in cfg.direction_controls()))
+            worst = np.argmax(asyms, axis=0)
+            asym = np.choose(worst, asyms)
+            se = np.choose(worst, ses)
             want = alpha.AlphaReport.from_asymmetry(asym, se, [])
             assert got == want.alpha_empirical
             assert int(row["players"]) == n
             assert float(row["alpha_empirical"]) == want.alpha_empirical
             assert float(row["alpha_se"]) == want.alpha_empirical_se == 0.0
+
+    def test_scaling_reads_every_direction_in_any_order(self, tmp_path):
+        # each pair's asymmetry is its worst over the directions, so
+        # listing them in either order writes the same table; reading
+        # only the first entry gave alphas four times apart
+        tables = []
+        for order in (["const", "ramp"], ["ramp", "const"]):
+            path, _ = write_config(tmp_path, steps=20,
+                                   scaling_players=[2, 4], directions=order)
+            run(ExperimentConfig.from_file(str(path)), "scaling")
+            tables.append((tmp_path / "out" / "tables"
+                           / "scaling.csv").read_text())
+        assert tables[0] == tables[1]
 
     def test_nash_gap_reports_bsde_regression_diagnostics(self, tmp_path):
         # every backward sweep of the potential minimization is folded
@@ -421,6 +439,36 @@ class TestCli:
                                preset_params={"R": 5.0, "A": -2.0})
         assert main(["scaling", "--config", str(path)]) == 2
         assert "preset_params" in capsys.readouterr().err
+
+    def test_simulate_failed_validation_exits_one(self, tmp_path,
+                                                  monkeypatch):
+        # the game is checked against a ledger whose drift constant is a
+        # tenth of the true one, so validate_game fails and the run
+        # exits 1 with its report written
+        build = ExperimentConfig.build_game
+
+        def shrunk(cfg, *args):
+            spec, ledger = build(cfg, *args)
+            return spec, dataclasses.replace(ledger, L_b=0.1 * ledger.L_b)
+
+        path, _ = write_config(tmp_path, paths=100, steps=3)
+        monkeypatch.setattr(ExperimentConfig, "build_game", shrunk)
+        assert main(["simulate", "--config", str(path)]) == 1
+        rep = read_strict(tmp_path / "out" / "report.json")
+        assert rep["passed"] is False
+        assert rep["results"]["validation_passed"] is False
+        assert rep["results"]["validation_worst_ratio"] > 1.0
+
+    def test_nash_gap_exploitable_minimizer_exits_one(self, tmp_path):
+        # on the mean-field preset the candidate potential's minimizer
+        # leaves player 0 a gain above eps_opt + 3 se + 1e-3
+        path, _ = write_config(tmp_path, preset="mean-field", paths=200,
+                               steps=4, quad_order=1)
+        assert main(["nash-gap", "--config", str(path)]) == 1
+        res = read_strict(tmp_path / "out" / "report.json")["results"]
+        se = max(res["per_player"])[1]
+        assert res["exploitability"] > res["eps_opt"] + 3.0 * se + 1e-3
+        assert res["nash_gap_ok"] is False
 
     def test_potential_failed_gap_exits_one(self, tmp_path):
         path, _ = write_config(tmp_path, preset="tanh-coupled", paths=400,

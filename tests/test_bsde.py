@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -312,8 +313,7 @@ class TestSecondAdjoint:
         assert np.allclose(matrices, 0.0, atol=1e-10)
         for step in steps.values():
             assert np.allclose(step.matrices, 0.0, atol=1e-10)
-            for loadings in step.matrix_loadings:
-                assert np.allclose(loadings, 0.0, atol=1e-8)
+            assert np.allclose(step.matrix_loadings, 0.0, atol=1e-8)
 
     def test_scalar_quadratic_terminal_unit(self):
         zero_run = RunningCost(lambda s: np.zeros(s.y.shape))
@@ -374,9 +374,8 @@ class TestSecondAdjoint:
             for k, step in steps.items():
                 assert np.array_equal(solo[k].matrices[:, 0],
                                       step.matrices[:, i])
-                for one, all_ in zip(solo[k].matrix_loadings,
-                                     step.matrix_loadings):
-                    assert np.array_equal(one[:, 0], all_[:, i])
+                assert np.array_equal(solo[k].matrix_loadings[:, 0],
+                                      step.matrix_loadings[:, i])
                 assert np.array_equal(solo[k].costates[:, 0],
                                       step.costates[:, i])
                 assert np.array_equal(solo[k].loadings[:, 0],
@@ -448,18 +447,54 @@ class TestStackedMartingaleFit:
 
     def test_second_adjoint(self, solved):
         # the matrix columns are fitted together with the costate
-        # columns; the columns of one fit are independent
+        # columns; the columns of one fit are independent, and driver
+        # j's one fitted row is its full component's row j and column j
         spec, prof, ens, noise, dt = solved
         _, steps = solved_sweep(spec, ens, noise, [1], [1])
         P, k, N = ens.n_paths, 2, spec.n_players
         want = self.replay(ens, noise, dt,
                            steps[k + 1].matrices[:, 0].reshape(P, -1), k)
         want = want.reshape(P, -1, N, N)   # (P, driver, row, column)
-        rows, columns = (z[:, 0] for z in steps[k].matrix_loadings)
+        loadings = steps[k].matrix_loadings[:, 0]
         for j in range(N):
-            assert np.allclose(rows[:, j], want[:, j, j, :], rtol=0, atol=0)
-            assert np.allclose(columns[:, j], want[:, j, :, j], rtol=0,
+            assert np.allclose(loadings[:, j], want[:, j, j, :], rtol=0,
                                atol=0)
+            assert np.allclose(loadings[:, j], want[:, j, :, j], rtol=0,
+                               atol=0)
+
+    def test_asymmetric_terminal_hessian_is_symmetrized(self):
+        # a terminal Hessian that is symmetric only up to rounding still
+        # gives an exactly symmetric terminal layer, so the one fitted
+        # row of each driver is also its column of the full fit
+        spec, _ = ag.build_tanh_game(2)
+        g = spec.terminal_cost
+
+        def skewed(sl):
+            out = g.dyy(sl).copy()
+            out[:, :, 0, 1] += 1e-3 * np.tanh(sl.y[:, 1])[:, None]
+            return out
+
+        spec = dataclasses.replace(spec, terminal_cost=TerminalCost(
+            g.value, dy=g.dy, dyy=skewed))
+        grid = ag.TimeGrid(4, 1.0)
+        noise = ag.NoiseBundle.generate(6, grid, 1200, 2)
+        ens = ag.simulate_paths(spec, ag.ControlProfile.constants(
+            [0.3, -0.2]), grid, noise)
+        (_, matrices), steps = solved_sweep(spec, ens, noise, [0, 1],
+                                            [0, 1])
+        xT = ens.states[:, -1, :]
+        raw = skewed(ag.Slice(1.0, xT, xT))
+        assert not np.array_equal(raw, np.swapaxes(raw, 2, 3))
+        assert np.array_equal(matrices, np.swapaxes(matrices, 2, 3))
+        P, k, N = ens.n_paths, grid.n_steps - 1, 2
+        for s in range(2):
+            want = self.replay(ens, noise, grid.dt,
+                               matrices[:, s].reshape(P, -1), k)
+            want = want.reshape(P, -1, N, N)
+            loadings = steps[k].matrix_loadings[:, s]
+            for j in range(N):
+                assert np.array_equal(loadings[:, j], want[:, j, j, :])
+                assert np.array_equal(loadings[:, j], want[:, j, :, j])
 
 
 def trace_case(preset, paths=2000, steps=10, **params):

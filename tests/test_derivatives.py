@@ -607,9 +607,10 @@ class TestStreamedSweep:
         assert peak < 2.0 * P * (M + 1) * N * 8
 
     def test_fits_only_the_martingale_columns_read(self, monkeypatch):
-        # per step: Q*N costate columns and 2*S*N*N matrix columns (63 at
-        # Q = S = N = 3) for the martingale fit, of D*(Q*N + S*N*N) = 108
-        # candidates, then the costate and matrix value fits
+        # per step: Q*N costate columns and S*N*N matrix columns (36 at
+        # Q = S = N = 3; driver j's row j is its column j) for the
+        # martingale fit, of D*(Q*N + S*N*N) = 108 candidates, then the
+        # costate and matrix value fits
         spec, _ = ag.build_tanh_game(3)
         grid = ag.TimeGrid(4, 1.0)
         noise = ag.NoiseBundle.generate(3, grid, 300, 3)
@@ -626,7 +627,7 @@ class TestStreamedSweep:
         monkeypatch.setattr(_Regressor, "fit", recording)
         ag.bsde_derivatives(spec, ens, noise, ag.RegressionBasis(), first,
                             second)
-        assert widths == [3 * 3 + 2 * 3 * 3 * 3, 3 * 3, 3 * 3 * 3] * 4
+        assert widths == [3 * 3 + 3 * 3 * 3, 3 * 3, 3 * 3 * 3] * 4
 
     @pytest.mark.parametrize("preset,n,params", [
         ("tanh-coupled", 3, {}), ("lq", 2, {"D": 0.4}),

@@ -202,12 +202,12 @@ class TestVariational:
                                    D=0.5, s0=0.3)
         x = np.zeros((4, n)); u = np.zeros((4, n))
         vc = ag.assemble_variational(spec, 0.0, x, u)
-        B0 = vc.drift_state()
+        B0 = vc.drift_matrix
         expect = np.full((n, n), Abar / n) + np.eye(n) * A
         assert np.allclose(B0[0], expect)
         # C = Cbar = 0: driver j's matrix, supported on row j, vanishes
         for j in range(n):
-            assert np.all(vc.diffusion_row(j) == 0.0)
+            assert np.all(vc.diffusion_rows[:, j] == 0.0)
         # each control loads its own drift and its own driver only
         assert np.allclose(vc.dub, B)
         assert np.allclose(vc.dus, 0.5)
@@ -220,7 +220,7 @@ class TestVariational:
         vc = ag.assemble_variational(spec, 0.0, x, np.zeros((5, 2)))
         for j in range(2):
             expect = np.zeros(2); expect[j] = 0.7
-            assert np.allclose(vc.diffusion_row(j), expect)
+            assert np.allclose(vc.diffusion_rows[:, j], expect)
 
     def test_mean_drift_coupling_block(self):
         n = 4
